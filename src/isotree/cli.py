@@ -46,10 +46,6 @@ def _format_region(sites) -> str:
     return "{%s}" % ",".join(sorted(sites))
 
 
-def _format_number(x: float) -> str:
-    return str(int(x)) if isinstance(x, float) and x.is_integer() else str(x)
-
-
 def _format_cut(g: Graph, cut: JCut) -> str:
     return "(%s, %s)" % (_format_region(cut.low), _format_region(g.sites - cut.low))
 
@@ -130,10 +126,10 @@ def _cmd_oracle_diff(args: argparse.Namespace) -> int:
     print("DIVERGENCE")
     for label, tree in (("pipeline", fast), ("oracle", slow)):
         print(f"{label} zones: %s" % "; ".join(
-            f"{_format_region(z.sites)}={_format_number(z.value)}" for z in tree.zones
+            f"{_format_region(z.sites)}={tio._num(z.value)}" for z in tree.zones
         ))
         print(f"{label} edges: %s" % "; ".join(
-            f"{e.low}->{e.up} gap={_format_number(e.gap)} cut={_format_region(e.cut.low)}"
+            f"{e.low}->{e.up} gap={tio._num(e.gap)} cut={_format_region(e.cut.low)}"
             for e in tree.edges
         ))
     return 1

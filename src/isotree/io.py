@@ -10,6 +10,7 @@ triangulated grids, one site per pixel.
 from __future__ import annotations
 
 import json
+import math
 from typing import Any
 
 from .errors import ParseError, ValidationError
@@ -30,6 +31,8 @@ def _num(x: float) -> float:
 def _require_number(x: Any, where: str) -> float:
     if isinstance(x, bool) or not isinstance(x, (int, float)):
         raise ValidationError(f"{where}: expected a number, got {x!r}")
+    if isinstance(x, float) and not math.isfinite(x):
+        raise ValidationError(f"{where}: expected a finite number, got {x!r}")
     return x
 
 
@@ -37,6 +40,14 @@ def _require_str(x: Any, where: str) -> str:
     if not isinstance(x, str):
         raise ValidationError(f"{where}: expected a string, got {x!r}")
     return x
+
+
+def _require_strs(items: list, where: str) -> frozenset[str]:
+    """The items as a set; type-checked in bulk, since cut lists are long."""
+    if set(map(type, items)) != {str}:
+        for x in items:
+            _require_str(x, where)
+    return frozenset(items)
 
 
 def _loads(data: bytes | str, what: str) -> Any:
@@ -142,7 +153,7 @@ def parse_tree_json(data: bytes | str) -> IsoTree:
         sites_doc = entry.get("sites")
         if not isinstance(sites_doc, list) or not sites_doc:
             raise ValidationError(f"{where}.sites: expected a non-empty array")
-        sites = frozenset(_require_str(s, f"{where}.sites") for s in sites_doc)
+        sites = _require_strs(sites_doc, f"{where}.sites")
         zid = _require_str(entry.get("id"), f"{where}.id")
         if zid != min(sites):
             raise ValidationError(f"{where}: id {zid!r} is not the least site of the zone")
@@ -162,7 +173,7 @@ def parse_tree_json(data: bytes | str) -> IsoTree:
             TreeEdge(
                 _require_str(entry.get("low"), f"{where}.low"),
                 _require_str(entry.get("up"), f"{where}.up"),
-                JCut(frozenset(_require_str(s, f"{where}.cutLow") for s in cut_doc)),
+                JCut(_require_strs(cut_doc, f"{where}.cutLow")),
                 _require_number(entry.get("gap"), f"{where}.gap"),
             )
         )
@@ -198,7 +209,7 @@ def parse_division_json(data: bytes | str) -> tuple[ScalarGraph, ValuedJDivision
         low_doc = entry.get("low")
         if not isinstance(low_doc, list) or not low_doc:
             raise ValidationError(f"{where}.low: expected a non-empty array")
-        low = frozenset(_require_str(s, f"{where}.low") for s in low_doc)
+        low = _require_strs(low_doc, f"{where}.low")
         unknown = low - sg.graph.sites
         if unknown:
             raise ValidationError(f"{where}.low: unknown ids {sorted(unknown)}")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .errors import InternalInconsistencyError, PreconditionError
-from .graph import JCut, ScalarGraph, SiteId
+from .graph import ScalarGraph, SiteId
 from .tree import IsoTree, IsoZone, TreeEdge
 from .unionfind import UnionFind
 
@@ -190,41 +190,11 @@ def merge_to_augmented_ct(jt: MergeTree, st: MergeTree) -> AugmentedContourTree:
 def ct_to_iso_tree(sg: ScalarGraph, rp: RankPerturbation, ct: AugmentedContourTree) -> IsoTree:
     """Iso-tree of the rank-valued graph: singleton zones, rank gaps.
 
-    Each contour-tree edge becomes an L-cut edge whose bipartition is
-    the split the edge induces on the tree's sites.
+    Each contour-tree edge becomes an L-cut edge; its bipartition is the
+    split the edge induces on the tree's sites, which the tree derives.
     """
-    adj: dict[SiteId, list[SiteId]] = {p: [] for p in ct.sites}
-    for lo, hi in ct.edges:
-        adj[lo].append(hi)
-        adj[hi].append(lo)
-
-    # Root the tree and collect, for every edge, the site set hanging
-    # below its child endpoint; the cut's low side is whichever side
-    # contains the edge's lower endpoint.
-    root = min(ct.sites)
-    order: list[SiteId] = []
-    parent: dict[SiteId, SiteId | None] = {root: None}
-    stack = [root]
-    while stack:
-        v = stack.pop()
-        order.append(v)
-        for other in adj[v]:
-            if other not in parent:
-                parent[other] = v
-                stack.append(other)
-    below: dict[SiteId, set[SiteId]] = {p: {p} for p in ct.sites}
-    for v in reversed(order):
-        p = parent[v]
-        if p is not None:
-            below[p] |= below[v]
-
     zones = [IsoZone(frozenset({p}), rp.rank_of(p)) for p in ct.sites]
-    edges = []
-    for lo, hi in ct.edges:
-        child = hi if parent.get(hi) == lo else lo
-        side = frozenset(below[child])
-        low_side = side if lo in side else frozenset(ct.sites - side)
-        edges.append(TreeEdge(lo, hi, JCut(low_side), rp.rank_of(hi) - rp.rank_of(lo)))
+    edges = [TreeEdge(lo, hi, None, rp.rank_of(hi) - rp.rank_of(lo)) for lo, hi in ct.edges]
     reference = sg.reference_site()
     return IsoTree(zones, edges, reference, rp.rank_of(reference))
 
@@ -247,8 +217,9 @@ def reduce_by_f(sg: ScalarGraph, tree_h: IsoTree) -> IsoTree:
     """Contract equal-value edges of the ranked tree back to input units.
 
     Edges whose endpoint zones carry the same input value merge their
-    zones; surviving edges keep their bipartitions and get gaps measured
-    in input values.  The result is the iso-tree of the original graph.
+    zones; surviving edges keep their bipartitions (the contracted tree
+    splits the sites as the ranked one did) and get gaps measured in
+    input values.  The result is the iso-tree of the original graph.
     """
 
     def f_of(zone_rep: SiteId) -> float:
@@ -286,7 +257,7 @@ def reduce_by_f(sg: ScalarGraph, tree_h: IsoTree) -> IsoTree:
         if low_root == up_root:
             continue
         low_zone, up_zone = zones_by_root[low_root], zones_by_root[up_root]
-        edges.append(TreeEdge(low_zone.rep, up_zone.rep, e.cut, up_zone.value - low_zone.value))
+        edges.append(TreeEdge(low_zone.rep, up_zone.rep, None, up_zone.value - low_zone.value))
 
     reference = sg.reference_site()
     return IsoTree(zones_by_root.values(), edges, reference, sg.value_of(reference))

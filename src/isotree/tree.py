@@ -15,6 +15,7 @@ sets that arise this way; ``validate_regular_division`` checks them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -60,20 +61,52 @@ class IsoZone:
         if not self.sites:
             raise ValueError("an iso-zone cannot be empty")
 
-    @property
+    @cached_property
     def rep(self) -> SiteId:
         """Canonical representative: the least site of the zone."""
         return min(self.sites)
 
 
-@dataclass(frozen=True)
 class TreeEdge:
-    """Directed tree edge from the low zone to the up zone of one L-cut."""
+    """Directed tree edge from the low zone to the up zone of one L-cut.
 
-    low: SiteId
-    up: SiteId
-    cut: JCut
-    gap: float
+    The cut is the split the tree makes when the edge is removed, so a
+    tree derives it instead of storing it: an edge of an :class:`IsoTree`
+    holds its low side as a span of the tree's zone preorder, and builds
+    the site set only when ``cut`` is read.  An edge made outside a tree
+    may carry the cut it stands for (``cut=None`` otherwise); the tree
+    checks it once.  Edges compare by zones and gap only.
+    """
+
+    __slots__ = ("low", "up", "gap", "_cut", "_span")
+
+    def __init__(self, low: SiteId, up: SiteId, cut: JCut | None, gap: float):
+        self.low = low
+        self.up = up
+        self.gap = gap
+        self._cut = cut
+        # (zone sites in preorder, start, stop, inside): the low side is
+        # the zones at start..stop-1 when inside, every other zone if not.
+        self._span: tuple[tuple[frozenset[SiteId], ...], int, int, bool] | None = None
+
+    @property
+    def cut(self) -> JCut | None:
+        if self._span is None:
+            return self._cut
+        zone_sites, start, stop, inside = self._span
+        parts = zone_sites[start:stop] if inside else zone_sites[:start] + zone_sites[stop:]
+        return JCut(frozenset().union(*parts))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TreeEdge):
+            return NotImplemented
+        return (self.low, self.up, self.gap) == (other.low, other.up, other.gap)
+
+    def __hash__(self) -> int:
+        return hash((self.low, self.up, self.gap))
+
+    def __repr__(self) -> str:
+        return f"TreeEdge(low={self.low!r}, up={self.up!r}, gap={self.gap!r})"
 
 
 class IsoTree:
@@ -83,6 +116,9 @@ class IsoTree:
     and non-empty, edges reference zone representatives, every edge gap
     is positive and equals the value difference of its zones, and the
     zone/edge structure is a connected tree (``|edges| = |zones| - 1``).
+    It also orders the zones depth first, so that every edge's low side
+    is a span of that preorder or its complement; a cut given with an
+    edge must be that side.
     """
 
     __slots__ = ("_zones", "_edges", "_reference", "_reference_value", "_by_rep", "_site_rep", "_adj")
@@ -95,7 +131,7 @@ class IsoTree:
         reference_value: float,
     ):
         self._zones = tuple(sorted(zones, key=lambda z: z.rep))
-        self._edges = tuple(sorted(edges, key=lambda e: (e.low, e.up)))
+        given = sorted(edges, key=lambda e: (e.low, e.up))
         self._reference = reference
         self._reference_value = reference_value
 
@@ -112,8 +148,8 @@ class IsoTree:
         self._by_rep = by_rep
         self._site_rep = site_rep
 
-        adj: dict[SiteId, list[TreeEdge]] = {rep: [] for rep in by_rep}
-        for e in self._edges:
+        neighbors: dict[SiteId, list[SiteId]] = {rep: [] for rep in by_rep}
+        for e in given:
             if e.low not in by_rep or e.up not in by_rep:
                 raise NotATreeError(f"edge {e.low!r}->{e.up!r} references an unknown zone")
             if e.low == e.up:
@@ -125,26 +161,51 @@ class IsoTree:
                     f"edge {e.low!r}->{e.up!r}: gap {e.gap!r} does not bridge zone values "
                     f"{by_rep[e.low].value!r} and {by_rep[e.up].value!r}"
                 )
-            adj[e.low].append(e)
-            adj[e.up].append(e)
-        self._adj = adj
+            neighbors[e.low].append(e.up)
+            neighbors[e.up].append(e.low)
 
-        if len(self._edges) != len(self._zones) - 1:
+        if len(given) != len(self._zones) - 1:
             raise NotATreeError(
-                f"{len(self._edges)} edges over {len(self._zones)} zones is not a free tree"
+                f"{len(given)} edges over {len(self._zones)} zones is not a free tree"
             )
+        # Depth-first preorder from the least zone: each zone's subtree
+        # is the span order[pos[rep]:stop[pos[rep]]].
+        order: list[SiteId] = []
+        parent: dict[SiteId, SiteId | None] = {}
         if self._zones:
-            seen = {self._zones[0].rep}
+            parent[self._zones[0].rep] = None
             stack = [self._zones[0].rep]
             while stack:
                 rep = stack.pop()
-                for e in adj[rep]:
-                    other = e.up if e.low == rep else e.low
-                    if other not in seen:
-                        seen.add(other)
+                order.append(rep)
+                for other in neighbors[rep]:
+                    if other not in parent:
+                        parent[other] = rep
                         stack.append(other)
-            if len(seen) != len(self._zones):
+            if len(order) != len(self._zones):
                 raise NotATreeError("zone graph is not connected")
+        pos = {rep: i for i, rep in enumerate(order)}
+        stop = list(range(1, len(order) + 1))
+        for i in range(len(order) - 1, 0, -1):
+            j = pos[parent[order[i]]]
+            stop[j] = max(stop[j], stop[i])
+        zone_sites = tuple(by_rep[rep].sites for rep in order)
+
+        adj: dict[SiteId, list[TreeEdge]] = {rep: [] for rep in by_rep}
+        bound = []
+        for e in given:
+            child = e.up if parent[e.up] == e.low else e.low
+            edge = TreeEdge(e.low, e.up, None, e.gap)
+            edge._span = (zone_sites, pos[child], stop[pos[child]], child == e.low)
+            if e._cut is not None and e._cut != edge.cut:
+                raise NotATreeError(
+                    f"edge {e.low!r}->{e.up!r}: stored cut differs from its subtree split"
+                )
+            bound.append(edge)
+            adj[e.low].append(edge)
+            adj[e.up].append(edge)
+        self._edges = tuple(bound)
+        self._adj = adj
 
     @property
     def zones(self) -> tuple[IsoZone, ...]:
@@ -449,23 +510,10 @@ def reconstruct_rt(g: Graph, tree: IsoTree) -> ScalarGraph:
 
 def edge_to_j_cut(tree: IsoTree, edge: TreeEdge) -> JCut:
     """Bipartition obtained by removing one edge: the low subtree's sites."""
-    if edge not in tree.edges:
-        raise ValueError("edge does not belong to the tree")
-    reached = {edge.low}
-    stack = [edge.low]
-    while stack:
-        rep = stack.pop()
-        for e in tree.incident_edges(rep):
-            if e == edge:
-                continue
-            other = e.up if e.low == rep else e.low
-            if other not in reached:
-                reached.add(other)
-                stack.append(other)
-    low_sites: set[SiteId] = set()
-    for rep in reached:
-        low_sites |= tree.zone_by_rep(rep).sites
-    return JCut(frozenset(low_sites))
+    for e in tree._adj.get(edge.low, ()):
+        if e == edge:
+            return e.cut
+    raise ValueError("edge does not belong to the tree")
 
 
 def value_gap_of(sg: ScalarGraph, c: JCut) -> float:
@@ -497,18 +545,11 @@ def check_iso_tree(sg: ScalarGraph, tree: IsoTree) -> None:
                 f"zone {z.rep!r} value {z.value!r} disagrees with site values {sorted(values)}"
             )
     for e in tree.edges:
-        if not is_j_cut(g, e.cut.low):
-            raise InvariantViolationError(f"edge cut {e.cut!r} is not a Jordan cut")
-        if not is_l_cut(sg, e.cut):
-            raise InvariantViolationError(f"edge cut {e.cut!r} is not a level cut")
-        if edge_to_j_cut(tree, e) != e.cut:
-            raise InvariantViolationError(
-                f"edge {e.low!r}->{e.up!r}: stored cut differs from its subtree split"
-            )
-        if not tree.zone_by_rep(e.low).sites <= e.cut.low:
-            raise InvariantViolationError(
-                f"edge {e.low!r}->{e.up!r}: low zone is not inside the cut's low side"
-            )
+        cut = e.cut
+        if not is_j_cut(g, cut.low):
+            raise InvariantViolationError(f"edge cut {cut!r} is not a Jordan cut")
+        if not is_l_cut(sg, cut):
+            raise InvariantViolationError(f"edge cut {cut!r} is not a level cut")
     report = validate_regular_division(g, ValuedJDivision.of_tree(tree))
     if not report.valid:
         v = report.violations[0]

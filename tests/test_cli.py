@@ -185,6 +185,25 @@ class TestValidate:
         res = run_cli("validate", "--input", str(tree_path), "--graph", str(peak_file))
         assert res.returncode == 0
 
+    def test_wrong_cut_low_is_exit_2(self, tmp_path):
+        graph_path = tmp_path / "g.json"
+        graph_path.write_text(graph_to_json(gen_path(2, [0, 1])))
+        doc = {
+            "zones": [
+                {"id": "a", "sites": ["a"], "value": 0},
+                {"id": "b", "sites": ["b"], "value": 1},
+            ],
+            "edges": [{"low": "a", "up": "b", "gap": 1, "cutLow": ["b"]}],
+            "reference": "a",
+            "referenceValue": 0,
+        }
+        tree_path = tmp_path / "t.json"
+        tree_path.write_text(json.dumps(doc))
+        res = run_cli("validate", "--input", str(tree_path), "--graph", str(graph_path))
+        assert res.returncode == 2
+        assert "edge 'a'->'b'" in res.stderr
+        assert "valid" not in res.stdout
+
     def test_tree_document_without_graph_is_exit_2(self, tmp_path, peak_file):
         peak = gen_path(3, [1, 3, 0])
         tree_path = tmp_path / "tree.json"
@@ -235,6 +254,19 @@ class TestErrorPaths:
         res = run_cli("build", "--input", str(ramp_file), "--bogus")
         assert res.returncode == 2
         assert "usage" in res.stderr.lower()
+
+    @pytest.mark.parametrize("bad", ["Infinity", "NaN"])
+    def test_non_finite_value_is_exit_2(self, tmp_path, bad):
+        p = tmp_path / "g.json"
+        p.write_text(
+            '{"sites": [{"id": "a", "value": 0}, {"id": "b", "value": %s}],'
+            ' "adjacency": [["a", "b"]]}' % bad
+        )
+        out = tmp_path / "t.json"
+        res = run_cli("build", "--input", str(p), "--output", str(out))
+        assert res.returncode == 2
+        assert "sites[1].value" in res.stderr
+        assert not out.exists()
 
     def test_validation_error_is_exit_2(self, tmp_path):
         p = tmp_path / "dup.json"

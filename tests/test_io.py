@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from isotree import ParseError, ValidationError, gen_path
+from isotree import NotATreeError, ParseError, ValidationError, gen_path
 from isotree.io import (
     division_to_json,
     export_dot,
@@ -82,6 +82,12 @@ class TestGraphJson:
         with pytest.raises(ParseError):
             load_graph_json(b"{not json")
 
+    @pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_value_rejected(self, bad):
+        doc = {"sites": [{"id": "a", "value": 0}, {"id": "b", "value": bad}], "adjacency": []}
+        with pytest.raises(ValidationError, match=r"sites\[1\]\.value: expected a finite number"):
+            load_graph_json(json.dumps(doc))
+
 
 class TestTreeJson:
     def test_peak_document_shape(self, peak):
@@ -114,6 +120,33 @@ class TestTreeJson:
             "referenceValue": 0,
         }
         with pytest.raises(ValidationError, match="least site"):
+            parse_tree_json(json.dumps(doc))
+
+    def test_cut_low_must_be_the_side_the_tree_gives(self):
+        doc = {
+            "zones": [
+                {"id": "a", "sites": ["a"], "value": 0},
+                {"id": "b", "sites": ["b"], "value": 1},
+            ],
+            "edges": [{"low": "a", "up": "b", "gap": 1, "cutLow": ["b"]}],
+            "reference": "a",
+            "referenceValue": 0,
+        }
+        with pytest.raises(NotATreeError, match="edge 'a'->'b'"):
+            parse_tree_json(json.dumps(doc))
+        doc["edges"][0]["cutLow"] = ["a"]
+        assert parse_tree_json(json.dumps(doc)).edges[0].cut.low == {"a"}
+
+    def test_cut_low_entries_must_be_strings(self, peak):
+        doc = json.loads(tree_to_json(brute_force_iso_tree(peak)))
+        doc["edges"][0]["cutLow"].append(1)
+        with pytest.raises(ValidationError, match=r"edges\[0\]\.cutLow: expected a string"):
+            parse_tree_json(json.dumps(doc))
+
+    def test_non_finite_gap_rejected(self, peak):
+        doc = json.loads(tree_to_json(brute_force_iso_tree(peak)))
+        doc["edges"][0]["gap"] = float("inf")
+        with pytest.raises(ValidationError, match=r"edges\[0\]\.gap: expected a finite number"):
             parse_tree_json(json.dumps(doc))
 
     def test_integral_floats_written_as_ints(self, peak):

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import random
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 
@@ -12,6 +15,7 @@ from isotree import (
     check_iso_tree,
     ct_to_iso_tree,
     gen_path,
+    gen_tri_grid,
     merge_to_augmented_ct,
     perturb_rank,
     reconstruct_rt,
@@ -207,3 +211,20 @@ class TestTiesReduction:
             == sg.value_of(next(iter(tree_h.zone_by_rep(e.up).sites)))
         }
         assert dropped == tied
+
+
+class TestMemory:
+    def test_distinct_valued_grid_stores_no_cuts(self):
+        # Every ranked edge's cut is a different site set; keeping them
+        # all would take over a hundred megabytes at this size.
+        values = list(range(48 * 48))
+        random.Random(5).shuffle(values)
+        sg = gen_tri_grid(48, 48, values)
+        tracemalloc.start()
+        try:
+            tree = build_iso_tree(sg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(tree.zones) == 48 * 48
+        assert peak < 40e6
