@@ -2,7 +2,7 @@
 
 Exit codes: 0 success / verdict true, 1 verdict false or validation
 failure (counterexample printed), 2 I/O or parse error, 3 precondition
-violation (size cap, disconnected graph).
+violation (size cap, disconnected graph), 4 out of memory, 5 internal error.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from pathlib import Path
 
 from . import io as tio
 from .errors import (
+    InternalInconsistencyError,
     IsoTreeError,
     ParseError,
     PreconditionError,
@@ -239,16 +240,16 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 4
+    except InternalInconsistencyError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 5
     except (SizeLimitError, PreconditionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ParseError, ValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except IsoTreeError as exc:
+    except (OSError, IsoTreeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

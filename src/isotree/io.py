@@ -128,10 +128,7 @@ def tree_to_json(tree: IsoTree) -> str:
         "zones": [
             {"id": z.rep, "sites": sorted(z.sites), "value": _num(z.value)} for z in tree.zones
         ],
-        "edges": [
-            {"low": e.low, "up": e.up, "gap": _num(e.gap), "cutLow": sorted(e.cut.low)}
-            for e in tree.edges
-        ],
+        "edges": [{"low": e.low, "up": e.up, "gap": _num(e.gap)} for e in tree.edges],
         "reference": tree.reference,
         "referenceValue": _num(tree.reference_value),
     }
@@ -166,14 +163,15 @@ def parse_tree_json(data: bytes | str) -> IsoTree:
         where = f"edges[{i}]"
         if not isinstance(entry, dict):
             raise ValidationError(f"{where}: expected an object")
+        # cutLow is optional: the tree derives it, and checks it when given.
         cut_doc = entry.get("cutLow")
-        if not isinstance(cut_doc, list) or not cut_doc:
+        if "cutLow" in entry and (not isinstance(cut_doc, list) or not cut_doc):
             raise ValidationError(f"{where}.cutLow: expected a non-empty array")
         edges.append(
             TreeEdge(
                 _require_str(entry.get("low"), f"{where}.low"),
                 _require_str(entry.get("up"), f"{where}.up"),
-                JCut(_require_strs(cut_doc, f"{where}.cutLow")),
+                JCut(_require_strs(cut_doc, f"{where}.cutLow")) if cut_doc else None,
                 _require_number(entry.get("gap"), f"{where}.gap"),
             )
         )

@@ -20,7 +20,6 @@ from typing import Iterable, Iterator
 
 from .errors import (
     InconsistentZoneError,
-    InternalInconsistencyError,
     InvariantViolationError,
     MissingReferenceError,
     NotAnLCutError,
@@ -305,14 +304,20 @@ class AxiomReport:
         return not self.violations
 
 
-def is_l_cut(sg: ScalarGraph, c: JCut) -> bool:
-    """True iff max value over II(low) is strictly below min value over II(up)."""
+def _interior_bounds(sg: ScalarGraph, c: JCut) -> tuple[float, float] | None:
+    """(max value over II(low), min value over II(up)); None if either is empty."""
     g = sg.graph
     low_ii = immediate_interior(g, c.low)
     up_ii = immediate_interior(g, g.sites - frozenset(c.low))
     if not low_ii or not up_ii:
-        return False
-    return max(sg.value_of(p) for p in low_ii) < min(sg.value_of(p) for p in up_ii)
+        return None
+    return max(sg.value_of(p) for p in low_ii), min(sg.value_of(p) for p in up_ii)
+
+
+def is_l_cut(sg: ScalarGraph, c: JCut) -> bool:
+    """True iff max value over II(low) is strictly below min value over II(up)."""
+    bounds = _interior_bounds(sg, c)
+    return bounds is not None and bounds[0] < bounds[1]
 
 
 def _signature_partition(g: Graph, cuts: list[JCut]) -> list[frozenset[SiteId]]:
@@ -517,16 +522,11 @@ def edge_to_j_cut(tree: IsoTree, edge: TreeEdge) -> JCut:
 
 
 def value_gap_of(sg: ScalarGraph, c: JCut) -> float:
-    """Value gap of an L-cut: up-zone value minus low-zone value."""
-    if not is_l_cut(sg, c):
+    """Value gap of an L-cut: min value over II(up) minus max value over II(low)."""
+    bounds = _interior_bounds(sg, c)
+    if bounds is None or not bounds[0] < bounds[1]:
         raise NotAnLCutError(f"{c!r} is not a level cut of the graph")
-    from .pipeline import build_iso_tree
-
-    tree = build_iso_tree(sg)
-    for e in tree.edges:
-        if e.cut == c:
-            return e.gap
-    raise InternalInconsistencyError(f"level cut {c!r} is missing from the built tree")
+    return bounds[1] - bounds[0]
 
 
 def check_iso_tree(sg: ScalarGraph, tree: IsoTree) -> None:

@@ -31,6 +31,19 @@ def disconnected_zone_grid() -> ScalarGraph:
     return gen_tri_grid(2, 2, [0, 1, 1, 2])
 
 
+CORPUS_SIZE = 200
+
+
+def corpus_graph(i: int) -> ScalarGraph:
+    """Graph ``i`` of the seeded acceptance corpus: tri-grids and paths."""
+    rng = random.Random(20_000 + i)
+    if i % 2 == 0:
+        w, h = rng.randint(1, 4), rng.randint(1, 4)
+        return gen_tri_grid(w, h, [rng.randint(0, 5) for _ in range(w * h)])
+    n = rng.randint(1, 10)
+    return gen_path(n, [rng.randint(0, 5) for _ in range(n)])
+
+
 def cycle_graph(n: int) -> Graph:
     ids = path_site_ids(n)
     return Graph(ids, [(ids[i], ids[(i + 1) % n]) for i in range(n)])

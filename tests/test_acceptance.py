@@ -36,23 +36,12 @@ from isotree.io import graph_to_json
 from isotree.oracle import brute_force_iso_tree
 from isotree.unionfind import UnionFind
 
-from conftest import cycle_graph
-
-CORPUS_SIZE = 200
-
-
-def _corpus_graph(i: int) -> ScalarGraph:
-    rng = random.Random(20_000 + i)
-    if i % 2 == 0:
-        w, h = rng.randint(1, 4), rng.randint(1, 4)
-        return gen_tri_grid(w, h, [rng.randint(0, 5) for _ in range(w * h)])
-    n = rng.randint(1, 10)
-    return gen_path(n, [rng.randint(0, 5) for _ in range(n)])
+from conftest import CORPUS_SIZE, corpus_graph, cycle_graph
 
 
 @pytest.fixture(scope="module")
 def corpus() -> list[ScalarGraph]:
-    return [_corpus_graph(i) for i in range(CORPUS_SIZE)]
+    return [corpus_graph(i) for i in range(CORPUS_SIZE)]
 
 
 @pytest.fixture(scope="module")

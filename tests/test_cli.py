@@ -1,17 +1,22 @@
 from __future__ import annotations
 
 import json
+import math
+import random
+import resource
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from isotree import gen_path, gen_tri_grid
-from isotree.io import division_to_json, graph_to_json
+from isotree import ScalarGraph, build_iso_tree, cli, gen_path, gen_tri_grid
+from isotree.io import division_to_json, graph_to_json, tree_to_json
 from isotree.oracle import brute_force_iso_tree
 from isotree.tree import LCut, ValuedJDivision
 from isotree.graph import JCut
+
+from conftest import cycle_graph
 
 
 def run_cli(*argv: str):
@@ -182,6 +187,7 @@ class TestValidate:
         from isotree.io import tree_to_json
 
         tree_path.write_text(tree_to_json(brute_force_iso_tree(peak)))
+        assert "cutLow" not in tree_path.read_text()
         res = run_cli("validate", "--input", str(tree_path), "--graph", str(peak_file))
         assert res.returncode == 0
 
@@ -277,3 +283,57 @@ class TestErrorPaths:
         )
         res = run_cli("build", "--input", str(p))
         assert res.returncode == 2
+
+    def test_out_of_memory_is_exit_4(self, ramp_file, monkeypatch, capsys):
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "build_iso_tree", exhausted)
+        assert cli.main(["build", "--input", str(ramp_file)]) == 4
+        assert capsys.readouterr().err == "error: out of memory\n"
+
+    def test_internal_error_is_exit_5(self, tmp_path):
+        # The C5 cycle is not mono-connected; its merge trees cannot be merged.
+        g = cycle_graph(5)
+        p = tmp_path / "c5.json"
+        p.write_text(graph_to_json(ScalarGraph(g, dict(zip(g.site_list, [0, 5, 3, 5, 3])))))
+        res = run_cli("build", "--input", str(p))
+        assert res.returncode == 5
+        assert "merge stalled" in res.stderr
+
+
+def _smooth_pgm(width: int, height: int) -> bytes:
+    """P5 image of a smooth field of hills and valleys, grey levels 1 to 23."""
+    pixels = bytes(
+        int(12 + 11 * math.sin(x / 9) * math.cos(y / 7))
+        for y in range(height)
+        for x in range(width)
+    )
+    return b"P5\n%d %d\n255\n" % (width, height) + pixels
+
+
+class TestLinearDocuments:
+    def test_128_square_image_builds_in_256_mb(self, tmp_path):
+        # The document must stay linear in the sites: listing every
+        # edge's cut in it would need more than the cap allows.
+        img, out = tmp_path / "img.pgm", tmp_path / "t.json"
+        img.write_bytes(_smooth_pgm(128, 128))
+        limit = 256 << 20
+
+        def cap_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        res = subprocess.run(
+            [sys.executable, "-m", "isotree", "build", "--format", "pgm",
+             "--input", str(img), "--output", str(out)],
+            capture_output=True, text=True, preexec_fn=cap_address_space,
+        )
+        assert res.returncode == 0, res.stderr
+        assert out.stat().st_size < 1e6
+
+    def test_distinct_valued_grid_document_is_small(self):
+        values = list(range(48 * 48))
+        random.Random(5).shuffle(values)
+        text = tree_to_json(build_iso_tree(gen_tri_grid(48, 48, values)))
+        assert '"cutLow"' not in text
+        assert len(text.encode()) < 1e6

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from isotree import NotATreeError, ParseError, ValidationError, gen_path
+from isotree import NotATreeError, ParseError, ValidationError, build_iso_tree, gen_path
 from isotree.io import (
     division_to_json,
     export_dot,
@@ -112,6 +112,21 @@ class TestTreeJson:
         text = tree_to_json(tree)
         assert tree_to_json(parse_tree_json(text)) == text
 
+    @pytest.mark.parametrize("reduce", [True, False])
+    def test_document_without_cut_low_reads_back(self, disconnected_zone_grid, reduce):
+        tree = build_iso_tree(disconnected_zone_grid, reduce=reduce)
+        text = tree_to_json(tree)
+        assert "cutLow" not in text
+        assert parse_tree_json(text) == tree
+
+    @pytest.mark.parametrize("reduce", [True, False])
+    def test_document_with_every_cut_low_still_reads(self, disconnected_zone_grid, reduce):
+        tree = build_iso_tree(disconnected_zone_grid, reduce=reduce)
+        doc = json.loads(tree_to_json(tree))
+        for entry, e in zip(doc["edges"], tree.edges):
+            entry["cutLow"] = sorted(e.cut.low)
+        assert parse_tree_json(json.dumps(doc)) == tree
+
     def test_zone_id_must_be_least_site(self):
         doc = {
             "zones": [{"id": "b", "sites": ["a", "b"], "value": 0}],
@@ -139,7 +154,7 @@ class TestTreeJson:
 
     def test_cut_low_entries_must_be_strings(self, peak):
         doc = json.loads(tree_to_json(brute_force_iso_tree(peak)))
-        doc["edges"][0]["cutLow"].append(1)
+        doc["edges"][0]["cutLow"] = ["a", 1]
         with pytest.raises(ValidationError, match=r"edges\[0\]\.cutLow: expected a string"):
             parse_tree_json(json.dumps(doc))
 

@@ -15,6 +15,7 @@ from isotree import (
     NotATreeError,
     TreeEdge,
     ValuedJDivision,
+    build_iso_tree,
     build_iso_tree_from_cuts,
     check_iso_tree,
     components_of,
@@ -30,7 +31,7 @@ from isotree import (
 )
 from isotree.oracle import brute_force_iso_tree, brute_force_l_cuts
 
-from conftest import mono_scalar_graphs, random_mono_scalar_graph
+from conftest import CORPUS_SIZE, corpus_graph, mono_scalar_graphs, random_mono_scalar_graph
 
 
 def cut(*sites: str) -> JCut:
@@ -210,6 +211,12 @@ class TestValueGap:
     def test_not_an_l_cut(self, peak):
         with pytest.raises(NotAnLCutError):
             value_gap_of(peak, cut("a", "b"))
+
+    def test_equals_the_built_gap_on_the_corpus(self):
+        for i in range(CORPUS_SIZE):
+            sg = corpus_graph(i)
+            for e in build_iso_tree(sg).edges:
+                assert value_gap_of(sg, e.cut) == e.gap, (i, e)
 
 
 class TestEdgeToJCut:
