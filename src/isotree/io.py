@@ -11,14 +11,19 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Callable, Iterable
+from itertools import chain, compress, repeat
+from json.encoder import encode_basestring_ascii
+from operator import attrgetter, eq, is_not, itemgetter
 from typing import Any
 
 from .errors import ParseError, ValidationError
-from .graph import Graph, JCut, ScalarGraph, SiteId
+from .graph import Graph, JCut, ScalarGraph
 from .mono import gen_tri_grid
 from .tree import IsoTree, IsoZone, LCut, TreeEdge, ValuedJDivision
 
 _MAX_PGM_VALUE = 65535
+_ABSENT = object()  # a field not in an entry, unlike one given as null
 
 
 def _num(x: float) -> float:
@@ -28,26 +33,125 @@ def _num(x: float) -> float:
     return x
 
 
-def _require_number(x: Any, where: str) -> float:
+def _number_fault(x: Any) -> str | None:
     if isinstance(x, bool) or not isinstance(x, (int, float)):
-        raise ValidationError(f"{where}: expected a number, got {x!r}")
+        return f"expected a number, got {x!r}"
     if isinstance(x, float) and not math.isfinite(x):
-        raise ValidationError(f"{where}: expected a finite number, got {x!r}")
+        return f"expected a finite number, got {x!r}"
+    return None
+
+
+def _str_fault(x: Any) -> str | None:
+    return None if isinstance(x, str) else f"expected a string, got {x!r}"
+
+
+def _strs_fault(items: list) -> str | None:
+    """The fault of the first item that is not a string."""
+    return next(filter(None, map(_str_fault, items)), None)
+
+
+def _require_number(x: Any, where: str) -> float:
+    fault = _number_fault(x)
+    if fault is not None:
+        raise ValidationError(f"{where}: {fault}")
     return x
 
 
 def _require_str(x: Any, where: str) -> str:
-    if not isinstance(x, str):
-        raise ValidationError(f"{where}: expected a string, got {x!r}")
+    fault = _str_fault(x)
+    if fault is not None:
+        raise ValidationError(f"{where}: {fault}")
     return x
 
 
 def _require_strs(items: list, where: str) -> frozenset[str]:
     """The items as a set; type-checked in bulk, since cut lists are long."""
-    if set(map(type, items)) != {str}:
-        for x in items:
-            _require_str(x, where)
+    if not _all_of(str, items):
+        raise ValidationError(f"{where}: {_strs_fault(items)}")
     return frozenset(items)
+
+
+def _all_of(kind: type, items: Iterable[Any]) -> bool:
+    """Whether every item is exactly of type ``kind``, as JSON values are."""
+    return set(map(type, items)) <= {kind}
+
+
+def _all_numbers(items: list) -> bool:
+    """Whether every item is an int or a finite float; only floats can be infinite."""
+    kinds = set(map(type, items))
+    if not kinds <= {int, float}:
+        return False
+    return float not in kinds or all(map(math.isfinite, filter(float.__instancecheck__, items)))
+
+
+def _non_empty_list(x: Any) -> bool:
+    return isinstance(x, list) and len(x) > 0
+
+
+class _Checks:
+    """Field-by-field checks of a document array that fail where a loop would.
+
+    A loop over the entries checks the fields of one entry in turn and
+    raises at its first fault.  Here each field is checked over the whole
+    array at once, in the same order, and the offending entry is searched
+    for only when a check fails.  Every later check sees only the entries
+    before it (``head``), so ``done`` raises the loop's error: the one of
+    the earliest faulty entry, for the first field it fails.
+    """
+
+    def __init__(self, name: str, entries: list):
+        self.name = name
+        self.stop = len(entries)
+        self.error: ValidationError | None = None
+
+    def head(self, column: list) -> list:
+        """The items of ``column`` before the earliest fault found so far."""
+        return column if len(column) == self.stop else column[: self.stop]
+
+    def check(self, ok: bool, fault: Callable[[int], str | None], field: str = "") -> None:
+        """Unless ``ok``, keep the error of the first entry with a fault.
+
+        ``fault(i)`` is called for i = 0, 1, ... in turn and says what is
+        wrong with ``field`` of entry i, or returns None.
+        """
+        if ok:
+            return
+        for i in range(self.stop):
+            message = fault(i)
+            if message is not None:
+                self.stop = i
+                self.error = ValidationError(f"{self.name}[{i}]{field}: {message}")
+                return
+
+    def done(self) -> None:
+        if self.error is not None:
+            raise self.error
+
+    def objects(self, entries: list) -> list[dict]:
+        self.check(
+            _all_of(dict, entries),
+            lambda i: None if isinstance(entries[i], dict) else "expected an object",
+        )
+        return self.head(entries)
+
+    def column(self, entries: list[dict], key: str, default: Any = None) -> list:
+        """Field ``key`` of every entry, or ``default`` where it is missing."""
+        return self.head(list(map(dict.get, entries, repeat(key), repeat(default))))
+
+    def strs(self, column: list, field: str) -> list[str]:
+        self.check(_all_of(str, column), lambda i: _str_fault(column[i]), field)
+        return self.head(column)
+
+    def numbers(self, column: list, field: str) -> list[float]:
+        self.check(_all_numbers(column), lambda i: _number_fault(column[i]), field)
+        return self.head(column)
+
+    def unique(self, keys: list, fault: Callable[[int], str]) -> None:
+        first: dict = {}
+        self.check(
+            len(set(keys)) == len(keys),
+            lambda i: None if first.setdefault(keys[i], i) == i else fault(i),
+        )
 
 
 def _loads(data: bytes | str, what: str) -> Any:
@@ -71,41 +175,47 @@ def load_graph_json(data: bytes | str) -> ScalarGraph:
     sites = doc.get("sites")
     if not isinstance(sites, list) or not sites:
         raise ValidationError("sites: expected a non-empty array")
-    values: dict[SiteId, float] = {}
-    for i, entry in enumerate(sites):
-        where = f"sites[{i}]"
-        if not isinstance(entry, dict):
-            raise ValidationError(f"{where}: expected an object")
-        sid = _require_str(entry.get("id"), f"{where}.id")
-        if sid in values:
-            raise ValidationError(f"{where}: duplicate id {sid!r}")
-        values[sid] = _require_number(entry.get("value"), f"{where}.value")
+    checks = _Checks("sites", sites)
+    sites = checks.objects(sites)
+    ids = checks.strs(checks.column(sites, "id"), ".id")
+    checks.unique(ids, lambda i: f"duplicate id {ids[i]!r}")
+    values = checks.numbers(checks.column(sites, "value"), ".value")
+    checks.done()
+
     adjacency = doc.get("adjacency", [])
     if not isinstance(adjacency, list):
         raise ValidationError("adjacency: expected an array")
-    pairs: list[tuple[SiteId, SiteId]] = []
-    seen: set[frozenset[SiteId]] = set()
-    for i, entry in enumerate(adjacency):
-        where = f"adjacency[{i}]"
-        if not isinstance(entry, list) or len(entry) != 2:
-            raise ValidationError(f"{where}: expected a pair of ids")
-        p, q = (_require_str(x, where) for x in entry)
-        if p == q:
-            raise ValidationError(f"{where}: self-loop on {p!r}")
-        for sid in (p, q):
-            if sid not in values:
-                raise ValidationError(f"{where}: unknown id {sid!r}")
-        key = frozenset((p, q))
-        if key in seen:
-            raise ValidationError(f"{where}: duplicate pair ({p!r}, {q!r})")
-        seen.add(key)
-        pairs.append((p, q))
+    checks = _Checks("adjacency", adjacency)
+    checks.check(
+        _all_of(list, adjacency) and set(map(len, adjacency)) <= {2},
+        lambda i: None if isinstance(adjacency[i], list) and len(adjacency[i]) == 2
+        else "expected a pair of ids",
+    )
+    pairs = checks.head(adjacency)
+    ps, qs = list(map(itemgetter(0), pairs)), list(map(itemgetter(1), pairs))
+    checks.check(_all_of(str, ps) and _all_of(str, qs), lambda i: _strs_fault(pairs[i]))
+    ps, qs = checks.head(ps), checks.head(qs)
+    checks.check(
+        not any(map(eq, ps, qs)),
+        lambda i: f"self-loop on {ps[i]!r}" if ps[i] == qs[i] else None,
+    )
+    known = set(ids)
+    checks.check(
+        known.issuperset(ps) and known.issuperset(qs),
+        lambda i: next((f"unknown id {s!r}" for s in (ps[i], qs[i]) if s not in known), None),
+    )
+    checks.unique(
+        list(map(frozenset, zip(checks.head(ps), checks.head(qs)))),
+        lambda i: f"duplicate pair ({ps[i]!r}, {qs[i]!r})",
+    )
+    checks.done()
+
     reference = doc.get("reference")
     if reference is not None:
         reference = _require_str(reference, "reference")
-        if reference not in values:
+        if reference not in known:
             raise ValidationError(f"reference: unknown id {reference!r}")
-    return ScalarGraph(Graph(values.keys(), pairs), values, reference=reference)
+    return ScalarGraph(Graph(ids, pairs), dict(zip(ids, values)), reference=reference)
 
 
 def graph_to_json(sg: ScalarGraph) -> str:
@@ -124,15 +234,38 @@ def graph_to_json(sg: ScalarGraph) -> str:
 
 
 def tree_to_json(tree: IsoTree) -> str:
-    doc = {
-        "zones": [
-            {"id": z.rep, "sites": sorted(z.sites), "value": _num(z.value)} for z in tree.zones
-        ],
-        "edges": [{"low": e.low, "up": e.up, "gap": _num(e.gap)} for e in tree.edges],
-        "reference": tree.reference,
-        "referenceValue": _num(tree.reference_value),
-    }
-    return json.dumps(doc, indent=2)
+    """The document ``json.dumps(doc, indent=2)`` writes, byte for byte.
+
+    That encoder runs in pure Python whenever ``indent`` is set, so the
+    zone and edge records are filled into its layout here instead.
+    """
+    zones, edges = tree.zones, tree.edges
+    # The C encoder writes each number exactly as json.dumps would.
+    values = chain(map(attrgetter("value"), zones), map(attrgetter("gap"), edges))
+    numbers = json.dumps(list(map(_num, values)))[1:-1].split(", ")
+    gaps = numbers[len(zones) :]
+    q = encode_basestring_ascii
+    site_list = ",\n        ".join
+    zone_records = ",\n".join(
+        [
+            f'    {{\n      "id": {q(z.rep)},\n      "sites": [\n'
+            f"        {site_list(map(q, sorted(z.sites)))}\n"
+            f'      ],\n      "value": {value}\n    }}'
+            for z, value in zip(zones, numbers)
+        ]
+    )
+    edge_records = ",\n".join(
+        [
+            f'    {{\n      "low": {q(e.low)},\n      "up": {q(e.up)},\n      "gap": {gap}\n    }}'
+            for e, gap in zip(edges, gaps)
+        ]
+    )
+    edge_array = f"[\n{edge_records}\n  ]" if edges else "[]"
+    return (
+        f'{{\n  "zones": [\n{zone_records}\n  ],\n  "edges": {edge_array},\n'
+        f'  "reference": {q(tree.reference)},\n'
+        f'  "referenceValue": {json.dumps(_num(tree.reference_value))}\n}}'
+    )
 
 
 def parse_tree_json(data: bytes | str) -> IsoTree:
@@ -142,42 +275,73 @@ def parse_tree_json(data: bytes | str) -> IsoTree:
     zones_doc = doc.get("zones")
     if not isinstance(zones_doc, list) or not zones_doc:
         raise ValidationError("zones: expected a non-empty array")
-    zones = []
-    for i, entry in enumerate(zones_doc):
-        where = f"zones[{i}]"
-        if not isinstance(entry, dict):
-            raise ValidationError(f"{where}: expected an object")
-        sites_doc = entry.get("sites")
-        if not isinstance(sites_doc, list) or not sites_doc:
-            raise ValidationError(f"{where}.sites: expected a non-empty array")
-        sites = _require_strs(sites_doc, f"{where}.sites")
-        zid = _require_str(entry.get("id"), f"{where}.id")
-        if zid != min(sites):
-            raise ValidationError(f"{where}: id {zid!r} is not the least site of the zone")
-        zones.append(IsoZone(sites, _require_number(entry.get("value"), f"{where}.value")))
+    checks = _Checks("zones", zones_doc)
+    zones_doc = checks.objects(zones_doc)
+    site_lists = checks.column(zones_doc, "sites")
+    checks.check(
+        _all_of(list, site_lists) and all(site_lists),
+        lambda i: None if _non_empty_list(site_lists[i]) else "expected a non-empty array",
+        ".sites",
+    )
+    site_lists = checks.head(site_lists)
+    checks.check(
+        _all_of(str, chain.from_iterable(site_lists)),
+        lambda i: _strs_fault(site_lists[i]),
+        ".sites",
+    )
+    ids = checks.strs(checks.column(zones_doc, "id"), ".id")
+    site_sets = list(map(frozenset, checks.head(site_lists)))
+    checks.check(
+        ids == list(map(min, site_sets)),
+        lambda i: None if ids[i] == min(site_sets[i])
+        else f"id {ids[i]!r} is not the least site of the zone",
+    )
+    values = checks.numbers(checks.column(zones_doc, "value"), ".value")
+    checks.done()
+    zones = list(map(IsoZone, site_sets, values))
+
     edges_doc = doc.get("edges", [])
     if not isinstance(edges_doc, list):
         raise ValidationError("edges: expected an array")
-    edges = []
-    for i, entry in enumerate(edges_doc):
-        where = f"edges[{i}]"
-        if not isinstance(entry, dict):
-            raise ValidationError(f"{where}: expected an object")
-        # cutLow is optional: the tree derives it, and checks it when given.
-        cut_doc = entry.get("cutLow")
-        if "cutLow" in entry and (not isinstance(cut_doc, list) or not cut_doc):
-            raise ValidationError(f"{where}.cutLow: expected a non-empty array")
-        edges.append(
-            TreeEdge(
-                _require_str(entry.get("low"), f"{where}.low"),
-                _require_str(entry.get("up"), f"{where}.up"),
-                JCut(_require_strs(cut_doc, f"{where}.cutLow")) if cut_doc else None,
-                _require_number(entry.get("gap"), f"{where}.gap"),
-            )
-        )
+    checks = _Checks("edges", edges_doc)
+    edges_doc = checks.objects(edges_doc)
+    # cutLow is optional: the tree derives it, and checks it when given.
+    cut_docs = checks.column(edges_doc, "cutLow", _ABSENT)
+    given = list(map(is_not, cut_docs, repeat(_ABSENT)))
+    checks.check(
+        _all_of(list, compress(cut_docs, given)) and all(compress(cut_docs, given)),
+        lambda i: None if not given[i] or _non_empty_list(cut_docs[i])
+        else "expected a non-empty array",
+        ".cutLow",
+    )
+    lows = checks.strs(checks.column(edges_doc, "low"), ".low")
+    ups = checks.strs(checks.column(edges_doc, "up"), ".up")
+    cut_docs = checks.head(cut_docs)
+    checks.check(
+        _all_of(str, chain.from_iterable(compress(cut_docs, given))),
+        lambda i: _strs_fault(cut_docs[i]) if given[i] else None,
+        ".cutLow",
+    )
+    gaps = checks.numbers(checks.column(edges_doc, "gap"), ".gap")
+    checks.done()
+    cuts = [JCut(frozenset(c)) if g else None for c, g in zip(cut_docs, given)]
+    edges = list(map(TreeEdge, lows, ups, cuts, gaps))
+
     reference = _require_str(doc.get("reference"), "reference")
     reference_value = _require_number(doc.get("referenceValue"), "referenceValue")
-    return IsoTree(zones, edges, reference, reference_value)
+    tree = IsoTree(zones, edges, reference, reference_value)
+    # The tree reconstructs values from the reference's zone, so a
+    # reference outside every zone, or a value that is not its zone's,
+    # would give back another function.
+    ref_zone = tree.zone_of(reference)
+    if ref_zone is None:
+        raise ValidationError(f"reference: unknown id {reference!r}")
+    if ref_zone.value != reference_value:
+        raise ValidationError(
+            f"referenceValue: {reference_value!r} is not the value {ref_zone.value!r} "
+            f"of the reference's zone {ref_zone.rep!r}"
+        )
+    return tree
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,20 @@
 from __future__ import annotations
 
+import os
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import strategies as st
 
 from isotree import Graph, ScalarGraph, gen_path, gen_tri_grid
 from isotree.mono import path_site_ids
+
+
+def pytest_configure(config: pytest.Config) -> None:
+    """Let CLI children import the same ``src/`` that pytest's ``pythonpath`` gives the tests."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
 
 
 @pytest.fixture

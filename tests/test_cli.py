@@ -210,6 +210,19 @@ class TestValidate:
         assert "edge 'a'->'b'" in res.stderr
         assert "valid" not in res.stdout
 
+    def test_wrong_reference_value_is_exit_2(self, tmp_path):
+        sg = gen_path(3, [0, 2, 5])
+        graph_path = tmp_path / "g.json"
+        graph_path.write_text(graph_to_json(sg))
+        doc = json.loads(tree_to_json(build_iso_tree(sg)))
+        doc["referenceValue"] = 1
+        tree_path = tmp_path / "t.json"
+        tree_path.write_text(json.dumps(doc))
+        res = run_cli("validate", "--input", str(tree_path), "--graph", str(graph_path))
+        assert res.returncode == 2
+        assert "referenceValue" in res.stderr
+        assert "valid" not in res.stdout
+
     def test_tree_document_without_graph_is_exit_2(self, tmp_path, peak_file):
         peak = gen_path(3, [1, 3, 0])
         tree_path = tmp_path / "tree.json"

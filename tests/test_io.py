@@ -1,10 +1,19 @@
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 
-from isotree import NotATreeError, ParseError, ValidationError, build_iso_tree, gen_path
+from conftest import CORPUS_SIZE, corpus_graph
+from isotree import (
+    NotATreeError,
+    ParseError,
+    ValidationError,
+    build_iso_tree,
+    gen_path,
+    gen_tri_grid,
+)
 from isotree.io import (
     division_to_json,
     export_dot,
@@ -17,7 +26,7 @@ from isotree.io import (
     tree_to_json,
 )
 from isotree.oracle import brute_force_iso_tree
-from isotree.tree import ValuedJDivision
+from isotree.tree import IsoTree, IsoZone, TreeEdge, ValuedJDivision
 
 
 class TestGraphJson:
@@ -167,6 +176,158 @@ class TestTreeJson:
     def test_integral_floats_written_as_ints(self, peak):
         text = tree_to_json(brute_force_iso_tree(peak))
         assert '"value": 1' in text and '"value": 1.0' not in text
+
+    def test_reference_must_be_a_site(self):
+        doc = json.loads(tree_to_json(build_iso_tree(gen_path(3, [0, 2, 5]))))
+        doc["reference"] = "z"
+        with pytest.raises(ValidationError, match=r"^reference: unknown id 'z'$"):
+            parse_tree_json(json.dumps(doc))
+
+    def test_reference_value_must_be_its_zones(self):
+        # Read as given, it would reconstruct a=1, b=3, c=6 from a=0, b=2, c=5.
+        doc = json.loads(tree_to_json(build_iso_tree(gen_path(3, [0, 2, 5]))))
+        doc["referenceValue"] = 1
+        with pytest.raises(ValidationError, match=r"^referenceValue: 1 is not the value 0 "):
+            parse_tree_json(json.dumps(doc))
+
+
+def _json_number(x):
+    return int(x) if isinstance(x, float) and x.is_integer() else x
+
+
+def reference_tree_json(tree: IsoTree) -> str:
+    """The tree writer as it was: a dict written by ``json.dumps(indent=2)``."""
+    doc = {
+        "zones": [
+            {"id": z.rep, "sites": sorted(z.sites), "value": _json_number(z.value)}
+            for z in tree.zones
+        ],
+        "edges": [{"low": e.low, "up": e.up, "gap": _json_number(e.gap)} for e in tree.edges],
+        "reference": tree.reference,
+        "referenceValue": _json_number(tree.reference_value),
+    }
+    return json.dumps(doc, indent=2)
+
+
+class TestTreeJsonBytes:
+    @pytest.mark.parametrize("reduce", [True, False])
+    def test_acceptance_corpus(self, reduce):
+        for i in range(CORPUS_SIZE):
+            tree = build_iso_tree(corpus_graph(i), reduce=reduce)
+            assert tree_to_json(tree) == reference_tree_json(tree), i
+
+    def test_single_zone(self):
+        tree = build_iso_tree(gen_path(3, [7, 7, 7]))
+        assert len(tree.zones) == 1
+        assert tree_to_json(tree) == reference_tree_json(tree)
+        assert '"edges": []' in tree_to_json(tree)
+
+    def test_float_values_and_escaped_ids(self):
+        # Star around zone "a" (value 0); every gap is exact in binary.
+        values = {"a": 0, "b": 0.5, "c\u00e9": 1e-07, "d\"q": 1e16, "e\\s": -0.25, "f": -2.5}
+        zones = [IsoZone(frozenset({rep, rep + "2"}), v) for rep, v in values.items()]
+        edges = [
+            TreeEdge("a", "b", None, 0.5),
+            TreeEdge("a", "c\u00e9", None, 1e-07),
+            TreeEdge("a", "d\"q", None, 1e16),
+            TreeEdge("e\\s", "a", None, 0.25),
+            TreeEdge("f", "e\\s", None, 2.25),
+        ]
+        tree = IsoTree(zones, edges, "f2", -2.5)
+        text = tree_to_json(tree)
+        assert text == reference_tree_json(tree)
+        assert "1e-07" in text and "10000000000000000" in text and "\\u00e9" in text
+        assert parse_tree_json(text) == tree
+
+
+@pytest.fixture(scope="module")
+def big_graph_doc() -> dict:
+    """A 48x48 tri-grid with distinct values, as a graph document."""
+    rng = random.Random(48)
+    values = list(range(48 * 48))
+    rng.shuffle(values)
+    return json.loads(graph_to_json(gen_tri_grid(48, 48, values)))
+
+
+@pytest.fixture(scope="module")
+def big_tree_doc(big_graph_doc) -> dict:
+    return json.loads(tree_to_json(build_iso_tree(load_graph_json(json.dumps(big_graph_doc)))))
+
+
+def _with_last(doc: dict, array: str, field: str, value) -> str:
+    doc = json.loads(json.dumps(doc))
+    doc[array][-1][field] = value
+    return json.dumps(doc)
+
+
+class TestFaultInLastEntry:
+    """A fault in the last of thousands of entries is named at its index."""
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            (True, "expected a number, got True"),
+            (float("nan"), "expected a finite number, got nan"),
+            ("x", "expected a number, got 'x'"),
+        ],
+    )
+    def test_site_value(self, big_graph_doc, value, message):
+        text = _with_last(big_graph_doc, "sites", "value", value)
+        with pytest.raises(ValidationError) as info:
+            load_graph_json(text)
+        assert str(info.value) == f"sites[2303].value: {message}"
+
+    def test_site_id(self, big_graph_doc):
+        with pytest.raises(ValidationError) as info:
+            load_graph_json(_with_last(big_graph_doc, "sites", "id", 7))
+        assert str(info.value) == "sites[2303].id: expected a string, got 7"
+
+    def test_duplicate_pair(self, big_graph_doc):
+        doc = json.loads(json.dumps(big_graph_doc))
+        p, q = doc["adjacency"][0]
+        doc["adjacency"][-1] = [q, p]
+        last = len(doc["adjacency"]) - 1
+        with pytest.raises(ValidationError) as info:
+            load_graph_json(json.dumps(doc))
+        assert str(info.value) == f"adjacency[{last}]: duplicate pair ({q!r}, {p!r})"
+
+    def test_unknown_id_in_pair(self, big_graph_doc):
+        doc = json.loads(json.dumps(big_graph_doc))
+        doc["adjacency"][-1][1] = "zz"
+        last = len(doc["adjacency"]) - 1
+        with pytest.raises(ValidationError) as info:
+            load_graph_json(json.dumps(doc))
+        assert str(info.value) == f"adjacency[{last}]: unknown id 'zz'"
+
+    @pytest.mark.parametrize(
+        "array, field, value, message",
+        [
+            ("zones", "value", True, "expected a number, got True"),
+            ("zones", "value", float("nan"), "expected a finite number, got nan"),
+            ("zones", "value", "x", "expected a number, got 'x'"),
+            ("zones", "id", 7, "expected a string, got 7"),
+            ("edges", "gap", True, "expected a number, got True"),
+            ("edges", "gap", float("nan"), "expected a finite number, got nan"),
+            ("edges", "gap", "x", "expected a number, got 'x'"),
+            ("edges", "low", 7, "expected a string, got 7"),
+        ],
+    )
+    def test_tree_entry(self, big_tree_doc, array, field, value, message):
+        last = len(big_tree_doc[array]) - 1
+        with pytest.raises(ValidationError) as info:
+            parse_tree_json(_with_last(big_tree_doc, array, field, value))
+        assert str(info.value) == f"{array}[{last}].{field}: {message}"
+
+    def test_earliest_entry_is_named_first(self, big_graph_doc, big_tree_doc):
+        # Ids are checked before values, but entry 5 comes before the last.
+        doc = json.loads(_with_last(big_graph_doc, "sites", "id", 7))
+        doc["sites"][5]["value"] = None
+        with pytest.raises(ValidationError, match=r"^sites\[5\]\.value: expected a number"):
+            load_graph_json(json.dumps(doc))
+        doc = json.loads(_with_last(big_tree_doc, "edges", "low", 7))
+        doc["edges"][5]["gap"] = "x"
+        with pytest.raises(ValidationError, match=r"^edges\[5\]\.gap: expected a number"):
+            parse_tree_json(json.dumps(doc))
 
 
 class TestDivisionJson:
