@@ -11,7 +11,7 @@ from __future__ import annotations
 from ._bitgraph import BitGraph, bits
 from .errors import PreconditionError, SizeLimitError
 from .graph import JCut, ScalarGraph
-from .mono import is_mono_connected
+from .mono import _enumerate_cut_masks, is_mono_connected
 from .tree import (
     IsoTree,
     LCut,
@@ -26,18 +26,10 @@ DEFAULT_ORACLE_CAP = 14
 
 def _oriented_l_cut_masks(sg: ScalarGraph, bg: BitGraph) -> list[int]:
     """Low-side masks of all level cuts, found by scanning every bipartition."""
-    n = bg.n
-    if n < 2:
-        return []
     value = [sg.value_of(p) for p in bg.sites]
     winners: list[int] = []
-    for high in range(1 << (n - 1)):
-        mask = (high << 1) | 1
-        if mask == bg.full:
-            continue
+    for mask in _enumerate_cut_masks(bg):
         comp = bg.full & ~mask
-        if not (bg.is_connected(mask) and bg.is_connected(comp)):
-            continue
         ii_x = [value[i] for i in bits(bg.interior(mask))]
         ii_c = [value[i] for i in bits(bg.interior(comp))]
         # Strictness means at most one orientation can win.

@@ -2,18 +2,18 @@
 
 Ties are broken symbolically: sites are ranked by (value, site id), so
 the ranked graph has a unique value per site.  Two union-find sweeps
-build the sublevel and superlevel merge trees, a leaf-pruning merge
-combines them into the augmented contour tree (one node per site), and
-that tree maps directly onto the iso-tree of the ranked graph.  A final
-contraction of equal-value edges yields the iso-tree of the original
-function, with gaps re-expressed in input units.
+build the sublevel and superlevel merge trees, and a leaf-pruning merge
+combines them into the augmented contour tree (one node per site).  The
+iso-tree is that tree with its equal-value edges contracted, gaps in
+input units.  The ranked iso-tree (singleton zones, rank gaps) is built
+only on request (``--no-reduce``, ``--show-intermediate``).
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .errors import InternalInconsistencyError, PreconditionError
 from .graph import ScalarGraph, SiteId
@@ -200,7 +200,7 @@ def ct_to_iso_tree(sg: ScalarGraph, rp: RankPerturbation, ct: AugmentedContourTr
 
 
 def build_iso_tree(sg: ScalarGraph, reduce: bool = True) -> IsoTree:
-    """Full pipeline: rank, sweep both ways, merge, map, optionally reduce.
+    """Full pipeline: rank, sweep both ways, merge, contract equal values.
 
     With ``reduce=False`` the returned tree is the iso-tree of the
     rank-valued graph (singleton zones, gaps in rank units).
@@ -209,55 +209,65 @@ def build_iso_tree(sg: ScalarGraph, reduce: bool = True) -> IsoTree:
     jt = sublevel_merge_tree(sg, rp)
     st = superlevel_merge_tree(sg, rp)
     ct = merge_to_augmented_ct(jt, st)
-    tree_h = ct_to_iso_tree(sg, rp, ct)
-    return reduce_by_f(sg, tree_h) if reduce else tree_h
+    if not reduce:
+        return ct_to_iso_tree(sg, rp, ct)
+    return contract_ties(sg, {p: (p,) for p in ct.sites}, rp._rank, ct.edges)
 
 
 def reduce_by_f(sg: ScalarGraph, tree_h: IsoTree) -> IsoTree:
     """Contract equal-value edges of the ranked tree back to input units.
 
-    Edges whose endpoint zones carry the same input value merge their
-    zones; surviving edges keep their bipartitions (the contracted tree
-    splits the sites as the ranked one did) and get gaps measured in
-    input values.  The result is the iso-tree of the original graph.
+    Every zone of ``tree_h`` must carry one input value; the tree's own
+    zone values order its zones as ranks do.
     """
-
-    def f_of(zone_rep: SiteId) -> float:
-        zone = tree_h.zone_by_rep(zone_rep)
-        values = {sg.value_of(p) for p in zone.sites}
-        if len(values) != 1:
-            raise InternalInconsistencyError(
-                f"zone {zone_rep!r} mixes input values {sorted(values)}"
-            )
-        return values.pop()
-
-    uf = UnionFind(z.rep for z in tree_h.zones)
-    for e in tree_h.edges:
-        if f_of(e.low) == f_of(e.up):
-            uf.union(e.low, e.up)
-
-    merged_sites: dict[SiteId, set[SiteId]] = {}
-    merged_values: dict[SiteId, set[float]] = {}
     for z in tree_h.zones:
-        root = uf.find(z.rep)
-        merged_sites.setdefault(root, set()).update(z.sites)
-        merged_values.setdefault(root, set()).add(f_of(z.rep))
-    zones_by_root: dict[SiteId, IsoZone] = {}
-    for root, sites in merged_sites.items():
-        values = merged_values[root]
+        values = {sg.value_of(p) for p in z.sites}
         if len(values) != 1:
-            raise InternalInconsistencyError(
-                f"contracted zone {root!r} mixes input values {sorted(values)}"
-            )
-        zones_by_root[root] = IsoZone(frozenset(sites), values.pop())
+            raise InternalInconsistencyError(f"zone {z.rep!r} mixes input values {sorted(values)}")
+    members = {z.rep: z.sites for z in tree_h.zones}
+    rank = {z.rep: z.value for z in tree_h.zones}
+    return contract_ties(sg, members, rank, [(e.low, e.up) for e in tree_h.edges])
 
-    edges = []
-    for e in tree_h.edges:
-        low_root, up_root = uf.find(e.low), uf.find(e.up)
-        if low_root == up_root:
-            continue
-        low_zone, up_zone = zones_by_root[low_root], zones_by_root[up_root]
-        edges.append(TreeEdge(low_zone.rep, up_zone.rep, None, up_zone.value - low_zone.value))
 
+def contract_ties(
+    sg: ScalarGraph,
+    members: Mapping[SiteId, Iterable[SiteId]],
+    rank: Mapping[SiteId, float],
+    edges: Sequence[tuple[SiteId, SiteId]],
+) -> IsoTree:
+    """Iso-tree of ``sg`` from a tree over its sites, ties contracted.
+
+    ``members`` maps each node of the tree, itself a site, to all the
+    sites it stands for, which share the node's input value; each edge
+    ``(lo, hi)`` points up in ``rank``.  Edges whose ends carry equal
+    input values join their nodes into one zone; every other edge
+    becomes a tree edge with gap ``value(hi) - value(lo)``.  The cut of
+    a surviving edge is the split it made in the given tree.
+    """
+    value = sg.values
+    if len(edges) != len(members) - 1:
+        raise InternalInconsistencyError(f"{len(edges)} edges over {len(members)} nodes")
+    kept, ties = [], []
+    for lo, hi in edges:
+        if lo not in members or hi not in members:
+            raise InternalInconsistencyError(f"contour edge {lo!r}->{hi!r} names an unknown site")
+        if not rank[lo] < rank[hi]:
+            raise InternalInconsistencyError(f"contour edge {lo!r}->{hi!r} points down in rank")
+        (kept if value[lo] != value[hi] else ties).append((lo, hi))
+    uf = UnionFind(p for edge in ties for p in edge)
+    for lo, hi in ties:
+        if uf.same(lo, hi):
+            raise InternalInconsistencyError(f"tie edge {lo!r}->{hi!r} closes a cycle")
+        uf.union(lo, hi)
+    # Only the ends of tie edges can share a zone with another node.
+    root_of = {p: uf.find(p) for edge in ties for p in edge}
+    sites_of: dict[SiteId, list[SiteId]] = {}
+    for node, sites in members.items():
+        sites_of.setdefault(root_of.get(node, node), []).extend(sites)
+    zone = {root: IsoZone(frozenset(sites), value[root]) for root, sites in sites_of.items()}
+    tree_edges = []
+    for lo, hi in kept:
+        low, up = zone[root_of.get(lo, lo)], zone[root_of.get(hi, hi)]
+        tree_edges.append(TreeEdge(low.rep, up.rep, None, value[hi] - value[lo]))
     reference = sg.reference_site()
-    return IsoTree(zones_by_root.values(), edges, reference, sg.value_of(reference))
+    return IsoTree(zone.values(), tree_edges, reference, value[reference])

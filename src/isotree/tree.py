@@ -15,7 +15,7 @@ sets that arise this way; ``validate_regular_division`` checks them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from operator import attrgetter
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -59,11 +59,8 @@ class IsoZone:
     def __post_init__(self) -> None:
         if not self.sites:
             raise ValueError("an iso-zone cannot be empty")
-
-    @cached_property
-    def rep(self) -> SiteId:
-        """Canonical representative: the least site of the zone."""
-        return min(self.sites)
+        # The least site represents the zone; eq, hash and repr ignore it.
+        object.__setattr__(self, "rep", min(self.sites))
 
 
 class TreeEdge:
@@ -129,23 +126,24 @@ class IsoTree:
         reference: SiteId,
         reference_value: float,
     ):
-        self._zones = tuple(sorted(zones, key=lambda z: z.rep))
-        given = sorted(edges, key=lambda e: (e.low, e.up))
+        self._zones = tuple(sorted(zones, key=attrgetter("rep")))
+        given = sorted(edges, key=attrgetter("low", "up"))
         self._reference = reference
         self._reference_value = reference_value
 
-        by_rep: dict[SiteId, IsoZone] = {}
-        site_rep: dict[SiteId, SiteId] = {}
-        for z in self._zones:
-            if z.rep in by_rep:
-                raise NotATreeError(f"duplicate zone representative {z.rep!r}")
-            by_rep[z.rep] = z
-            for p in z.sites:
-                if p in site_rep:
-                    raise NotATreeError(f"site {p!r} belongs to more than one zone")
-                site_rep[p] = z.rep
-        self._by_rep = by_rep
-        self._site_rep = site_rep
+        self._by_rep = by_rep = {z.rep: z for z in self._zones}
+        self._site_rep = site_rep = {p: z.rep for z in self._zones for p in z.sites}
+        if len(site_rep) != sum(len(z.sites) for z in self._zones):
+            # Name the first shared site in zone order; sorted zones put
+            # equal representatives side by side.
+            seen: set[SiteId] = set()
+            for i, z in enumerate(self._zones):
+                if i and z.rep == self._zones[i - 1].rep:
+                    raise NotATreeError(f"duplicate zone representative {z.rep!r}")
+                for p in z.sites:
+                    if p in seen:
+                        raise NotATreeError(f"site {p!r} belongs to more than one zone")
+                    seen.add(p)
 
         neighbors: dict[SiteId, list[SiteId]] = {rep: [] for rep in by_rep}
         for e in given:
@@ -347,7 +345,7 @@ def zones_from_cuts(sg: ScalarGraph, cuts: Iterable[JCut]) -> tuple[IsoZone, ...
                 f"zone {sorted(sites)} carries several values {sorted(values)}"
             )
         zones.append(IsoZone(sites, values.pop()))
-    return tuple(sorted(zones, key=lambda z: z.rep))
+    return tuple(sorted(zones, key=attrgetter("rep")))
 
 
 def _paired_edges(

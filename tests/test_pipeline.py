@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 
 from isotree import (
+    AugmentedContourTree,
     Graph,
     InternalInconsistencyError,
     PreconditionError,
@@ -24,7 +25,7 @@ from isotree import (
     superlevel_merge_tree,
 )
 from isotree.oracle import brute_force_iso_tree
-from isotree.pipeline import MergeTree
+from isotree.pipeline import MergeTree, contract_ties
 
 from conftest import mono_scalar_graphs
 
@@ -169,6 +170,32 @@ class TestReduce:
         assert tree.edges == ()
 
 
+class TestContractTies:
+    """The contraction checks the contour tree it is given, edge by edge."""
+
+    @staticmethod
+    def contract(values, edges):
+        sg = gen_path(len(values), values)
+        ct = AugmentedContourTree(frozenset(sg.graph.sites), tuple(edges))
+        return contract_ties(sg, {p: (p,) for p in ct.sites}, perturb_rank(sg).rank, ct.edges)
+
+    def test_edge_pointing_down_in_rank(self):
+        with pytest.raises(InternalInconsistencyError, match="'b'->'a' points down in rank"):
+            self.contract([0, 1, 2], [("b", "a"), ("b", "c")])
+
+    def test_cycle_of_equal_valued_edges(self):
+        with pytest.raises(InternalInconsistencyError, match="tie edge 'a'->'c' closes a cycle"):
+            self.contract([0, 0, 0, 1], [("a", "b"), ("b", "c"), ("a", "c")])
+
+    def test_edge_naming_an_unknown_site(self):
+        with pytest.raises(InternalInconsistencyError, match="'a'->'z' names an unknown site"):
+            self.contract([0, 1, 2], [("a", "b"), ("a", "z")])
+
+    def test_edge_count_must_make_a_tree(self):
+        with pytest.raises(InternalInconsistencyError, match="1 edges over 3 nodes"):
+            self.contract([0, 1, 2], [("a", "b")])
+
+
 class TestPipelineAgainstOracle:
     def test_fixtures(self, peak, ramp3, plateau, disconnected_zone_grid):
         for sg in (peak, ramp3, plateau, disconnected_zone_grid):
@@ -199,6 +226,7 @@ class TestTiesReduction:
     def test_reduced_cuts_are_a_subset_of_rank_cuts(self, sg):
         tree_h = build_iso_tree(sg, reduce=False)
         tree_f = reduce_by_f(sg, tree_h)
+        assert build_iso_tree(sg) == tree_f
         rank_cuts = {e.cut for e in tree_h.edges}
         kept_cuts = {e.cut for e in tree_f.edges}
         assert kept_cuts <= rank_cuts

@@ -99,13 +99,27 @@ class TestBuildFromCuts:
 
 class TestIsoTreeStructure:
     def test_overlapping_zones_rejected(self):
-        with pytest.raises(NotATreeError):
+        with pytest.raises(NotATreeError, match="site 'b' belongs to more than one zone"):
             IsoTree(
                 [IsoZone(frozenset("ab"), 0), IsoZone(frozenset("b"), 1)],
                 [TreeEdge("a", "b", cut("a", "b"), 1)],
                 "a",
                 0,
             )
+
+    def test_duplicate_representative_rejected(self):
+        with pytest.raises(NotATreeError, match="duplicate zone representative 'a'"):
+            IsoTree([IsoZone(frozenset("ab"), 0), IsoZone(frozenset("ac"), 1)], [], "a", 0)
+
+    def test_overlap_in_the_last_of_many_zones_is_named(self):
+        # Zone k holds a<k> and b<k>; the last zone takes b0005 instead of
+        # its own b, so only the zone-by-zone scan can say which site.
+        n = 2000
+        zones = [IsoZone(frozenset({f"a{k:04d}", f"b{k:04d}"}), k) for k in range(n - 1)]
+        zones.append(IsoZone(frozenset({f"a{n - 1:04d}", "b0005"}), n - 1))
+        edges = [TreeEdge(f"a{k:04d}", f"a{k + 1:04d}", None, 1) for k in range(n - 1)]
+        with pytest.raises(NotATreeError, match="^site 'b0005' belongs to more than one zone$"):
+            IsoTree(zones, edges, "a0000", 0)
 
     def test_edge_count_must_match(self):
         with pytest.raises(NotATreeError):
