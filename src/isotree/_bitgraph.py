@@ -3,6 +3,11 @@
 Sites map to bit positions in ascending site order, so ascending masks
 visit subsets in a stable order.  Only the enumeration-heavy modules
 (mono-connectivity, oracle) use this; it is not part of the public API.
+
+A graph keeps its bit view, and the view keeps the results of the scans
+over it (the J-cut masks and the mono witness), so each graph's
+bipartitions are scanned at most once.  Filling either slot is
+idempotent: two threads racing to fill one store equal values.
 """
 
 from __future__ import annotations
@@ -11,7 +16,7 @@ from .graph import Graph, SiteId
 
 
 class BitGraph:
-    __slots__ = ("sites", "index", "adj", "full", "n")
+    __slots__ = ("sites", "index", "adj", "full", "n", "cut_masks", "witness")
 
     def __init__(self, g: Graph):
         self.sites: tuple[SiteId, ...] = g.site_list
@@ -23,6 +28,9 @@ class BitGraph:
             ia, ib = self.index[a], self.index[b]
             self.adj[ia] |= 1 << ib
             self.adj[ib] |= 1 << ia
+        # Filled by the mono module on first use.
+        self.cut_masks: tuple[int, ...] | None = None
+        self.witness = None
 
     def mask_of(self, region) -> int:
         m = 0
@@ -62,6 +70,14 @@ class BitGraph:
                 ii |= low
             m ^= low
         return ii
+
+
+def bit_view(g: Graph) -> BitGraph:
+    """The bit view of ``g``, built on first use and kept on the graph."""
+    bg = g._bits
+    if bg is None:
+        bg = g._bits = BitGraph(g)
+    return bg
 
 
 def bits(mask: int):

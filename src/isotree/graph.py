@@ -34,9 +34,11 @@ class Graph:
     Adjacency is given as unordered pairs.  Self-pairs and pairs that
     reference unknown sites are rejected; duplicate pairs collapse.
     Connectedness is a queryable property, not a construction invariant.
+    The bit view that exhaustive scans use is built on first use and kept
+    here (see ``_bitgraph.bit_view``); equality, hash and repr ignore it.
     """
 
-    __slots__ = ("_sites", "_site_list", "_adj", "_pairs")
+    __slots__ = ("_sites", "_site_list", "_adj", "_pairs", "_bits")
 
     def __init__(self, sites: Iterable[SiteId], adjacency: Iterable[tuple[SiteId, SiteId]] = ()):
         site_set = frozenset(sites)
@@ -56,6 +58,7 @@ class Graph:
         self._site_list = tuple(sorted(site_set))
         self._adj: dict[SiteId, frozenset[SiteId]] = {p: frozenset(n) for p, n in adj.items()}
         self._pairs = tuple(sorted(pairs))
+        self._bits = None
 
     @property
     def sites(self) -> frozenset[SiteId]:

@@ -5,6 +5,11 @@ immediate interiors of both sides are connected.  The check here is an
 exhaustive scan of all bipartitions and is therefore capped by site
 count; it is meant as a desk-scale oracle, not a decision procedure.
 
+Exhaustive operations scan all bipartitions once per graph: the J-cut
+masks and the mono witness are kept on the graph's bit view, and the
+mono check, ``enumerate_j_cuts`` and the oracle all read that one scan.
+The cap and the connectivity precondition are checked on every call.
+
 The generators produce families that are mono-connected by construction:
 paths, and rectangular grids triangulated with a fixed NW-SE diagonal
 per unit square (a triangulation of a topological disk).
@@ -16,7 +21,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
-from ._bitgraph import BitGraph
+from ._bitgraph import BitGraph, bit_view
 from .errors import PreconditionError, SizeLimitError
 from .graph import Graph, JCut, ScalarGraph, SiteId
 
@@ -81,6 +86,13 @@ def _enumerate_cut_masks(bg: BitGraph) -> Iterator[int]:
             yield mask
 
 
+def _cut_masks(bg: BitGraph) -> tuple[int, ...]:
+    """The J-cut masks of ``bg`` in scan order, scanned on first use only."""
+    if bg.cut_masks is None:
+        bg.cut_masks = tuple(_enumerate_cut_masks(bg))
+    return bg.cut_masks
+
+
 def enumerate_j_cuts(g: Graph, cap: int = DEFAULT_ENUMERATION_CAP) -> list[JCut]:
     """All unordered bipartitions with both sides non-empty and connected.
 
@@ -91,8 +103,25 @@ def enumerate_j_cuts(g: Graph, cap: int = DEFAULT_ENUMERATION_CAP) -> list[JCut]
         raise SizeLimitError(f"{len(g)} sites exceeds the enumeration cap of {cap}")
     if not g.is_connected():
         raise PreconditionError("J-cut enumeration requires a connected graph")
-    bg = BitGraph(g)
-    return [JCut(bg.set_of(mask)) for mask in _enumerate_cut_masks(bg)]
+    bg = bit_view(g)
+    return [JCut(bg.set_of(mask)) for mask in _cut_masks(bg)]
+
+
+def _scan_witness(bg: BitGraph) -> MonoWitness:
+    # Stops at the first failing cut.  A scan that finds none has seen
+    # every J-cut, so it fills the mask table on the way.
+    masks = bg.cut_masks
+    seen = []
+    for mask in _enumerate_cut_masks(bg) if masks is None else masks:
+        if not bg.is_connected(bg.interior(mask)):
+            return MonoWitness(False, JCut(bg.set_of(mask)), "low")
+        comp = bg.full & ~mask
+        if not bg.is_connected(bg.interior(comp)):
+            return MonoWitness(False, JCut(bg.set_of(mask)), "up")
+        seen.append(mask)
+    if masks is None:
+        bg.cut_masks = tuple(seen)
+    return MonoWitness(verdict=True)
 
 
 def is_mono_connected(g: Graph, cap: int = DEFAULT_ENUMERATION_CAP) -> MonoWitness:
@@ -101,14 +130,10 @@ def is_mono_connected(g: Graph, cap: int = DEFAULT_ENUMERATION_CAP) -> MonoWitne
         raise SizeLimitError(f"{len(g)} sites exceeds the enumeration cap of {cap}")
     if not g.is_connected():
         return MonoWitness(verdict=False)
-    bg = BitGraph(g)
-    for mask in _enumerate_cut_masks(bg):
-        if not bg.is_connected(bg.interior(mask)):
-            return MonoWitness(False, JCut(bg.set_of(mask)), "low")
-        comp = bg.full & ~mask
-        if not bg.is_connected(bg.interior(comp)):
-            return MonoWitness(False, JCut(bg.set_of(mask)), "up")
-    return MonoWitness(verdict=True)
+    bg = bit_view(g)
+    if bg.witness is None:
+        bg.witness = _scan_witness(bg)
+    return bg.witness
 
 
 def path_site_ids(n: int) -> list[SiteId]:

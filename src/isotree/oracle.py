@@ -4,31 +4,36 @@ Every bipartition of the site set is tested against the level-cut
 inequality in both orientations; winners are assembled into the iso-tree
 with all invariants asserted.  Exponential on purpose: the value of this
 module is fidelity, not speed, so it is capped at desk scale.
+
+Exhaustive operations scan all bipartitions once per graph: the L-cut
+test and the mono-connectivity precondition read the J-cut masks and
+the witness that the graph's bit view keeps (see :mod:`isotree.mono`),
+so a graph already checked by ``is_mono_connected`` is not scanned again.
 """
 
 from __future__ import annotations
 
-from ._bitgraph import BitGraph, bits
+from ._bitgraph import BitGraph, bit_view, bits
 from .errors import PreconditionError, SizeLimitError
 from .graph import JCut, ScalarGraph
-from .mono import _enumerate_cut_masks, is_mono_connected
+from .mono import _cut_masks, is_mono_connected
 from .tree import (
     IsoTree,
+    IsoZone,
     LCut,
-    _paired_edges,
-    build_iso_tree_from_cuts,
+    _tree_of_pairs,
+    _zones_and_pairs,
     check_iso_tree,
-    zones_from_cuts,
 )
 
 DEFAULT_ORACLE_CAP = 14
 
 
 def _oriented_l_cut_masks(sg: ScalarGraph, bg: BitGraph) -> list[int]:
-    """Low-side masks of all level cuts, found by scanning every bipartition."""
+    """Low-side masks of all level cuts, found by testing every J-cut of the scan."""
     value = [sg.value_of(p) for p in bg.sites]
     winners: list[int] = []
-    for mask in _enumerate_cut_masks(bg):
+    for mask in _cut_masks(bg):
         comp = bg.full & ~mask
         ii_x = [value[i] for i in bits(bg.interior(mask))]
         ii_c = [value[i] for i in bits(bg.interior(comp))]
@@ -52,6 +57,21 @@ def _check_preconditions(sg: ScalarGraph, cap: int, trust_mono: bool) -> None:
             )
 
 
+def _l_cuts_and_zones(
+    sg: ScalarGraph, cap: int, trust_mono: bool
+) -> tuple[tuple[LCut, ...], tuple[IsoZone, ...], list[tuple[int, int]]]:
+    """The level cuts in cut order, their zones, and each cut's zone pair."""
+    _check_preconditions(sg, cap, trust_mono)
+    bg = bit_view(sg.graph)
+    cuts = sorted((JCut(bg.set_of(m)) for m in _oriented_l_cut_masks(sg, bg)), key=JCut.sort_key)
+    zones, pairs = _zones_and_pairs(sg, cuts)
+    l_cuts = tuple(
+        LCut(cut, zones[up_idx].value - zones[low_idx].value)
+        for cut, (low_idx, up_idx) in zip(cuts, pairs)
+    )
+    return l_cuts, zones, pairs
+
+
 def brute_force_l_cuts(
     sg: ScalarGraph, cap: int = DEFAULT_ORACLE_CAP, trust_mono: bool = False
 ) -> tuple[LCut, ...]:
@@ -60,22 +80,14 @@ def brute_force_l_cuts(
     Pass ``trust_mono=True`` to skip the mono-connectivity scan for
     inputs known to be mono-connected (e.g. generated grids and paths).
     """
-    _check_preconditions(sg, cap, trust_mono)
-    bg = BitGraph(sg.graph)
-    cuts = sorted((JCut(bg.set_of(m)) for m in _oriented_l_cut_masks(sg, bg)), key=JCut.sort_key)
-    zones = zones_from_cuts(sg, cuts)
-    pairs = _paired_edges(cuts, [z.sites for z in zones])
-    return tuple(
-        LCut(cut, zones[up_idx].value - zones[low_idx].value)
-        for cut, (low_idx, up_idx) in zip(cuts, pairs)
-    )
+    return _l_cuts_and_zones(sg, cap, trust_mono)[0]
 
 
 def brute_force_iso_tree(
     sg: ScalarGraph, cap: int = DEFAULT_ORACLE_CAP, trust_mono: bool = False
 ) -> IsoTree:
     """Iso-tree assembled from the brute-force cut set, invariants asserted."""
-    cuts = brute_force_l_cuts(sg, cap=cap, trust_mono=trust_mono)
-    tree = build_iso_tree_from_cuts(sg, cuts)
+    l_cuts, zones, pairs = _l_cuts_and_zones(sg, cap, trust_mono)
+    tree = _tree_of_pairs(sg, zones, l_cuts, pairs)
     check_iso_tree(sg, tree)
     return tree

@@ -133,8 +133,8 @@ def merge_to_augmented_ct(jt: MergeTree, st: MergeTree) -> AugmentedContourTree:
 
     p_sub: dict[SiteId, SiteId | None] = dict(jt.parent)
     p_sup: dict[SiteId, SiteId | None] = dict(st.parent)
-    ch_sub = {p: set(c) for p, c in jt.children().items()}
-    ch_sup = {p: set(c) for p, c in st.children().items()}
+    ch_sub = jt.children()
+    ch_sup = st.children()
 
     def lower_leaf(x: SiteId) -> bool:
         return not ch_sub[x] and len(ch_sup[x]) == 1

@@ -381,32 +381,48 @@ def _paired_edges(
     return pairs
 
 
+def _zones_and_pairs(
+    sg: ScalarGraph, cut_list: list[JCut]
+) -> tuple[tuple[IsoZone, ...], list[tuple[int, int]]]:
+    """Zones of a sorted, duplicate-free cut list, and each cut's zone pair."""
+    zones = zones_from_cuts(sg, cut_list)
+    return zones, _paired_edges(cut_list, [z.sites for z in zones])
+
+
+def _tree_of_pairs(
+    sg: ScalarGraph,
+    zones: tuple[IsoZone, ...],
+    cuts: Iterable[LCut],
+    pairs: list[tuple[int, int]],
+) -> IsoTree:
+    """The tree whose edges join each cut's zone pair, gaps checked against values."""
+    edges = []
+    for lc, (low_idx, up_idx) in zip(cuts, pairs):
+        low, up = zones[low_idx], zones[up_idx]
+        if low.value + lc.gap != up.value:
+            raise NotATreeError(
+                f"gap {lc.gap!r} of cut {lc.cut!r} disagrees with zone values "
+                f"{low.value!r} and {up.value!r}"
+            )
+        edges.append(TreeEdge(low.rep, up.rep, lc.cut, lc.gap))
+    reference = sg.reference_site()
+    return IsoTree(zones, edges, reference, sg.value_of(reference))
+
+
 def build_iso_tree_from_cuts(sg: ScalarGraph, cuts: Iterable[LCut]) -> IsoTree:
     """Assemble the iso-tree whose edge set is the given L-cuts.
 
     The cuts must be exactly the L-cuts of the scalar graph; anything
     else surfaces as an inconsistent zone or a failed free-tree check.
     """
-    by_cut: dict[JCut, float] = {}
+    by_cut: dict[JCut, LCut] = {}
     for lc in cuts:
-        if lc.cut in by_cut and by_cut[lc.cut] != lc.gap:
+        if lc.cut in by_cut and by_cut[lc.cut].gap != lc.gap:
             raise NotATreeError(f"conflicting gaps for cut {lc.cut!r}")
-        by_cut[lc.cut] = lc.gap
+        by_cut[lc.cut] = lc
     cut_list = sorted(by_cut, key=JCut.sort_key)
-    zones = list(zones_from_cuts(sg, cut_list))
-    pairs = _paired_edges(cut_list, [z.sites for z in zones])
-    edges = []
-    for cut, (low_idx, up_idx) in zip(cut_list, pairs):
-        low, up = zones[low_idx], zones[up_idx]
-        gap = by_cut[cut]
-        if low.value + gap != up.value:
-            raise NotATreeError(
-                f"gap {gap!r} of cut {cut!r} disagrees with zone values "
-                f"{low.value!r} and {up.value!r}"
-            )
-        edges.append(TreeEdge(low.rep, up.rep, cut, gap))
-    reference = sg.reference_site()
-    return IsoTree(zones, edges, reference, sg.value_of(reference))
+    zones, pairs = _zones_and_pairs(sg, cut_list)
+    return _tree_of_pairs(sg, zones, [by_cut[c] for c in cut_list], pairs)
 
 
 def division_to_tree(

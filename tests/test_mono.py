@@ -6,6 +6,7 @@ from isotree import (
     Graph,
     JCut,
     PreconditionError,
+    ScalarGraph,
     SizeLimitError,
     constant,
     enumerate_j_cuts,
@@ -15,6 +16,9 @@ from isotree import (
     ramp,
     seeded_random,
 )
+from isotree import mono
+from isotree._bitgraph import bit_view
+from isotree.oracle import brute_force_iso_tree
 
 from conftest import cycle_graph
 
@@ -100,6 +104,68 @@ class TestIsMonoConnected:
     @pytest.mark.parametrize("n", range(1, 13))
     def test_paths_are_mono(self, n):
         assert is_mono_connected(path_graph(n)).verdict
+
+
+class TestSharedScan:
+    """Each graph's bipartitions are scanned once, and only for that graph."""
+
+    @pytest.fixture
+    def scans(self, monkeypatch):
+        calls = []
+        scan = mono._enumerate_cut_masks
+
+        def counted(bg):
+            calls.append(bg)
+            return scan(bg)
+
+        monkeypatch.setattr(mono, "_enumerate_cut_masks", counted)
+        return calls
+
+    def test_mono_check_and_oracle_share_one_scan(self, scans):
+        sg = gen_tri_grid(3, 3, seeded_random(3))
+        assert is_mono_connected(sg.graph).verdict
+        tree = brute_force_iso_tree(sg)
+        assert brute_force_iso_tree(sg) == tree
+        assert enumerate_j_cuts(sg.graph)
+        assert len(scans) == 1
+
+    def test_equal_graphs_scan_separately(self, scans):
+        first, second = gen_tri_grid(2, 3, constant(0)).graph, gen_tri_grid(2, 3, constant(0)).graph
+        warm = is_mono_connected(first)
+        # A warm graph still equals, hashes and prints like a cold one.
+        assert (first == second, hash(first), repr(first)) == (True, hash(second), repr(second))
+        assert is_mono_connected(second) == warm
+        assert len(scans) == 2
+
+    def test_warm_graph_keeps_its_caps(self):
+        g = path_graph(15)
+        assert is_mono_connected(g).verdict
+        assert len(enumerate_j_cuts(g)) == 14
+        with pytest.raises(SizeLimitError):
+            is_mono_connected(g, cap=14)
+        with pytest.raises(SizeLimitError):
+            enumerate_j_cuts(g, cap=14)
+        with pytest.raises(SizeLimitError, match="oracle cap of 14"):
+            brute_force_iso_tree(ScalarGraph(g, {p: 0 for p in g.sites}))
+
+    def test_warm_disconnected_graph_is_still_rejected(self, scans):
+        g = Graph("abc", [("a", "b")])
+        # Fill the table of the disconnected graph as a trusted oracle call would.
+        assert mono._cut_masks(bit_view(g)) == (0b011,)
+        assert len(scans) == 1
+        with pytest.raises(PreconditionError):
+            enumerate_j_cuts(g)
+        assert is_mono_connected(g) == mono.MonoWitness(verdict=False)
+
+    def test_failing_scan_fills_no_table(self, scans):
+        g = cycle_graph(6)
+        witness = is_mono_connected(g)
+        assert not witness.verdict
+        assert is_mono_connected(g) is witness
+        # The mono scan stopped at the first failing cut, so listing the
+        # J-cuts scans again, in full.
+        assert enumerate_j_cuts(g) == enumerate_j_cuts(cycle_graph(6))
+        assert len(scans) == 3
 
 
 class TestGenerators:

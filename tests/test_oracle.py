@@ -1,18 +1,26 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isotree import (
+    Graph,
+    IsoTreeError,
     PreconditionError,
     ScalarGraph,
     SizeLimitError,
     ValuedJDivision,
+    enumerate_j_cuts,
     gen_path,
+    is_mono_connected,
     validate_regular_division,
 )
+from isotree import tree as itree
+from isotree.mono import path_site_ids
 from isotree.oracle import brute_force_iso_tree, brute_force_l_cuts
 
-from conftest import cycle_graph
+from conftest import cycle_graph, mono_scalar_graphs
 
 
 def as_pairs(cuts):
@@ -81,3 +89,52 @@ class TestBruteForceIsoTree:
         tree = brute_force_iso_tree(sg)
         assert tree.reference == "c"
         assert tree.reference_value == 0
+
+    def test_zones_are_assembled_once(self, monkeypatch, disconnected_zone_grid):
+        calls = []
+        partition = itree._signature_partition
+
+        def counted(*args):
+            calls.append(args)
+            return partition(*args)
+
+        monkeypatch.setattr(itree, "_signature_partition", counted)
+        tree = brute_force_iso_tree(disconnected_zone_grid)
+        assert len(tree.edges) == 2
+        assert len(calls) == 1
+
+
+def _cycle(values: list[int]) -> ScalarGraph:
+    g = cycle_graph(len(values))
+    return ScalarGraph(g, dict(zip(path_site_ids(len(values)), values)))
+
+
+cycles = st.integers(min_value=4, max_value=8).flatmap(
+    lambda n: st.lists(st.integers(0, 9), min_size=n, max_size=n).map(_cycle)
+)
+
+EXHAUSTIVE = {
+    "mono": lambda sg: is_mono_connected(sg.graph),
+    "j-cuts": lambda sg: enumerate_j_cuts(sg.graph),
+    "oracle": brute_force_iso_tree,
+    "trusted": lambda sg: brute_force_iso_tree(sg, trust_mono=True),
+}
+
+
+def _outcome(call, sg):
+    try:
+        return call(sg)
+    except (IsoTreeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sg=st.one_of(mono_scalar_graphs, cycles), order=st.permutations(sorted(EXHAUSTIVE)))
+def test_warm_graph_answers_like_a_fresh_copy(sg, order):
+    """Whatever ran first on a graph, every exhaustive answer matches a new copy's."""
+    for name in order:
+        _outcome(EXHAUSTIVE[name], sg)
+    for name, call in EXHAUSTIVE.items():
+        g = sg.graph
+        fresh = ScalarGraph(Graph(g.sites, g.pairs), sg.values, sg.reference)
+        assert _outcome(call, sg) == _outcome(call, fresh), name
