@@ -1,0 +1,100 @@
+"""The bit view's connectivity table and bulk J-cut scan, pinned to the definitions.
+
+Every reference here is definition-literal: it names subsets by sites
+and asks only ``is_region_connected`` and ``immediate_interior``.
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+
+from isotree import Graph, JCut, constant, gen_path, gen_tri_grid, is_mono_connected
+from isotree import mono
+from isotree._bitgraph import bit_view
+from isotree.graph import immediate_interior, is_region_connected
+from isotree.mono import MonoWitness, path_site_ids
+
+from conftest import cycle_graph
+
+
+def _complete(n: int) -> Graph:
+    ids = path_site_ids(n)
+    return Graph(ids, [(a, b) for i, a in enumerate(ids) for b in ids[i + 1 :]])
+
+
+def _star(leaves: int) -> Graph:
+    ids = path_site_ids(leaves + 1)
+    return Graph(ids, [(ids[0], leaf) for leaf in ids[1:]])
+
+
+def _random_graph(seed: int) -> Graph:
+    """Seeded graph of 1-9 sites, connected or not."""
+    rng = random.Random(seed)
+    n = rng.randint(1, 9)
+    ids = path_site_ids(n)
+    p = rng.choice([0.2, 0.4, 0.7])
+    return Graph(ids, [(a, b) for i, a in enumerate(ids) for b in ids[i + 1 :] if rng.random() < p])
+
+
+FAMILY = {
+    **{f"path{n}": (lambda n=n: gen_path(n, constant(0)).graph) for n in range(1, 9)},
+    **{f"C{n}": (lambda n=n: cycle_graph(n)) for n in range(3, 9)},
+    **{
+        f"grid{w}x{h}": (lambda w=w, h=h: gen_tri_grid(w, h, constant(0)).graph)
+        for w, h in [(2, 2), (2, 3), (3, 2), (3, 3), (2, 5)]
+    },
+    "K5": lambda: _complete(5),
+    "star6": lambda: _star(6),
+    "ab+c": lambda: Graph("abc", [("a", "b")]),
+    **{f"random{seed}": (lambda seed=seed: _random_graph(seed)) for seed in range(50)},
+}
+
+graphs = pytest.mark.parametrize("make", FAMILY.values(), ids=FAMILY.keys())
+
+
+def _region(g: Graph, mask: int) -> frozenset:
+    """Sites of ``mask``; bit i is the i-th site in ascending order."""
+    return frozenset(p for i, p in enumerate(g.site_list) if mask >> i & 1)
+
+
+def _literal_cut_masks(g: Graph) -> list[int]:
+    full = (1 << len(g)) - 1
+    return [
+        m
+        for m in range(1, full, 2)
+        if is_region_connected(g, _region(g, m)) and is_region_connected(g, _region(g, full & ~m))
+    ]
+
+
+def _literal_witness(g: Graph) -> MonoWitness:
+    if not g.is_connected():
+        return MonoWitness(verdict=False)
+    for m in _literal_cut_masks(g):
+        low = _region(g, m)
+        for side, region in (("low", low), ("up", g.sites - low)):
+            if not is_region_connected(g, immediate_interior(g, region)):
+                return MonoWitness(False, JCut(low), side)
+    return MonoWitness(verdict=True)
+
+
+@graphs
+def test_table_matches_region_connectivity(make):
+    g = make()
+    bg = bit_view(g)
+    assert len(bg.connected) == 1 << len(g)
+    for m in range(1 << len(g)):
+        assert bg.is_connected(m) == is_region_connected(g, _region(g, m)), bin(m)
+
+
+@graphs
+def test_cut_masks_match_the_literal_scan(make):
+    g = make()
+    assert list(mono._enumerate_cut_masks(bit_view(g))) == _literal_cut_masks(g)
+
+
+@graphs
+def test_mono_witness_matches_the_literal_scan(make):
+    g = make()
+    assert is_mono_connected(g) == _literal_witness(g)

@@ -141,6 +141,16 @@ class TestCheckMono:
         res = run_cli("check-mono", "--input", str(c4_file), "--max-sites", "2")
         assert res.returncode == 3
 
+    def test_default_cap_is_16_sites(self, tmp_path):
+        grid, path = tmp_path / "grid16.json", tmp_path / "path17.json"
+        grid.write_text(graph_to_json(gen_tri_grid(4, 4, [0] * 16)))
+        path.write_text(graph_to_json(gen_path(17, [0] * 17)))
+        res = run_cli("check-mono", "--input", str(grid))
+        assert (res.returncode, res.stdout.strip()) == (0, "mono-connected")
+        res = run_cli("check-mono", "--input", str(path))
+        assert res.returncode == 3
+        assert "17 sites exceeds the enumeration cap of 16" in res.stderr
+
 
 class TestRoundtrip:
     def test_peak_passes(self, peak_file):

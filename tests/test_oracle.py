@@ -51,6 +51,14 @@ class TestBruteForceLCuts:
         # The trusted flag skips the check; the scan itself still runs.
         assert brute_force_l_cuts(sg, trust_mono=True) == ()
 
+    @pytest.mark.parametrize("trust_mono", [False, True])
+    @pytest.mark.parametrize("oracle", [brute_force_l_cuts, brute_force_iso_tree])
+    def test_disconnected_rejected(self, oracle, trust_mono):
+        # a-b plus an isolated c: the trusted flag must not let it reach the scan.
+        sg = ScalarGraph(Graph("abc", [("a", "b")]), {"a": 0, "b": 1, "c": 2})
+        with pytest.raises(PreconditionError, match="connected graph"):
+            oracle(sg, trust_mono=trust_mono)
+
 
 class TestBruteForceIsoTree:
     def test_ramp_chain_of_singletons(self, ramp3):
