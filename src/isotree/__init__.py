@@ -61,7 +61,6 @@ from .tree import (
     build_iso_tree_from_cuts,
     check_iso_tree,
     division_to_tree,
-    edge_to_j_cut,
     is_l_cut,
     reconstruct_rt,
     validate_regular_division,

@@ -3,18 +3,20 @@
 JSON is the canonical interchange format.  Serialization is fully
 deterministic (sorted sites, sorted pairs, fixed key order, integral
 reals written without a fraction) so serialize-parse-serialize is
-byte-identical.  PGM images (ASCII ``P2`` and binary ``P5``) load as
-triangulated grids, one site per pixel.
+byte-identical.  The readers check the entries of each document array
+in document order, and the fields of an entry in a fixed order; the
+first fault raises a ``ValidationError`` that names it as
+``array[i].field``.  PGM images (ASCII ``P2`` and binary ``P5``) load
+as triangulated grids, one site per pixel.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from collections.abc import Callable, Iterable
-from itertools import chain, compress, repeat
+from itertools import chain
 from json.encoder import encode_basestring_ascii
-from operator import attrgetter, eq, is_not, itemgetter
+from operator import attrgetter
 from typing import Any
 
 from .errors import ParseError, ValidationError
@@ -23,7 +25,6 @@ from .mono import gen_tri_grid
 from .tree import IsoTree, IsoZone, LCut, TreeEdge, ValuedJDivision
 
 _MAX_PGM_VALUE = 65535
-_ABSENT = object()  # a field not in an entry, unlike one given as null
 
 
 def _num(x: float) -> float:
@@ -33,125 +34,27 @@ def _num(x: float) -> float:
     return x
 
 
-def _number_fault(x: Any) -> str | None:
-    if isinstance(x, bool) or not isinstance(x, (int, float)):
-        return f"expected a number, got {x!r}"
-    if isinstance(x, float) and not math.isfinite(x):
-        return f"expected a finite number, got {x!r}"
-    return None
-
-
-def _str_fault(x: Any) -> str | None:
-    return None if isinstance(x, str) else f"expected a string, got {x!r}"
-
-
-def _strs_fault(items: list) -> str | None:
-    """The fault of the first item that is not a string."""
-    return next(filter(None, map(_str_fault, items)), None)
-
-
 def _require_number(x: Any, where: str) -> float:
-    fault = _number_fault(x)
-    if fault is not None:
-        raise ValidationError(f"{where}: {fault}")
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise ValidationError(f"{where}: expected a number, got {x!r}")
+    if isinstance(x, float) and not math.isfinite(x):
+        raise ValidationError(f"{where}: expected a finite number, got {x!r}")
     return x
 
 
 def _require_str(x: Any, where: str) -> str:
-    fault = _str_fault(x)
-    if fault is not None:
-        raise ValidationError(f"{where}: {fault}")
+    if not isinstance(x, str):
+        raise ValidationError(f"{where}: expected a string, got {x!r}")
     return x
 
 
-def _require_strs(items: list, where: str) -> frozenset[str]:
-    """The items as a set; type-checked in bulk, since cut lists are long."""
-    if not _all_of(str, items):
-        raise ValidationError(f"{where}: {_strs_fault(items)}")
+def _require_strs(items: Any, where: str) -> frozenset[str]:
+    """A non-empty array of strings, as a set."""
+    if not isinstance(items, list) or not items:
+        raise ValidationError(f"{where}: expected a non-empty array")
+    for x in items:
+        _require_str(x, where)
     return frozenset(items)
-
-
-def _all_of(kind: type, items: Iterable[Any]) -> bool:
-    """Whether every item is exactly of type ``kind``, as JSON values are."""
-    return set(map(type, items)) <= {kind}
-
-
-def _all_numbers(items: list) -> bool:
-    """Whether every item is an int or a finite float; only floats can be infinite."""
-    kinds = set(map(type, items))
-    if not kinds <= {int, float}:
-        return False
-    return float not in kinds or all(map(math.isfinite, filter(float.__instancecheck__, items)))
-
-
-def _non_empty_list(x: Any) -> bool:
-    return isinstance(x, list) and len(x) > 0
-
-
-class _Checks:
-    """Field-by-field checks of a document array that fail where a loop would.
-
-    A loop over the entries checks the fields of one entry in turn and
-    raises at its first fault.  Here each field is checked over the whole
-    array at once, in the same order, and the offending entry is searched
-    for only when a check fails.  Every later check sees only the entries
-    before it (``head``), so ``done`` raises the loop's error: the one of
-    the earliest faulty entry, for the first field it fails.
-    """
-
-    def __init__(self, name: str, entries: list):
-        self.name = name
-        self.stop = len(entries)
-        self.error: ValidationError | None = None
-
-    def head(self, column: list) -> list:
-        """The items of ``column`` before the earliest fault found so far."""
-        return column if len(column) == self.stop else column[: self.stop]
-
-    def check(self, ok: bool, fault: Callable[[int], str | None], field: str = "") -> None:
-        """Unless ``ok``, keep the error of the first entry with a fault.
-
-        ``fault(i)`` is called for i = 0, 1, ... in turn and says what is
-        wrong with ``field`` of entry i, or returns None.
-        """
-        if ok:
-            return
-        for i in range(self.stop):
-            message = fault(i)
-            if message is not None:
-                self.stop = i
-                self.error = ValidationError(f"{self.name}[{i}]{field}: {message}")
-                return
-
-    def done(self) -> None:
-        if self.error is not None:
-            raise self.error
-
-    def objects(self, entries: list) -> list[dict]:
-        self.check(
-            _all_of(dict, entries),
-            lambda i: None if isinstance(entries[i], dict) else "expected an object",
-        )
-        return self.head(entries)
-
-    def column(self, entries: list[dict], key: str, default: Any = None) -> list:
-        """Field ``key`` of every entry, or ``default`` where it is missing."""
-        return self.head(list(map(dict.get, entries, repeat(key), repeat(default))))
-
-    def strs(self, column: list, field: str) -> list[str]:
-        self.check(_all_of(str, column), lambda i: _str_fault(column[i]), field)
-        return self.head(column)
-
-    def numbers(self, column: list, field: str) -> list[float]:
-        self.check(_all_numbers(column), lambda i: _number_fault(column[i]), field)
-        return self.head(column)
-
-    def unique(self, keys: list, fault: Callable[[int], str]) -> None:
-        first: dict = {}
-        self.check(
-            len(set(keys)) == len(keys),
-            lambda i: None if first.setdefault(keys[i], i) == i else fault(i),
-        )
 
 
 def _loads(data: bytes | str, what: str) -> Any:
@@ -175,47 +78,44 @@ def load_graph_json(data: bytes | str) -> ScalarGraph:
     sites = doc.get("sites")
     if not isinstance(sites, list) or not sites:
         raise ValidationError("sites: expected a non-empty array")
-    checks = _Checks("sites", sites)
-    sites = checks.objects(sites)
-    ids = checks.strs(checks.column(sites, "id"), ".id")
-    checks.unique(ids, lambda i: f"duplicate id {ids[i]!r}")
-    values = checks.numbers(checks.column(sites, "value"), ".value")
-    checks.done()
+    values: dict[str, float] = {}
+    for i, entry in enumerate(sites):
+        if type(entry) is not dict:
+            raise ValidationError(f"sites[{i}]: expected an object")
+        p, v = entry.get("id"), entry.get("value")
+        if type(p) is not str:
+            _require_str(p, f"sites[{i}].id")
+        if p in values:
+            raise ValidationError(f"sites[{i}]: duplicate id {p!r}")
+        if type(v) is not int and not (type(v) is float and math.isfinite(v)):
+            _require_number(v, f"sites[{i}].value")
+        values[p] = v
 
     adjacency = doc.get("adjacency", [])
     if not isinstance(adjacency, list):
         raise ValidationError("adjacency: expected an array")
-    checks = _Checks("adjacency", adjacency)
-    checks.check(
-        _all_of(list, adjacency) and set(map(len, adjacency)) <= {2},
-        lambda i: None if isinstance(adjacency[i], list) and len(adjacency[i]) == 2
-        else "expected a pair of ids",
-    )
-    pairs = checks.head(adjacency)
-    ps, qs = list(map(itemgetter(0), pairs)), list(map(itemgetter(1), pairs))
-    checks.check(_all_of(str, ps) and _all_of(str, qs), lambda i: _strs_fault(pairs[i]))
-    ps, qs = checks.head(ps), checks.head(qs)
-    checks.check(
-        not any(map(eq, ps, qs)),
-        lambda i: f"self-loop on {ps[i]!r}" if ps[i] == qs[i] else None,
-    )
-    known = set(ids)
-    checks.check(
-        known.issuperset(ps) and known.issuperset(qs),
-        lambda i: next((f"unknown id {s!r}" for s in (ps[i], qs[i]) if s not in known), None),
-    )
-    checks.unique(
-        list(map(frozenset, zip(checks.head(ps), checks.head(qs)))),
-        lambda i: f"duplicate pair ({ps[i]!r}, {qs[i]!r})",
-    )
-    checks.done()
+    seen: set[tuple[str, str]] = set()
+    for i, pair in enumerate(adjacency):
+        if type(pair) is not list or len(pair) != 2:
+            raise ValidationError(f"adjacency[{i}]: expected a pair of ids")
+        p, q = pair
+        if type(p) is not str or type(q) is not str:
+            _require_strs(pair, f"adjacency[{i}]")
+        if p == q:
+            raise ValidationError(f"adjacency[{i}]: self-loop on {p!r}")
+        if p not in values or q not in values:
+            raise ValidationError(f"adjacency[{i}]: unknown id {q if p in values else p!r}")
+        key = (p, q) if p < q else (q, p)
+        if key in seen:
+            raise ValidationError(f"adjacency[{i}]: duplicate pair ({p!r}, {q!r})")
+        seen.add(key)
 
     reference = doc.get("reference")
     if reference is not None:
         reference = _require_str(reference, "reference")
-        if reference not in known:
+        if reference not in values:
             raise ValidationError(f"reference: unknown id {reference!r}")
-    return ScalarGraph(Graph(ids, pairs), dict(zip(ids, values)), reference=reference)
+    return ScalarGraph(Graph(values, adjacency), values, reference=reference)
 
 
 def graph_to_json(sg: ScalarGraph) -> str:
@@ -275,57 +175,46 @@ def parse_tree_json(data: bytes | str) -> IsoTree:
     zones_doc = doc.get("zones")
     if not isinstance(zones_doc, list) or not zones_doc:
         raise ValidationError("zones: expected a non-empty array")
-    checks = _Checks("zones", zones_doc)
-    zones_doc = checks.objects(zones_doc)
-    site_lists = checks.column(zones_doc, "sites")
-    checks.check(
-        _all_of(list, site_lists) and all(site_lists),
-        lambda i: None if _non_empty_list(site_lists[i]) else "expected a non-empty array",
-        ".sites",
-    )
-    site_lists = checks.head(site_lists)
-    checks.check(
-        _all_of(str, chain.from_iterable(site_lists)),
-        lambda i: _strs_fault(site_lists[i]),
-        ".sites",
-    )
-    ids = checks.strs(checks.column(zones_doc, "id"), ".id")
-    site_sets = list(map(frozenset, checks.head(site_lists)))
-    checks.check(
-        ids == list(map(min, site_sets)),
-        lambda i: None if ids[i] == min(site_sets[i])
-        else f"id {ids[i]!r} is not the least site of the zone",
-    )
-    values = checks.numbers(checks.column(zones_doc, "value"), ".value")
-    checks.done()
-    zones = list(map(IsoZone, site_sets, values))
+    zones = []
+    for i, entry in enumerate(zones_doc):
+        if type(entry) is not dict:
+            raise ValidationError(f"zones[{i}]: expected an object")
+        sites, rep, value = entry.get("sites"), entry.get("id"), entry.get("value")
+        if type(sites) is not list or not sites or not all(type(p) is str for p in sites):
+            _require_strs(sites, f"zones[{i}].sites")
+        if type(rep) is not str:
+            _require_str(rep, f"zones[{i}].id")
+        zone = IsoZone(frozenset(sites), value)
+        if zone.rep != rep:
+            raise ValidationError(f"zones[{i}]: id {rep!r} is not the least site of the zone")
+        if type(value) is not int and not (type(value) is float and math.isfinite(value)):
+            _require_number(value, f"zones[{i}].value")
+        zones.append(zone)
 
     edges_doc = doc.get("edges", [])
     if not isinstance(edges_doc, list):
         raise ValidationError("edges: expected an array")
-    checks = _Checks("edges", edges_doc)
-    edges_doc = checks.objects(edges_doc)
-    # cutLow is optional: the tree derives it, and checks it when given.
-    cut_docs = checks.column(edges_doc, "cutLow", _ABSENT)
-    given = list(map(is_not, cut_docs, repeat(_ABSENT)))
-    checks.check(
-        _all_of(list, compress(cut_docs, given)) and all(compress(cut_docs, given)),
-        lambda i: None if not given[i] or _non_empty_list(cut_docs[i])
-        else "expected a non-empty array",
-        ".cutLow",
-    )
-    lows = checks.strs(checks.column(edges_doc, "low"), ".low")
-    ups = checks.strs(checks.column(edges_doc, "up"), ".up")
-    cut_docs = checks.head(cut_docs)
-    checks.check(
-        _all_of(str, chain.from_iterable(compress(cut_docs, given))),
-        lambda i: _strs_fault(cut_docs[i]) if given[i] else None,
-        ".cutLow",
-    )
-    gaps = checks.numbers(checks.column(edges_doc, "gap"), ".gap")
-    checks.done()
-    cuts = [JCut(frozenset(c)) if g else None for c, g in zip(cut_docs, given)]
-    edges = list(map(TreeEdge, lows, ups, cuts, gaps))
+    edges = []
+    for i, entry in enumerate(edges_doc):
+        if type(entry) is not dict:
+            raise ValidationError(f"edges[{i}]: expected an object")
+        low, up, gap = entry.get("low"), entry.get("up"), entry.get("gap")
+        # cutLow is optional: the tree derives it, and checks it when given.
+        cut = entry.get("cutLow")
+        given = "cutLow" in entry
+        if given and (type(cut) is not list or not cut):
+            _require_strs(cut, f"edges[{i}].cutLow")
+        if type(low) is not str:
+            _require_str(low, f"edges[{i}].low")
+        if type(up) is not str:
+            _require_str(up, f"edges[{i}].up")
+        if given:
+            if not all(type(p) is str for p in cut):
+                _require_strs(cut, f"edges[{i}].cutLow")
+            cut = JCut(frozenset(cut))
+        if type(gap) is not int and not (type(gap) is float and math.isfinite(gap)):
+            _require_number(gap, f"edges[{i}].gap")
+        edges.append(TreeEdge(low, up, cut, gap))
 
     reference = _require_str(doc.get("reference"), "reference")
     reference_value = _require_number(doc.get("referenceValue"), "referenceValue")
@@ -368,10 +257,7 @@ def parse_division_json(data: bytes | str) -> tuple[ScalarGraph, ValuedJDivision
         where = f"cuts[{i}]"
         if not isinstance(entry, dict):
             raise ValidationError(f"{where}: expected an object")
-        low_doc = entry.get("low")
-        if not isinstance(low_doc, list) or not low_doc:
-            raise ValidationError(f"{where}.low: expected a non-empty array")
-        low = _require_strs(low_doc, f"{where}.low")
+        low = _require_strs(entry.get("low"), f"{where}.low")
         unknown = low - sg.graph.sites
         if unknown:
             raise ValidationError(f"{where}.low: unknown ids {sorted(unknown)}")

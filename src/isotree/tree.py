@@ -395,16 +395,11 @@ def _tree_of_pairs(
     cuts: Iterable[LCut],
     pairs: list[tuple[int, int]],
 ) -> IsoTree:
-    """The tree whose edges join each cut's zone pair, gaps checked against values."""
-    edges = []
-    for lc, (low_idx, up_idx) in zip(cuts, pairs):
-        low, up = zones[low_idx], zones[up_idx]
-        if low.value + lc.gap != up.value:
-            raise NotATreeError(
-                f"gap {lc.gap!r} of cut {lc.cut!r} disagrees with zone values "
-                f"{low.value!r} and {up.value!r}"
-            )
-        edges.append(TreeEdge(low.rep, up.rep, lc.cut, lc.gap))
+    """The tree whose edges join each cut's zone pair; ``IsoTree`` checks the gaps."""
+    edges = [
+        TreeEdge(zones[low_idx].rep, zones[up_idx].rep, lc.cut, lc.gap)
+        for lc, (low_idx, up_idx) in zip(cuts, pairs)
+    ]
     reference = sg.reference_site()
     return IsoTree(zones, edges, reference, sg.value_of(reference))
 
@@ -525,14 +520,6 @@ def reconstruct_rt(g: Graph, tree: IsoTree) -> ScalarGraph:
         for p in z.sites:
             values[p] = v
     return ScalarGraph(g, values, reference=tree.reference)
-
-
-def edge_to_j_cut(tree: IsoTree, edge: TreeEdge) -> JCut:
-    """Bipartition obtained by removing one edge: the low subtree's sites."""
-    for e in tree._adj.get(edge.low, ()):
-        if e == edge:
-            return e.cut
-    raise ValueError("edge does not belong to the tree")
 
 
 def value_gap_of(sg: ScalarGraph, c: JCut) -> float:

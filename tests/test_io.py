@@ -282,6 +282,26 @@ class TestFaultInLastEntry:
             load_graph_json(_with_last(big_graph_doc, "sites", "id", 7))
         assert str(info.value) == "sites[2303].id: expected a string, got 7"
 
+    def test_duplicate_site_id(self, big_graph_doc):
+        with pytest.raises(ValidationError) as info:
+            load_graph_json(_with_last(big_graph_doc, "sites", "id", "r0c0"))
+        assert str(info.value) == "sites[2303]: duplicate id 'r0c0'"
+
+    @pytest.mark.parametrize(
+        "pair, message",
+        [
+            (["r0c0"], "expected a pair of ids"),
+            (["r0c0", "r0c0"], "self-loop on 'r0c0'"),
+        ],
+    )
+    def test_adjacency_entry(self, big_graph_doc, pair, message):
+        doc = json.loads(json.dumps(big_graph_doc))
+        doc["adjacency"][-1] = pair
+        last = len(doc["adjacency"]) - 1
+        with pytest.raises(ValidationError) as info:
+            load_graph_json(json.dumps(doc))
+        assert str(info.value) == f"adjacency[{last}]: {message}"
+
     def test_duplicate_pair(self, big_graph_doc):
         doc = json.loads(json.dumps(big_graph_doc))
         p, q = doc["adjacency"][0]
@@ -306,10 +326,16 @@ class TestFaultInLastEntry:
             ("zones", "value", float("nan"), "expected a finite number, got nan"),
             ("zones", "value", "x", "expected a number, got 'x'"),
             ("zones", "id", 7, "expected a string, got 7"),
+            ("zones", "sites", "x", "expected a non-empty array"),
+            ("zones", "sites", [], "expected a non-empty array"),
+            ("zones", "sites", ["r0c0", 7], "expected a string, got 7"),
             ("edges", "gap", True, "expected a number, got True"),
             ("edges", "gap", float("nan"), "expected a finite number, got nan"),
             ("edges", "gap", "x", "expected a number, got 'x'"),
             ("edges", "low", 7, "expected a string, got 7"),
+            ("edges", "up", 7, "expected a string, got 7"),
+            ("edges", "cutLow", [], "expected a non-empty array"),
+            ("edges", "cutLow", [7], "expected a string, got 7"),
         ],
     )
     def test_tree_entry(self, big_tree_doc, array, field, value, message):

@@ -20,7 +20,6 @@ from isotree import (
     check_iso_tree,
     components_of,
     division_to_tree,
-    edge_to_j_cut,
     gen_path,
     immediate_interior,
     is_l_cut,
@@ -88,7 +87,7 @@ class TestBuildFromCuts:
         assert [(e.low, e.up, e.gap) for e in tree.edges] == [("a", "b", 1), ("b", "c", 1)]
 
     def test_wrong_gap_rejected(self, peak):
-        with pytest.raises(NotATreeError):
+        with pytest.raises(NotATreeError, match="does not bridge zone values"):
             build_iso_tree_from_cuts(peak, [LCut(cut("a"), 1), LCut(cut("c"), 3)])
 
     def test_incomplete_cut_set_rejected(self, peak):
@@ -237,28 +236,17 @@ class TestEdgeToJCut:
     def test_peak_low_edge(self, peak):
         tree = brute_force_iso_tree(peak)
         edge = next(e for e in tree.edges if e.low == "a")
-        assert edge_to_j_cut(tree, edge) == cut("a")
+        assert edge.cut == cut("a")
 
     def test_ramp_upper_edge(self, ramp3):
         tree = brute_force_iso_tree(ramp3)
         edge = next(e for e in tree.edges if e.up == "c")
-        assert edge_to_j_cut(tree, edge) == cut("a", "b")
+        assert edge.cut == cut("a", "b")
 
     def test_two_zone_tree(self, plateau):
         tree = brute_force_iso_tree(plateau)
         (edge,) = tree.edges
-        assert edge_to_j_cut(tree, edge) == cut("a", "b")
-
-    def test_foreign_edge_rejected(self, peak, ramp3):
-        tree = brute_force_iso_tree(peak)
-        other = brute_force_iso_tree(ramp3)
-        with pytest.raises(ValueError):
-            edge_to_j_cut(tree, other.edges[0])
-
-    def test_every_edge_matches_its_stored_cut(self, disconnected_zone_grid):
-        tree = brute_force_iso_tree(disconnected_zone_grid)
-        for e in tree.edges:
-            assert edge_to_j_cut(tree, e) == e.cut
+        assert edge.cut == cut("a", "b")
 
 
 class TestDisconnectedZone:
