@@ -16,13 +16,12 @@ import json
 import math
 from itertools import chain
 from json.encoder import encode_basestring_ascii
-from operator import attrgetter
 from typing import Any
 
 from .errors import ParseError, ValidationError
 from .graph import Graph, JCut, ScalarGraph
 from .mono import gen_tri_grid
-from .tree import IsoTree, IsoZone, LCut, TreeEdge, ValuedJDivision
+from .tree import IsoTree, LCut, ValuedJDivision
 
 _MAX_PGM_VALUE = 65535
 
@@ -139,25 +138,25 @@ def tree_to_json(tree: IsoTree) -> str:
     That encoder runs in pure Python whenever ``indent`` is set, so the
     zone and edge records are filled into its layout here instead.
     """
-    zones, edges = tree.zones, tree.edges
+    zones, edges = list(tree.zone_rows()), list(tree.edge_rows())
     # The C encoder writes each number exactly as json.dumps would.
-    values = chain(map(attrgetter("value"), zones), map(attrgetter("gap"), edges))
+    values = chain([value for _, _, value in zones], [gap for _, _, gap in edges])
     numbers = json.dumps(list(map(_num, values)))[1:-1].split(", ")
     gaps = numbers[len(zones) :]
     q = encode_basestring_ascii
     site_list = ",\n        ".join
     zone_records = ",\n".join(
         [
-            f'    {{\n      "id": {q(z.rep)},\n      "sites": [\n'
-            f"        {site_list(map(q, sorted(z.sites)))}\n"
+            f'    {{\n      "id": {q(rep)},\n      "sites": [\n'
+            f"        {site_list(map(q, sites))}\n"
             f'      ],\n      "value": {value}\n    }}'
-            for z, value in zip(zones, numbers)
+            for (rep, sites, _), value in zip(zones, numbers)
         ]
     )
     edge_records = ",\n".join(
         [
-            f'    {{\n      "low": {q(e.low)},\n      "up": {q(e.up)},\n      "gap": {gap}\n    }}'
-            for e, gap in zip(edges, gaps)
+            f'    {{\n      "low": {q(low)},\n      "up": {q(up)},\n      "gap": {gap}\n    }}'
+            for (low, up, _), gap in zip(edges, gaps)
         ]
     )
     edge_array = f"[\n{edge_records}\n  ]" if edges else "[]"
@@ -175,26 +174,30 @@ def parse_tree_json(data: bytes | str) -> IsoTree:
     zones_doc = doc.get("zones")
     if not isinstance(zones_doc, list) or not zones_doc:
         raise ValidationError("zones: expected a non-empty array")
-    zones = []
+    zone_sites, values = [], []
     for i, entry in enumerate(zones_doc):
         if type(entry) is not dict:
             raise ValidationError(f"zones[{i}]: expected an object")
         sites, rep, value = entry.get("sites"), entry.get("id"), entry.get("value")
-        if type(sites) is not list or not sites or not all(type(p) is str for p in sites):
+        if type(sites) is not list or not sites:
             _require_strs(sites, f"zones[{i}].sites")
+        for p in sites:
+            if type(p) is not str:
+                _require_strs(sites, f"zones[{i}].sites")
         if type(rep) is not str:
             _require_str(rep, f"zones[{i}].id")
-        zone = IsoZone(frozenset(sites), value)
-        if zone.rep != rep:
+        sites.sort()
+        if sites[0] != rep:
             raise ValidationError(f"zones[{i}]: id {rep!r} is not the least site of the zone")
         if type(value) is not int and not (type(value) is float and math.isfinite(value)):
             _require_number(value, f"zones[{i}].value")
-        zones.append(zone)
+        zone_sites.append(sites)
+        values.append(value)
 
     edges_doc = doc.get("edges", [])
     if not isinstance(edges_doc, list):
         raise ValidationError("edges: expected an array")
-    edges = []
+    lows, ups, gaps, cuts = [], [], [], []
     for i, entry in enumerate(edges_doc):
         if type(entry) is not dict:
             raise ValidationError(f"edges[{i}]: expected an object")
@@ -214,11 +217,14 @@ def parse_tree_json(data: bytes | str) -> IsoTree:
             cut = JCut(frozenset(cut))
         if type(gap) is not int and not (type(gap) is float and math.isfinite(gap)):
             _require_number(gap, f"edges[{i}].gap")
-        edges.append(TreeEdge(low, up, cut, gap))
+        lows.append(low)
+        ups.append(up)
+        gaps.append(gap)
+        cuts.append(cut)
 
     reference = _require_str(doc.get("reference"), "reference")
     reference_value = _require_number(doc.get("referenceValue"), "referenceValue")
-    tree = IsoTree(zones, edges, reference, reference_value)
+    tree = IsoTree.from_arrays(zone_sites, values, lows, ups, gaps, reference, reference_value, cuts)
     # The tree reconstructs values from the reference's zone, so a
     # reference outside every zone, or a value that is not its zone's,
     # would give back another function.
@@ -377,12 +383,12 @@ def _dot_quote(s: str) -> str:
 def export_dot(tree: IsoTree) -> str:
     """Directed DOT rendering: one node per zone, edges low to up."""
     lines = ["digraph isotree {"]
-    for z in tree.zones:
-        label = f"value={_num(z.value)} |sites|={len(z.sites)}"
-        lines.append(f"  {_dot_quote(z.rep)} [label={_dot_quote(label)}];")
-    for e in tree.edges:
+    for rep, sites, value in tree.zone_rows():
+        label = f"value={_num(value)} |sites|={len(sites)}"
+        lines.append(f"  {_dot_quote(rep)} [label={_dot_quote(label)}];")
+    for low, up, gap in tree.edge_rows():
         lines.append(
-            f"  {_dot_quote(e.low)} -> {_dot_quote(e.up)} [label={_dot_quote(str(_num(e.gap)))}];"
+            f"  {_dot_quote(low)} -> {_dot_quote(up)} [label={_dot_quote(str(_num(gap)))}];"
         )
     lines.append("}")
     return "\n".join(lines) + "\n"

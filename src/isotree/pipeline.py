@@ -211,7 +211,7 @@ def build_iso_tree(sg: ScalarGraph, reduce: bool = True) -> IsoTree:
     ct = merge_to_augmented_ct(jt, st)
     if not reduce:
         return ct_to_iso_tree(sg, rp, ct)
-    return contract_ties(sg, {p: (p,) for p in ct.sites}, rp._rank, ct.edges)
+    return _contract(sg, rp.order, ct.edges)
 
 
 def reduce_by_f(sg: ScalarGraph, tree_h: IsoTree) -> IsoTree:
@@ -220,13 +220,14 @@ def reduce_by_f(sg: ScalarGraph, tree_h: IsoTree) -> IsoTree:
     Every zone of ``tree_h`` must carry one input value; the tree's own
     zone values order its zones as ranks do.
     """
-    for z in tree_h.zones:
-        values = {sg.value_of(p) for p in z.sites}
+    members, rank = {}, {}
+    for rep, sites, value in tree_h.zone_rows():
+        values = {sg.value_of(p) for p in sites}
         if len(values) != 1:
-            raise InternalInconsistencyError(f"zone {z.rep!r} mixes input values {sorted(values)}")
-    members = {z.rep: z.sites for z in tree_h.zones}
-    rank = {z.rep: z.value for z in tree_h.zones}
-    return contract_ties(sg, members, rank, [(e.low, e.up) for e in tree_h.edges])
+            raise InternalInconsistencyError(f"zone {rep!r} mixes input values {sorted(values)}")
+        members[rep] = sites
+        rank[rep] = value
+    return contract_ties(sg, members, rank, [(lo, hi) for lo, hi, _ in tree_h.edge_rows()])
 
 
 def contract_ties(
@@ -244,30 +245,86 @@ def contract_ties(
     becomes a tree edge with gap ``value(hi) - value(lo)``.  The cut of
     a surviving edge is the split it made in the given tree.
     """
-    value = sg.values
-    if len(edges) != len(members) - 1:
-        raise InternalInconsistencyError(f"{len(edges)} edges over {len(members)} nodes")
-    kept, ties = [], []
-    for lo, hi in edges:
-        if lo not in members or hi not in members:
+    order = sorted(members, key=rank.__getitem__)
+    return _contract(sg, order, edges, [members[node] for node in order])
+
+
+def _contract(
+    sg: ScalarGraph,
+    order: Sequence[SiteId],
+    edges: Sequence[tuple[SiteId, SiteId]],
+    members: Sequence[Iterable[SiteId]] | None = None,
+) -> IsoTree:
+    """``contract_ties`` over nodes numbered by rank: ``order`` lists them ascending.
+
+    Node ``i`` stands for ``members[i]``, or for the site ``order[i]``
+    alone when ``members`` is None; in that case ``order`` must be the
+    (value, site) order, so that each zone's sites arrive ascending.
+    """
+    n = len(order)
+    if len(edges) != n - 1:
+        raise InternalInconsistencyError(f"{len(edges)} edges over {n} nodes")
+    number = dict(zip(order, range(n)))
+    lo_at = [number.get(lo) for lo, _ in edges]
+    hi_at = [number.get(hi) for _, hi in edges]
+    for (lo, hi), i, j in zip(edges, lo_at, hi_at):
+        if i is None or j is None:
             raise InternalInconsistencyError(f"contour edge {lo!r}->{hi!r} names an unknown site")
-        if not rank[lo] < rank[hi]:
+        if not i < j:
             raise InternalInconsistencyError(f"contour edge {lo!r}->{hi!r} points down in rank")
-        (kept if value[lo] != value[hi] else ties).append((lo, hi))
-    uf = UnionFind(p for edge in ties for p in edge)
-    for lo, hi in ties:
-        if uf.same(lo, hi):
-            raise InternalInconsistencyError(f"tie edge {lo!r}->{hi!r} closes a cycle")
-        uf.union(lo, hi)
-    # Only the ends of tie edges can share a zone with another node.
-    root_of = {p: uf.find(p) for edge in ties for p in edge}
-    sites_of: dict[SiteId, list[SiteId]] = {}
-    for node, sites in members.items():
-        sites_of.setdefault(root_of.get(node, node), []).extend(sites)
-    zone = {root: IsoZone(frozenset(sites), value[root]) for root, sites in sites_of.items()}
-    tree_edges = []
-    for lo, hi in kept:
-        low, up = zone[root_of.get(lo, lo)], zone[root_of.get(hi, hi)]
-        tree_edges.append(TreeEdge(low.rep, up.rep, None, value[hi] - value[lo]))
+
+    # Union-find over the tie edges; each root is the least node of its set.
+    value = list(map(sg.value_of, order))
+    parent = list(range(n))
+    kept = []
+    for i, j in zip(lo_at, hi_at):
+        if value[i] != value[j]:
+            kept.append((i, j))
+            continue
+        ri, rj = i, j
+        while parent[ri] != ri:
+            parent[ri] = ri = parent[parent[ri]]
+        while parent[rj] != rj:
+            parent[rj] = rj = parent[parent[rj]]
+        if ri == rj:
+            raise InternalInconsistencyError(
+                f"tie edge {order[i]!r}->{order[j]!r} closes a cycle"
+            )
+        if ri < rj:
+            parent[rj] = ri
+        else:
+            parent[ri] = rj
+
+    # Zones in order of their least node; nodes join them in rank order.
+    zone_of = [0] * n
+    zone_sites: list[list[SiteId]] = []
+    zone_value = []
+    for i in range(n):
+        r = parent[i]
+        while parent[r] != r:
+            r = parent[r]
+        parent[i] = r
+        if r == i:
+            zone_of[i] = len(zone_sites)
+            zone_sites.append([order[i]] if members is None else list(members[i]))
+            zone_value.append(value[i])
+        else:
+            zone_of[i] = z = zone_of[r]
+            if members is None:
+                zone_sites[z].append(order[i])
+            else:
+                zone_sites[z].extend(members[i])
+    if members is not None:
+        for sites in zone_sites:
+            sites.sort()
+    rep = [sites[0] for sites in zone_sites]
     reference = sg.reference_site()
-    return IsoTree(zone.values(), tree_edges, reference, value[reference])
+    return IsoTree.from_arrays(
+        zone_sites,
+        zone_value,
+        [rep[zone_of[i]] for i, _ in kept],
+        [rep[zone_of[j]] for _, j in kept],
+        [value[j] - value[i] for i, j in kept],
+        reference,
+        sg.value_of(reference),
+    )

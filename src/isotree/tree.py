@@ -15,7 +15,8 @@ sets that arise this way; ``validate_regular_division`` checks them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import attrgetter
+from itertools import chain, islice, repeat
+from operator import attrgetter, gt
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -68,10 +69,11 @@ class TreeEdge:
 
     The cut is the split the tree makes when the edge is removed, so a
     tree derives it instead of storing it: an edge of an :class:`IsoTree`
-    holds its low side as a span of the tree's zone preorder, and builds
-    the site set only when ``cut`` is read.  An edge made outside a tree
-    may carry the cut it stands for (``cut=None`` otherwise); the tree
-    checks it once.  Edges compare by zones and gap only.
+    holds its low side as one slice of the tree's preorder site tuple, or
+    as that slice's complement, and builds the site set only when ``cut``
+    is read.  An edge made outside a tree may carry the cut it stands for
+    (``cut=None`` otherwise); the tree checks it once.  Edges compare by
+    zones and gap only.
     """
 
     __slots__ = ("low", "up", "gap", "_cut", "_span")
@@ -81,17 +83,15 @@ class TreeEdge:
         self.up = up
         self.gap = gap
         self._cut = cut
-        # (zone sites in preorder, start, stop, inside): the low side is
-        # the zones at start..stop-1 when inside, every other zone if not.
-        self._span: tuple[tuple[frozenset[SiteId], ...], int, int, bool] | None = None
+        # (sites in zone preorder, start, stop, inside): the low side is
+        # sites[start:stop] when inside, every other site if not.
+        self._span: tuple[tuple[SiteId, ...], int, int, bool] | None = None
 
     @property
     def cut(self) -> JCut | None:
         if self._span is None:
             return self._cut
-        zone_sites, start, stop, inside = self._span
-        parts = zone_sites[start:stop] if inside else zone_sites[:start] + zone_sites[stop:]
-        return JCut(frozenset().union(*parts))
+        return JCut(_low_side(self._span))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TreeEdge):
@@ -105,19 +105,67 @@ class TreeEdge:
         return f"TreeEdge(low={self.low!r}, up={self.up!r}, gap={self.gap!r})"
 
 
+def _low_side(span: tuple[tuple[SiteId, ...], int, int, bool]) -> frozenset[SiteId]:
+    """The low side a ``TreeEdge._span`` stands for."""
+    sites, start, stop, inside = span
+    return frozenset(sites[start:stop] if inside else sites[:start] + sites[stop:])
+
+
+def _disjoint(reps: list[SiteId], zone_sites: list[list[SiteId]]) -> list[list[SiteId]]:
+    """The zones' site lists with repeats inside a zone dropped.
+
+    Raises on a representative that two zones share, or else names the
+    least shared site of the first zone, in representative order, that
+    repeats a site of an earlier zone.
+    """
+    seen: set[SiteId] = set()
+    unique = []
+    for z, sites in enumerate(zone_sites):
+        if z and reps[z] == reps[z - 1]:
+            raise NotATreeError(f"duplicate zone representative {reps[z]!r}")
+        own = sorted(set(sites))
+        for p in own:
+            if p in seen:
+                raise NotATreeError(f"site {p!r} belongs to more than one zone")
+        seen.update(own)
+        unique.append(own)
+    return unique
+
+
 class IsoTree:
-    """Free tree of iso-zones connected by L-cut edges.
+    """Free tree of iso-zones connected by L-cut edges, held in flat arrays.
+
+    Zones are numbered in the order of their representatives (each
+    zone's least site), and edges are kept in (low, up) representative
+    order.  The tree stores:
+
+    - ``_sites``: every site, zone after zone in the depth-first preorder
+      of the zones from zone 0, each zone's sites ascending, so that every
+      zone and every subtree is one contiguous slice;
+    - per zone ``z``: ``_reps[z]``, ``_values[z]``, the slice
+      ``_start[z]:_end[z]`` of its own sites and the end ``_stop[z]`` of
+      its subtree's slice;
+    - per edge: ``_low``, ``_up`` (zone numbers) and ``_gap``;
+    - ``_zone``: the zone number of every site, for ``zone_of``.
+
+    An edge's low side is the subtree slice of its child end, or that
+    slice's complement, so no cut is stored.  ``zones``, ``edges``,
+    ``zone_by_rep`` and ``incident_edges`` build their :class:`IsoZone`
+    and :class:`TreeEdge` objects the first time they are read and keep
+    them; equality compares the arrays.
 
     Construction validates the structural invariants: zones are disjoint
     and non-empty, edges reference zone representatives, every edge gap
     is positive and equals the value difference of its zones, and the
     zone/edge structure is a connected tree (``|edges| = |zones| - 1``).
-    It also orders the zones depth first, so that every edge's low side
-    is a span of that preorder or its complement; a cut given with an
-    edge must be that side.
+    A cut given with an edge must be the side the tree gives it.
     """
 
-    __slots__ = ("_zones", "_edges", "_reference", "_reference_value", "_by_rep", "_site_rep", "_adj")
+    __slots__ = (
+        "_sites", "_zone", "_reps", "_values", "_start", "_end", "_stop",
+        "_low", "_up", "_gap", "_reference", "_reference_value",
+        "_zone_objs", "_edge_objs", "_incident",
+    )
 
     def __init__(
         self,
@@ -126,91 +174,159 @@ class IsoTree:
         reference: SiteId,
         reference_value: float,
     ):
-        self._zones = tuple(sorted(zones, key=attrgetter("rep")))
-        given = sorted(edges, key=attrgetter("low", "up"))
+        zones, edges = list(zones), list(edges)
+        self._build(
+            [sorted(z.sites) for z in zones],
+            [z.value for z in zones],
+            [e.low for e in edges],
+            [e.up for e in edges],
+            [e.gap for e in edges],
+            [e._cut for e in edges],
+            reference,
+            reference_value,
+        )
+
+    @classmethod
+    def from_arrays(
+        cls,
+        zone_sites: list[list[SiteId]],
+        values: list[float],
+        lows: list[SiteId],
+        ups: list[SiteId],
+        gaps: list[float],
+        reference: SiteId,
+        reference_value: float,
+        cuts: list[JCut | None] | None = None,
+    ) -> "IsoTree":
+        """The tree of zones given as ascending site lists and edges given by representatives.
+
+        Zones and edges may come in any order, and a site repeated
+        within one zone counts once; the checks are the constructor's.
+        ``cuts``, when given, holds one cut or ``None`` per edge.
+        """
+        tree = cls.__new__(cls)
+        tree._build(zone_sites, values, lows, ups, gaps, cuts, reference, reference_value)
+        return tree
+
+    def _build(self, zone_sites, values, lows, ups, gaps, cuts, reference, reference_value):
+        """The checks and the arrays, for both constructors (see ``from_arrays``)."""
+        n = len(zone_sites)
+        reps = [sites[0] for sites in zone_sites]
+        if any(map(gt, reps, islice(reps, 1, None))):
+            by_rep = sorted(range(n), key=reps.__getitem__)
+            zone_sites = [zone_sites[z] for z in by_rep]
+            reps = [reps[z] for z in by_rep]
+            values = [values[z] for z in by_rep]
         self._reference = reference
         self._reference_value = reference_value
 
-        self._by_rep = by_rep = {z.rep: z for z in self._zones}
-        self._site_rep = site_rep = {p: z.rep for z in self._zones for p in z.sites}
-        if len(site_rep) != sum(len(z.sites) for z in self._zones):
-            # Name the first shared site in zone order; sorted zones put
-            # equal representatives side by side.
-            seen: set[SiteId] = set()
-            for i, z in enumerate(self._zones):
-                if i and z.rep == self._zones[i - 1].rep:
-                    raise NotATreeError(f"duplicate zone representative {z.rep!r}")
-                for p in z.sites:
-                    if p in seen:
-                        raise NotATreeError(f"site {p!r} belongs to more than one zone")
-                    seen.add(p)
+        def numbered(zone_sites):
+            numbers = chain.from_iterable(map(repeat, range(n), map(len, zone_sites)))
+            return dict(zip(chain.from_iterable(zone_sites), numbers))
 
-        neighbors: dict[SiteId, list[SiteId]] = {rep: [] for rep in by_rep}
-        for e in given:
-            if e.low not in by_rep or e.up not in by_rep:
-                raise NotATreeError(f"edge {e.low!r}->{e.up!r} references an unknown zone")
-            if e.low == e.up:
-                raise NotATreeError(f"self-edge on zone {e.low!r}")
-            if not e.gap > 0:
-                raise NotATreeError(f"edge {e.low!r}->{e.up!r} has non-positive gap {e.gap!r}")
-            if by_rep[e.low].value + e.gap != by_rep[e.up].value:
+        zone = numbered(zone_sites)
+        if len(zone) != sum(map(len, zone_sites)):
+            zone_sites = _disjoint(reps, zone_sites)
+            zone = numbered(zone_sites)
+
+        # Edges in (low, up) order; zone numbers follow representative order.
+        number = dict(zip(reps, range(n)))
+        low, up = list(map(number.get, lows)), list(map(number.get, ups))
+        if None in low or None in up:
+            order = sorted(range(len(low)), key=lambda k: (lows[k], ups[k]))
+        else:
+            order = sorted(range(len(low)), key=[a * n + b for a, b in zip(low, up)].__getitem__)
+        low, up = [low[k] for k in order], [up[k] for k in order]
+        gap = [gaps[k] for k in order]
+        for k, (a, b, g) in enumerate(zip(low, up, gap)):
+            if a is None or b is None:
                 raise NotATreeError(
-                    f"edge {e.low!r}->{e.up!r}: gap {e.gap!r} does not bridge zone values "
-                    f"{by_rep[e.low].value!r} and {by_rep[e.up].value!r}"
+                    f"edge {lows[order[k]]!r}->{ups[order[k]]!r} references an unknown zone"
                 )
-            neighbors[e.low].append(e.up)
-            neighbors[e.up].append(e.low)
-
-        if len(given) != len(self._zones) - 1:
-            raise NotATreeError(
-                f"{len(given)} edges over {len(self._zones)} zones is not a free tree"
-            )
-        # Depth-first preorder from the least zone: each zone's subtree
-        # is the span order[pos[rep]:stop[pos[rep]]].
-        order: list[SiteId] = []
-        parent: dict[SiteId, SiteId | None] = {}
-        if self._zones:
-            parent[self._zones[0].rep] = None
-            stack = [self._zones[0].rep]
-            while stack:
-                rep = stack.pop()
-                order.append(rep)
-                for other in neighbors[rep]:
-                    if other not in parent:
-                        parent[other] = rep
-                        stack.append(other)
-            if len(order) != len(self._zones):
-                raise NotATreeError("zone graph is not connected")
-        pos = {rep: i for i, rep in enumerate(order)}
-        stop = list(range(1, len(order) + 1))
-        for i in range(len(order) - 1, 0, -1):
-            j = pos[parent[order[i]]]
-            stop[j] = max(stop[j], stop[i])
-        zone_sites = tuple(by_rep[rep].sites for rep in order)
-
-        adj: dict[SiteId, list[TreeEdge]] = {rep: [] for rep in by_rep}
-        bound = []
-        for e in given:
-            child = e.up if parent[e.up] == e.low else e.low
-            edge = TreeEdge(e.low, e.up, None, e.gap)
-            edge._span = (zone_sites, pos[child], stop[pos[child]], child == e.low)
-            if e._cut is not None and e._cut != edge.cut:
+            if a == b:
+                raise NotATreeError(f"self-edge on zone {reps[a]!r}")
+            if not g > 0:
+                raise NotATreeError(f"edge {reps[a]!r}->{reps[b]!r} has non-positive gap {g!r}")
+            if values[a] + g != values[b]:
                 raise NotATreeError(
-                    f"edge {e.low!r}->{e.up!r}: stored cut differs from its subtree split"
+                    f"edge {reps[a]!r}->{reps[b]!r}: gap {g!r} does not bridge zone values "
+                    f"{values[a]!r} and {values[b]!r}"
                 )
-            bound.append(edge)
-            adj[e.low].append(edge)
-            adj[e.up].append(edge)
-        self._edges = tuple(bound)
-        self._adj = adj
+        if len(low) != n - 1:
+            raise NotATreeError(f"{len(low)} edges over {n} zones is not a free tree")
+
+        # Depth-first preorder of the zones from zone 0; each zone's own
+        # sites take the next slice of the site tuple as it is reached.
+        neighbors: list[list[int]] = [[] for _ in range(n)]
+        for a, b in zip(low, up):
+            neighbors[a].append(b)
+            neighbors[b].append(a)
+        parent = [-1] * n
+        parent[0] = 0
+        start, end = [0] * n, [0] * n
+        preorder = []
+        offset = 0
+        stack = [0]
+        while stack:
+            z = stack.pop()
+            preorder.append(z)
+            start[z] = offset
+            offset += len(zone_sites[z])
+            end[z] = offset
+            for other in neighbors[z]:
+                if parent[other] < 0:
+                    parent[other] = z
+                    stack.append(other)
+        if len(preorder) != n:
+            raise NotATreeError("zone graph is not connected")
+        stop = end[:]
+        for z in reversed(preorder):
+            if stop[z] > stop[parent[z]]:
+                stop[parent[z]] = stop[z]
+
+        self._sites = tuple(chain.from_iterable(map(zone_sites.__getitem__, preorder)))
+        self._zone = zone
+        self._reps, self._values = tuple(reps), tuple(values)
+        self._start, self._end, self._stop = tuple(start), tuple(end), tuple(stop)
+        self._low, self._up, self._gap = tuple(low), tuple(up), tuple(gap)
+        self._zone_objs = self._edge_objs = self._incident = None
+
+        if cuts is not None:
+            for k, j in enumerate(order):
+                if cuts[j] is not None and cuts[j].low != _low_side(self._span(k)):
+                    raise NotATreeError(
+                        f"edge {reps[low[k]]!r}->{reps[up[k]]!r}: "
+                        "stored cut differs from its subtree split"
+                    )
+
+    def _span(self, k: int) -> tuple[tuple[SiteId, ...], int, int, bool]:
+        """Edge ``k``'s low side as a ``TreeEdge._span``: its child end's subtree, or the rest."""
+        a, b = self._low[k], self._up[k]
+        start, stop = self._start, self._stop
+        child = b if start[a] <= start[b] < stop[a] else a
+        return self._sites, start[child], stop[child], child == a
 
     @property
     def zones(self) -> tuple[IsoZone, ...]:
-        return self._zones
+        if self._zone_objs is None:
+            sites = self._sites
+            self._zone_objs = tuple(
+                IsoZone(frozenset(sites[s:e]), v)
+                for s, e, v in zip(self._start, self._end, self._values)
+            )
+        return self._zone_objs
 
     @property
     def edges(self) -> tuple[TreeEdge, ...]:
-        return self._edges
+        if self._edge_objs is None:
+            reps = self._reps
+            edges = []
+            for k, (a, b, gap) in enumerate(zip(self._low, self._up, self._gap)):
+                edge = TreeEdge(reps[a], reps[b], None, gap)
+                edge._span = self._span(k)
+                edges.append(edge)
+            self._edge_objs = tuple(edges)
+        return self._edge_objs
 
     @property
     def reference(self) -> SiteId:
@@ -220,31 +336,62 @@ class IsoTree:
     def reference_value(self) -> float:
         return self._reference_value
 
+    def zone_rows(self) -> Iterator[tuple[SiteId, tuple[SiteId, ...], float]]:
+        """Each zone as (representative, sites ascending, value), in representative order."""
+        sites = self._sites
+        slices = map(slice, self._start, self._end)
+        return zip(self._reps, map(sites.__getitem__, slices), self._values)
+
+    def edge_rows(self) -> Iterator[tuple[SiteId, SiteId, float]]:
+        """Each edge as (low representative, up representative, gap), in (low, up) order."""
+        rep = self._reps.__getitem__
+        return zip(map(rep, self._low), map(rep, self._up), self._gap)
+
     def zone_by_rep(self, rep: SiteId) -> IsoZone:
-        return self._by_rep[rep]
+        z = self._zone[rep]
+        if self._reps[z] != rep:
+            raise KeyError(rep)
+        return self.zones[z]
 
     def zone_of(self, site: SiteId) -> IsoZone | None:
-        rep = self._site_rep.get(site)
-        return None if rep is None else self._by_rep[rep]
+        z = self._zone.get(site)
+        if z is None:
+            return None
+        if self._zone_objs is not None:
+            return self._zone_objs[z]
+        return IsoZone(frozenset(self._sites[self._start[z] : self._end[z]]), self._values[z])
 
     def incident_edges(self, rep: SiteId) -> tuple[TreeEdge, ...]:
-        return tuple(self._adj[rep])
+        if self._incident is None:
+            incident: dict[SiteId, list[TreeEdge]] = {r: [] for r in self._reps}
+            for e in self.edges:
+                incident[e.low].append(e)
+                incident[e.up].append(e)
+            self._incident = {r: tuple(es) for r, es in incident.items()}
+        return self._incident[rep]
 
     def sites(self) -> frozenset[SiteId]:
-        return frozenset(self._site_rep)
+        return frozenset(self._zone)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, IsoTree):
             return NotImplemented
+        # Equal representatives and edges give the same preorder, and then
+        # equal zone ends and site tuples give the same zones.
         return (
-            self._zones == other._zones
-            and self._edges == other._edges
+            self._reps == other._reps
+            and self._values == other._values
+            and self._low == other._low
+            and self._up == other._up
+            and self._gap == other._gap
+            and self._end == other._end
+            and self._sites == other._sites
             and self._reference == other._reference
             and self._reference_value == other._reference_value
         )
 
     def __repr__(self) -> str:
-        return f"IsoTree({len(self._zones)} zones, {len(self._edges)} edges)"
+        return f"IsoTree({len(self._reps)} zones, {len(self._low)} edges)"
 
 
 class ValuedJDivision:
@@ -495,30 +642,33 @@ def reconstruct_rt(g: Graph, tree: IsoTree) -> ScalarGraph:
     signed gap sum along the unique path from the reference zone, where
     following an edge low-to-up adds its gap and up-to-low subtracts it.
     """
-    ref_zone = tree.zone_of(tree.reference)
-    if ref_zone is None:
+    zone = tree._zone
+    ref = zone.get(tree.reference)
+    if ref is None:
         raise MissingReferenceError(f"reference {tree.reference!r} is not in any zone")
-    covered = tree.sites()
-    if covered != g.sites:
+    if zone.keys() != g.sites:
         raise NotATreeError("tree zones do not partition the graph's sites")
 
-    zone_value: dict[SiteId, float] = {ref_zone.rep: tree.reference_value}
-    stack = [ref_zone.rep]
+    low, up, gap = tree._low, tree._up, tree._gap
+    incident: list[list[int]] = [[] for _ in tree._reps]
+    for k, (a, b) in enumerate(zip(low, up)):
+        incident[a].append(k)
+        incident[b].append(k)
+    zone_value: list[float | None] = [None] * len(incident)
+    zone_value[ref] = tree.reference_value
+    stack = [ref]
     while stack:
-        rep = stack.pop()
-        for e in tree.incident_edges(rep):
-            if e.low == rep and e.up not in zone_value:
-                zone_value[e.up] = zone_value[rep] + e.gap
-                stack.append(e.up)
-            elif e.up == rep and e.low not in zone_value:
-                zone_value[e.low] = zone_value[rep] - e.gap
-                stack.append(e.low)
+        z = stack.pop()
+        for k in incident[z]:
+            if low[k] == z:
+                if zone_value[up[k]] is None:
+                    zone_value[up[k]] = zone_value[z] + gap[k]
+                    stack.append(up[k])
+            elif zone_value[low[k]] is None:
+                zone_value[low[k]] = zone_value[z] - gap[k]
+                stack.append(low[k])
 
-    values: dict[SiteId, float] = {}
-    for z in tree.zones:
-        v = zone_value[z.rep]
-        for p in z.sites:
-            values[p] = v
+    values = dict(zip(zone, map(zone_value.__getitem__, zone.values())))
     return ScalarGraph(g, values, reference=tree.reference)
 
 

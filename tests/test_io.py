@@ -1,9 +1,16 @@
 from __future__ import annotations
 
+import hashlib
 import json
+import math
+import os
 import random
+import subprocess
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import CORPUS_SIZE, corpus_graph
 from isotree import (
@@ -25,6 +32,7 @@ from isotree.io import (
     parse_tree_json,
     tree_to_json,
 )
+from isotree.cli import main
 from isotree.oracle import brute_force_iso_tree
 from isotree.tree import IsoTree, IsoZone, TreeEdge, ValuedJDivision
 
@@ -191,6 +199,37 @@ class TestTreeJson:
             parse_tree_json(json.dumps(doc))
 
 
+    def test_overlap_names_the_same_site_under_every_hash_seed(self):
+        # Zones r0c0 and r0c1 both list r1c0 and r1c2: the least shared
+        # site of the second zone is named, whatever order sets iterate in.
+        doc = {
+            "zones": [
+                {"id": "r0c0", "sites": ["r0c0", "r1c0", "r1c2"], "value": 0},
+                {"id": "r0c1", "sites": ["r0c1", "r1c2", "r1c0"], "value": 1},
+            ],
+            "edges": [{"low": "r0c0", "up": "r0c1", "gap": 1}],
+            "reference": "r0c0",
+            "referenceValue": 0,
+        }
+        code = (
+            "import sys\n"
+            "from isotree.io import parse_tree_json\n"
+            "try:\n"
+            "    parse_tree_json(sys.stdin.read())\n"
+            "except Exception as exc:\n"
+            "    print(type(exc).__name__, exc)\n"
+        )
+        for seed in ("1", "4"):
+            run = subprocess.run(
+                [sys.executable, "-c", code],
+                input=json.dumps(doc),
+                capture_output=True,
+                text=True,
+                env={**os.environ, "PYTHONHASHSEED": seed},
+            )
+            assert run.stdout == "NotATreeError site 'r1c0' belongs to more than one zone\n", seed
+
+
 def _json_number(x):
     return int(x) if isinstance(x, float) and x.is_integer() else x
 
@@ -238,6 +277,80 @@ class TestTreeJsonBytes:
         assert text == reference_tree_json(tree)
         assert "1e-07" in text and "10000000000000000" in text and "\\u00e9" in text
         assert parse_tree_json(text) == tree
+
+
+def _smooth_pgm(width: int, height: int, seed: int) -> bytes:
+    """A seeded P5 image of one smooth wave, quantized to 24 grey levels."""
+    rng = random.Random(seed)
+    fx, fy = rng.uniform(0.1, 0.3), rng.uniform(0.1, 0.3)
+    px, py = rng.uniform(0, 6), rng.uniform(0, 6)
+    pixels = [
+        round(11.5 + 11.5 * math.sin(fx * c + px) * math.cos(fy * r + py)) * 10
+        for r in range(height)
+        for c in range(width)
+    ]
+    return f"P5\n{width} {height}\n255\n".encode() + bytes(pixels)
+
+
+def _byte_identity_inputs(tmp_path) -> list[list[str]]:
+    """CLI input arguments: 40 corpus graphs, three near-distinct grids, one PGM."""
+    graphs = [corpus_graph(i) for i in range(40)]
+    for seed in (1, 2, 3):
+        rng = random.Random(seed)
+        graphs.append(gen_tri_grid(24, 24, [rng.randrange(5760) for _ in range(576)]))
+    inputs = []
+    for i, sg in enumerate(graphs):
+        path = tmp_path / f"g{i}.json"
+        path.write_text(graph_to_json(sg))
+        inputs.append(["--input", str(path)])
+    image = tmp_path / "smooth.pgm"
+    image.write_bytes(_smooth_pgm(40, 36, 5))
+    assert len(load_pgm_tri_grid(image.read_bytes()).graph) == 40 * 36
+    return inputs + [["--input", str(image), "--format", "pgm"]]
+
+
+class TestBuildBytes:
+    """SHA-256 of everything ``isotree build`` prints, one digest per output type."""
+
+    @pytest.mark.parametrize(
+        "flags, digest",
+        [
+            ([], "4ab77ac314f98cb341d154278628fc024c2f6f2aebbc9a2ab9bc0171c6c95d01"),
+            (["--no-reduce"], "3246e73f05acee1cfc6e7c0250163c33d8947cd1339c7fe5708dc9aba351aea4"),
+            (["--show-intermediate"], "0a32de86b5a01eeea0e36cff2d84175944ffbb7b0ca0803aa135cdbfe65e3257"),
+        ],
+    )
+    def test_outputs_are_unchanged(self, tmp_path, capsys, flags, digest):
+        h = hashlib.sha256()
+        for argv in _byte_identity_inputs(tmp_path):
+            assert main(["build", *argv, *flags]) == 0
+            h.update(capsys.readouterr().out.encode())
+        assert h.hexdigest() == digest
+
+
+tie_heavy_grids = st.tuples(st.integers(1, 10), st.integers(1, 10)).flatmap(
+    lambda wh: st.lists(
+        st.integers(0, 3), min_size=wh[0] * wh[1], max_size=wh[0] * wh[1]
+    ).map(lambda values: gen_tri_grid(wh[0], wh[1], values))
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sg=tie_heavy_grids)
+def test_parsed_tree_answers_like_the_built_one(sg):
+    tree = build_iso_tree(sg)
+    text = tree_to_json(tree)
+    back = parse_tree_json(text)
+    assert back == tree
+    assert tree_to_json(back) == text
+    assert [e.cut for e in back.edges] == [e.cut for e in tree.edges]
+    for p in sg.graph.site_list:
+        assert back.zone_of(p) == tree.zone_of(p)
+    for z in tree.zones:
+        assert back.incident_edges(z.rep) == tree.incident_edges(z.rep)
+        assert [e.cut for e in back.incident_edges(z.rep)] == [
+            e.cut for e in tree.incident_edges(z.rep)
+        ]
 
 
 @pytest.fixture(scope="module")

@@ -146,6 +146,31 @@ class TestIsoTreeStructure:
         with pytest.raises(ValueError):
             IsoZone(frozenset(), 0)
 
+    @pytest.mark.parametrize(
+        "values, edges, message",
+        [
+            ({"a": 0, "b": 1}, [("a", "z", None, 1)], "edge 'a'->'z' references an unknown zone"),
+            ({"a": 0, "b": 1}, [("a", "a", None, 1)], "self-edge on zone 'a'"),
+            ({"a": 0, "b": 0}, [("a", "b", None, 0)], "edge 'a'->'b' has non-positive gap 0"),
+            # Three edges over four zones: a cycle, and d left out.
+            (
+                {"a": 0, "b": 1, "c": 2, "d": 5},
+                [("a", "b", None, 1), ("b", "c", None, 1), ("a", "c", None, 2)],
+                "zone graph is not connected",
+            ),
+            (
+                {"a": 0, "b": 1},
+                [("a", "b", cut("b"), 1)],
+                "edge 'a'->'b': stored cut differs from its subtree split",
+            ),
+        ],
+    )
+    def test_constructor_names_the_fault(self, values, edges, message):
+        zones = [IsoZone(frozenset({rep}), v) for rep, v in values.items()]
+        with pytest.raises(NotATreeError) as info:
+            IsoTree(zones, [TreeEdge(*e) for e in edges], "a", 0)
+        assert str(info.value) == message
+
 
 class TestValidateRegularDivision:
     def test_oracle_tree_is_valid(self, peak):
