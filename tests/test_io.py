@@ -198,7 +198,6 @@ class TestTreeJson:
         with pytest.raises(ValidationError, match=r"^referenceValue: 1 is not the value 0 "):
             parse_tree_json(json.dumps(doc))
 
-
     def test_overlap_names_the_same_site_under_every_hash_seed(self):
         # Zones r0c0 and r0c1 both list r1c0 and r1c2: the least shared
         # site of the second zone is named, whatever order sets iterate in.
