@@ -11,7 +11,7 @@ and safe to share between threads; the operations below are pure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import InvalidRegionError
 
@@ -79,12 +79,6 @@ class Graph:
             return self._adj[p]
         except KeyError:
             raise InvalidRegionError(f"unknown site {p!r}") from None
-
-    def surfels(self) -> Iterator[Surfel]:
-        """Both orientations of every adjacency pair."""
-        for p, q in self._pairs:
-            yield Surfel(p, q)
-            yield Surfel(q, p)
 
     def least_site(self) -> SiteId:
         return self._site_list[0]

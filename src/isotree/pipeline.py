@@ -3,53 +3,40 @@
 Ties are broken symbolically: sites are ranked by (value, site id), so
 the ranked graph has a unique value per site.  Two union-find sweeps
 build the sublevel and superlevel merge trees, and a leaf-pruning merge
-combines them into the augmented contour tree (one node per site).  The
-iso-tree is that tree with its equal-value edges contracted, gaps in
-input units.  The ranked iso-tree (singleton zones, rank gaps) is built
-only on request (``--no-reduce``, ``--show-intermediate``).
+combines them into the augmented contour tree (one node per site).  One
+tie contraction then builds both trees: with the input values it joins
+the sites of every equal-value edge into one zone (the iso-tree, gaps in
+input units); with the ranks as values nothing ties, and it gives the
+ranked iso-tree (singleton zones, rank gaps), which is built only on
+request (``--no-reduce``, ``--show-intermediate``).
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .errors import InternalInconsistencyError, PreconditionError
 from .graph import ScalarGraph, SiteId
-from .tree import IsoTree, IsoZone, TreeEdge
+from .tree import IsoTree
 from .unionfind import UnionFind
 
 
-class RankPerturbation:
+class RankPerturbation(NamedTuple):
     """Order-preserving bijection of sites onto ranks 0..n-1.
 
     Ranks follow (value, site id) lexicographically, so equal values are
     broken by site order and strict value order is preserved exactly.
+    ``order`` lists the sites ascending (index = rank); ``rank`` maps
+    each site to its index.
     """
 
-    __slots__ = ("_order", "_rank")
-
-    def __init__(self, order: tuple[SiteId, ...]):
-        self._order = order
-        self._rank = {p: i for i, p in enumerate(order)}
-
-    @property
-    def order(self) -> tuple[SiteId, ...]:
-        """Sites sorted ascending by (value, site id); index = rank."""
-        return self._order
-
-    @property
-    def rank(self) -> Mapping[SiteId, int]:
-        return dict(self._rank)
+    order: tuple[SiteId, ...]
+    rank: Mapping[SiteId, int]
 
     def rank_of(self, p: SiteId) -> int:
-        return self._rank[p]
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RankPerturbation):
-            return NotImplemented
-        return self._order == other._order
+        return self.rank[p]
 
 
 @dataclass(frozen=True)
@@ -82,7 +69,8 @@ class AugmentedContourTree:
 
 def perturb_rank(sg: ScalarGraph) -> RankPerturbation:
     """Rank sites by (value, site id); injective and order-preserving."""
-    return RankPerturbation(tuple(sorted(sg.graph.sites, key=lambda p: (sg.value_of(p), p))))
+    order = tuple(sorted(sg.graph.sites, key=lambda p: (sg.value_of(p), p)))
+    return RankPerturbation(order, dict(zip(order, range(len(order)))))
 
 
 def _sweep(sg: ScalarGraph, rp: RankPerturbation, ascending: bool) -> dict[SiteId, SiteId | None]:
@@ -100,7 +88,7 @@ def _sweep(sg: ScalarGraph, rp: RankPerturbation, ascending: bool) -> dict[SiteI
         parent[x] = None
         roots = {uf.find(q) for q in g.neighbors(x) if q in parent and q != x}
         roots.discard(uf.find(x))
-        for root in sorted(roots, key=rp.rank_of):
+        for root in sorted(roots, key=rp.rank.__getitem__):
             parent[newest[root]] = x
             uf.union(root, x)
         newest[uf.find(x)] = x
@@ -188,15 +176,8 @@ def merge_to_augmented_ct(jt: MergeTree, st: MergeTree) -> AugmentedContourTree:
 
 
 def ct_to_iso_tree(sg: ScalarGraph, rp: RankPerturbation, ct: AugmentedContourTree) -> IsoTree:
-    """Iso-tree of the rank-valued graph: singleton zones, rank gaps.
-
-    Each contour-tree edge becomes an L-cut edge; its bipartition is the
-    split the edge induces on the tree's sites, which the tree derives.
-    """
-    zones = [IsoZone(frozenset({p}), rp.rank_of(p)) for p in ct.sites]
-    edges = [TreeEdge(lo, hi, None, rp.rank_of(hi) - rp.rank_of(lo)) for lo, hi in ct.edges]
-    reference = sg.reference_site()
-    return IsoTree(zones, edges, reference, rp.rank_of(reference))
+    """Iso-tree of the rank-valued graph: singleton zones, rank gaps."""
+    return _contract(sg, rp.order, ct.edges, range(len(rp.order)))
 
 
 def build_iso_tree(sg: ScalarGraph, reduce: bool = True) -> IsoTree:
@@ -209,57 +190,34 @@ def build_iso_tree(sg: ScalarGraph, reduce: bool = True) -> IsoTree:
     jt = sublevel_merge_tree(sg, rp)
     st = superlevel_merge_tree(sg, rp)
     ct = merge_to_augmented_ct(jt, st)
-    if not reduce:
-        return ct_to_iso_tree(sg, rp, ct)
-    return _contract(sg, rp.order, ct.edges)
+    return _contract(sg, rp.order, ct.edges, None if reduce else range(len(rp.order)))
 
 
 def reduce_by_f(sg: ScalarGraph, tree_h: IsoTree) -> IsoTree:
-    """Contract equal-value edges of the ranked tree back to input units.
+    """Contract the equal-value edges of the ranked tree of ``sg``.
 
-    Every zone of ``tree_h`` must carry one input value; the tree's own
-    zone values order its zones as ranks do.
+    ``tree_h`` must be the ranked tree (``build_iso_tree(sg,
+    reduce=False)``): one edge per pair of sites joined in the contour
+    tree, each pointing up in rank.  Any other tree, an already reduced
+    one included, raises ``InternalInconsistencyError``.
     """
-    members, rank = {}, {}
-    for rep, sites, value in tree_h.zone_rows():
-        values = {sg.value_of(p) for p in sites}
-        if len(values) != 1:
-            raise InternalInconsistencyError(f"zone {rep!r} mixes input values {sorted(values)}")
-        members[rep] = sites
-        rank[rep] = value
-    return contract_ties(sg, members, rank, [(lo, hi) for lo, hi, _ in tree_h.edge_rows()])
-
-
-def contract_ties(
-    sg: ScalarGraph,
-    members: Mapping[SiteId, Iterable[SiteId]],
-    rank: Mapping[SiteId, float],
-    edges: Sequence[tuple[SiteId, SiteId]],
-) -> IsoTree:
-    """Iso-tree of ``sg`` from a tree over its sites, ties contracted.
-
-    ``members`` maps each node of the tree, itself a site, to all the
-    sites it stands for, which share the node's input value; each edge
-    ``(lo, hi)`` points up in ``rank``.  Edges whose ends carry equal
-    input values join their nodes into one zone; every other edge
-    becomes a tree edge with gap ``value(hi) - value(lo)``.  The cut of
-    a surviving edge is the split it made in the given tree.
-    """
-    order = sorted(members, key=rank.__getitem__)
-    return _contract(sg, order, edges, [members[node] for node in order])
+    return _contract(sg, perturb_rank(sg).order, [(lo, hi) for lo, hi, _ in tree_h.edge_rows()])
 
 
 def _contract(
     sg: ScalarGraph,
     order: Sequence[SiteId],
     edges: Sequence[tuple[SiteId, SiteId]],
-    members: Sequence[Iterable[SiteId]] | None = None,
+    values: Sequence[float] | None = None,
 ) -> IsoTree:
-    """``contract_ties`` over nodes numbered by rank: ``order`` lists them ascending.
+    """Iso-tree of ``sg`` from its contour tree, ties contracted.
 
-    Node ``i`` stands for ``members[i]``, or for the site ``order[i]``
-    alone when ``members`` is None; in that case ``order`` must be the
-    (value, site) order, so that each zone's sites arrive ascending.
+    ``order`` lists the sites in (value, site) order, so that each
+    zone's sites arrive ascending, and each edge ``(lo, hi)`` must point
+    up in it.  Node values are ``values``,
+    aligned with ``order``, or the input values when it is None.  Edges
+    whose ends carry equal values join their sites into one zone; every
+    other edge becomes a tree edge with gap ``value(hi) - value(lo)``.
     """
     n = len(order)
     if len(edges) != n - 1:
@@ -274,7 +232,7 @@ def _contract(
             raise InternalInconsistencyError(f"contour edge {lo!r}->{hi!r} points down in rank")
 
     # Union-find over the tie edges; each root is the least node of its set.
-    value = list(map(sg.value_of, order))
+    value = list(map(sg.value_of, order)) if values is None else values
     parent = list(range(n))
     kept = []
     for i, j in zip(lo_at, hi_at):
@@ -306,17 +264,11 @@ def _contract(
         parent[i] = r
         if r == i:
             zone_of[i] = len(zone_sites)
-            zone_sites.append([order[i]] if members is None else list(members[i]))
+            zone_sites.append([order[i]])
             zone_value.append(value[i])
         else:
             zone_of[i] = z = zone_of[r]
-            if members is None:
-                zone_sites[z].append(order[i])
-            else:
-                zone_sites[z].extend(members[i])
-    if members is not None:
-        for sites in zone_sites:
-            sites.sort()
+            zone_sites[z].append(order[i])
     rep = [sites[0] for sites in zone_sites]
     reference = sg.reference_site()
     return IsoTree.from_arrays(
@@ -326,5 +278,5 @@ def _contract(
         [rep[zone_of[j]] for _, j in kept],
         [value[j] - value[i] for i, j in kept],
         reference,
-        sg.value_of(reference),
+        value[number[reference]],
     )

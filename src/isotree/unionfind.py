@@ -33,6 +33,3 @@ class UnionFind:
             rx, ry = ry, rx
         self._parent[ry] = rx
         self._size[rx] += self._size[ry]
-
-    def same(self, x, y) -> bool:
-        return self.find(x) == self.find(y)

@@ -5,9 +5,9 @@ import tracemalloc
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isotree import (
-    AugmentedContourTree,
     Graph,
     InternalInconsistencyError,
     PreconditionError,
@@ -25,7 +25,7 @@ from isotree import (
     superlevel_merge_tree,
 )
 from isotree.oracle import brute_force_iso_tree
-from isotree.pipeline import MergeTree, contract_ties
+from isotree.pipeline import MergeTree, _contract
 
 from conftest import mono_scalar_graphs
 
@@ -169,6 +169,10 @@ class TestReduce:
         assert [(sorted(z.sites), z.value) for z in tree.zones] == [(["a", "b", "c"], 5)]
         assert tree.edges == ()
 
+    def test_reduced_tree_is_rejected(self, plateau):
+        with pytest.raises(InternalInconsistencyError, match="1 edges over 3 nodes"):
+            reduce_by_f(plateau, build_iso_tree(plateau))
+
 
 class TestContractTies:
     """The contraction checks the contour tree it is given, edge by edge."""
@@ -176,8 +180,7 @@ class TestContractTies:
     @staticmethod
     def contract(values, edges):
         sg = gen_path(len(values), values)
-        ct = AugmentedContourTree(frozenset(sg.graph.sites), tuple(edges))
-        return contract_ties(sg, {p: (p,) for p in ct.sites}, perturb_rank(sg).rank, ct.edges)
+        return _contract(sg, perturb_rank(sg).order, tuple(edges))
 
     def test_edge_pointing_down_in_rank(self):
         with pytest.raises(InternalInconsistencyError, match="'b'->'a' points down in rank"):
@@ -239,6 +242,49 @@ class TestTiesReduction:
             == sg.value_of(next(iter(tree_h.zone_by_rep(e.up).sites)))
         }
         assert dropped == tied
+
+
+@st.composite
+def large_tie_heavy_grids(draw):
+    """Tri-grids of up to 40x40 sites drawing from 2-8 distinct values."""
+    w, h = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    levels = draw(st.integers(2, 8))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    return gen_tri_grid(w, h, [rng.randrange(levels) for _ in range(w * h)]), rng
+
+
+def tree_shape(tree, site=lambda p: p):
+    """Zones as site sets with values, and edges between those sets with gaps."""
+    zone = {rep: (frozenset(map(site, sites)), value) for rep, sites, value in tree.zone_rows()}
+    edges = {(zone[lo][0], zone[up][0], gap) for lo, up, gap in tree.edge_rows()}
+    return set(zone.values()), edges, tree.reference_value
+
+
+class TestMetamorphic:
+    """Relations the iso-tree keeps beyond the oracle's size cap."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(case=large_tie_heavy_grids())
+    def test_negation_and_relabelling(self, case):
+        sg, rng = case
+        zones, edges, ref_value = tree_shape(build_iso_tree(sg))
+
+        negated = ScalarGraph(sg.graph, {p: -v for p, v in sg.values.items()})
+        n_zones, n_edges, n_ref = tree_shape(build_iso_tree(negated))
+        assert n_zones == {(sites, -v) for sites, v in zones}
+        assert n_edges == {(up, lo, gap) for lo, up, gap in edges}
+        assert n_ref == -ref_value
+
+        sites = sorted(sg.graph.sites)
+        shuffled = sites[:]
+        rng.shuffle(shuffled)
+        to = dict(zip(sites, shuffled))
+        g = Graph(shuffled, [(to[p], to[q]) for p, q in sg.graph.pairs])
+        relabelled = ScalarGraph(
+            g, {to[p]: v for p, v in sg.values.items()}, reference=to[sg.reference_site()]
+        )
+        back = dict(zip(shuffled, sites))
+        assert tree_shape(build_iso_tree(relabelled), back.__getitem__) == (zones, edges, ref_value)
 
 
 class TestMemory:
