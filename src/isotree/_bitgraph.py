@@ -11,10 +11,10 @@ idempotent: two threads racing to fill one store equal values.
 
 Connectivity is read from a table of 2^n bytes, built with the view:
 byte m is 1 iff the sites of mask m induce a connected subgraph (the
-empty mask counts as connected).  The table is filled by listing every
-connected set exactly once, grown from its least site (the ESU scheme
-of Wernicke, 2006), so building it costs one visit per connected set;
-it takes 64 KB at 16 sites.
+empty mask counts as connected).  It is filled by one bit-sliced search
+of all 2^n masks at once, in whole-int ORs and ANDs: at 16 sites about
+1.7 ms and 0.34 MB.  Immediate interiors are two lookups in tables of
+neighbour unions over the low and the high half of the sites.
 """
 
 from __future__ import annotations
@@ -23,20 +23,19 @@ from .graph import Graph, SiteId
 
 
 class BitGraph:
-    __slots__ = ("sites", "adj", "full", "cut_masks", "witness", "connected")
+    __slots__ = ("sites", "full", "half", "low_half", "lo", "hi", "cut_masks", "witness", "connected")
 
     def __init__(self, g: Graph):
         self.sites: tuple[SiteId, ...] = g.site_list
         index = {p: i for i, p in enumerate(self.sites)}
         n = len(self.sites)
         self.full = (1 << n) - 1
-        self.adj = [0] * n
-        for a, b in g.pairs:
-            ia, ib = index[a], index[b]
-            self.adj[ia] |= 1 << ib
-            self.adj[ib] |= 1 << ia
+        adj = [sum(1 << index[q] for q in g.neighbors(p)) for p in self.sites]
         # Byte m is 1 iff mask m induces a connected subgraph.
-        self.connected = _connected_table(self.adj)
+        self.connected = _connected_table(adj)
+        # Neighbour unions over the low and the high half of the sites.
+        self.half, self.low_half = n // 2, (1 << n // 2) - 1
+        self.lo, self.hi = _unions(adj[: self.half]), _unions(adj[self.half :])
         # Filled by the mono module on first use.
         self.cut_masks: tuple[int, ...] | None = None
         self.witness = None
@@ -50,35 +49,50 @@ class BitGraph:
     def interior(self, mask: int) -> int:
         """Bits of ``mask`` adjacent to at least one bit outside it."""
         out = self.full & ~mask
-        ii = 0
-        m = mask
-        adj = self.adj
-        while m:
-            low = m & -m
-            if adj[low.bit_length() - 1] & out:
-                ii |= low
-            m ^= low
-        return ii
+        return mask & (self.lo[out & self.low_half] | self.hi[out >> self.half])
+
+
+def _unions(adj: list[int]) -> list[int]:
+    """Entry k is the union of ``adj[j]`` over the set bits j of k."""
+    table = [0]
+    for a in adj:
+        table += [u | a for u in table]
+    return table
 
 
 def _connected_table(adj: list[int]) -> bytearray:
-    # Each connected set is pushed once: it grows from its least site v
-    # only by sites above v, and a site leaves the extension set once
-    # taken or skipped, so no set is reached by two paths.
-    table = bytearray(1 << len(adj))
-    table[0] = 1
-    for v, nbrs in enumerate(adj):
-        above = -1 << (v + 1)
-        stack = [(1 << v, nbrs & above, nbrs | 1 << v)]
-        while stack:
-            s, ext, closed = stack.pop()
-            table[s] = 1
-            while ext:
-                w = ext & -ext
-                ext ^= w
-                aw = adj[w.bit_length() - 1]
-                stack.append((s | w, ext | (aw & above & ~closed), closed | aw))
-    return table
+    # A breadth-first search of every mask at once, bit-sliced: bit m of
+    # reached[i] is set once the search inside mask m from its least site
+    # reaches site i.  Sweeps alternate direction until one sets no bit.
+    n = len(adj)
+    size = 1 << n
+    has, reached, below = [], [], 0  # bit m of has[i]: mask m contains site i
+    for i in range(n):
+        plane, width = ((1 << (1 << i)) - 1) << (1 << i), 2 << i
+        while width < size:
+            plane |= plane << width
+            width <<= 1
+        has.append(plane)
+        reached.append(plane & ~below)  # the masks whose least site is i
+        below |= plane
+    order, grew = list(range(n)), True
+    while grew:
+        grew = False
+        for i in order:
+            front = 0
+            for j in bits(adj[i]):
+                front |= reached[j]
+            grown = reached[i] | front & has[i]
+            grew = grew or grown != reached[i]
+            reached[i] = grown
+        order.reverse()
+    connected = (1 << size) - 1
+    for plane, got in zip(has, reached):
+        connected &= got | ~plane
+    del has, reached  # 2n planes, freed before the 2^n-character string
+    # Bit m of ``connected`` becomes byte m of the table.
+    digits = bin(connected)[:1:-1].ljust(size, "0")
+    return bytearray(digits, "ascii").translate(bytes.maketrans(b"01", b"\0\1"))
 
 
 def bit_view(g: Graph) -> BitGraph:

@@ -10,11 +10,10 @@ masks and the mono witness are kept on the graph's bit view, and the
 mono check, ``enumerate_j_cuts`` and the oracle all read that one scan.
 The cap and the connectivity precondition are checked on every call.
 
-The scan reads connectivity from the bit view's table of 2^n bytes, in
-which every connected set is listed once from its least site.  It still
-tests every bipartition, as one AND of the table's odd-mask row with
-that row's reversed complement: a 16-site check takes about 10 ms and
-64 KB.
+The scan reads connectivity from the bit view's table of 2^n bytes.  It
+still tests every bipartition, as one AND of the table's odd-mask row
+with that row's reversed complement: a 16-site check takes about 3.3 ms
+and 0.34 MB, the table's bit-sliced build included.
 
 The generators produce families that are mono-connected by construction:
 paths, and rectangular grids triangulated with a fixed NW-SE diagonal
@@ -111,9 +110,9 @@ def enumerate_j_cuts(g: Graph, cap: int = DEFAULT_ENUMERATION_CAP) -> list[JCut]
     """
     if len(g) > cap:
         raise SizeLimitError(f"{len(g)} sites exceeds the enumeration cap of {cap}")
-    if not g.is_connected():
-        raise PreconditionError("J-cut enumeration requires a connected graph")
     bg = bit_view(g)
+    if not bg.is_connected(bg.full):
+        raise PreconditionError("J-cut enumeration requires a connected graph")
     return [JCut(bg.set_of(mask)) for mask in _cut_masks(bg)]
 
 
@@ -138,9 +137,9 @@ def is_mono_connected(g: Graph, cap: int = DEFAULT_ENUMERATION_CAP) -> MonoWitne
     """Exhaustively decide mono-connectivity, producing a witness on failure."""
     if len(g) > cap:
         raise SizeLimitError(f"{len(g)} sites exceeds the enumeration cap of {cap}")
-    if not g.is_connected():
-        return MonoWitness(verdict=False)
     bg = bit_view(g)
+    if not bg.is_connected(bg.full):
+        return MonoWitness(verdict=False)
     if bg.witness is None:
         bg.witness = _scan_witness(bg)
     return bg.witness

@@ -49,7 +49,8 @@ def _check_preconditions(sg: ScalarGraph, cap: int, trust_mono: bool) -> None:
     n = len(sg.graph)
     if n > cap:
         raise SizeLimitError(f"{n} sites exceeds the oracle cap of {cap}")
-    if not sg.graph.is_connected():
+    bg = bit_view(sg.graph)
+    if not bg.is_connected(bg.full):
         raise PreconditionError("the oracle requires a connected graph")
     if not trust_mono:
         witness = is_mono_connected(sg.graph, cap=cap)

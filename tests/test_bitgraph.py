@@ -29,6 +29,14 @@ def _star(leaves: int) -> Graph:
     return Graph(ids, [(ids[0], leaf) for leaf in ids[1:]])
 
 
+def _two_components() -> Graph:
+    """A 6-site path and a 6-cycle with a chord, 12 sites in all."""
+    ids = path_site_ids(12)
+    path = [(ids[i], ids[i + 1]) for i in range(5)]
+    cycle = [(ids[6 + i], ids[6 + (i + 1) % 6]) for i in range(6)]
+    return Graph(ids, path + cycle + [(ids[6], ids[9])])
+
+
 def _random_graph(seed: int) -> Graph:
     """Seeded graph of 1-9 sites, connected or not."""
     rng = random.Random(seed)
@@ -48,6 +56,13 @@ FAMILY = {
     "K5": lambda: _complete(5),
     "star6": lambda: _star(6),
     "ab+c": lambda: Graph("abc", [("a", "b")]),
+    # Many sites, or searches that need many sweeps to reach every site.
+    "path12": lambda: gen_path(12, constant(0)).graph,
+    "C12": lambda: cycle_graph(12),
+    "grid3x4": lambda: gen_tri_grid(3, 4, constant(0)).graph,
+    "grid4x3": lambda: gen_tri_grid(4, 3, constant(0)).graph,
+    "star11": lambda: _star(11),
+    "P6+C6": _two_components,
     **{f"random{seed}": (lambda seed=seed: _random_graph(seed)) for seed in range(50)},
 }
 
@@ -86,6 +101,35 @@ def test_table_matches_region_connectivity(make):
     assert len(bg.connected) == 1 << len(g)
     for m in range(1 << len(g)):
         assert bg.is_connected(m) == is_region_connected(g, _region(g, m)), bin(m)
+
+
+def _seeded_masks(n: int, count: int):
+    """Random masks, alternating with runs of consecutive sites with one bit flipped or not."""
+    rng = random.Random(n)
+    for _ in range(count // 2):
+        yield rng.getrandbits(n)
+        lo, hi = sorted(rng.sample(range(n + 1), 2))
+        yield ((1 << hi) - (1 << lo)) ^ (rng.getrandbits(1) << rng.randrange(n))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: gen_tri_grid(4, 4, constant(0)).graph, lambda: gen_path(16, constant(0)).graph],
+    ids=["grid4x4", "path16"],
+)
+def test_table_matches_region_connectivity_at_16_sites(make):
+    g = make()
+    bg = bit_view(g)
+    for m in _seeded_masks(16, 4096):
+        assert bg.is_connected(m) == is_region_connected(g, _region(g, m)), bin(m)
+
+
+@graphs
+def test_interior_matches_immediate_interior(make):
+    g = make()
+    bg = bit_view(g)
+    for m in range(1 << len(g)):
+        assert _region(g, bg.interior(m)) == immediate_interior(g, _region(g, m)), bin(m)
 
 
 @graphs

@@ -24,6 +24,7 @@ from isotree import (
     sublevel_merge_tree,
     superlevel_merge_tree,
 )
+from isotree.mono import grid_site_id
 from isotree.oracle import brute_force_iso_tree
 from isotree.pipeline import MergeTree, _contract
 
@@ -260,6 +261,13 @@ def tree_shape(tree, site=lambda p: p):
     return set(zone.values()), edges, tree.reference_value
 
 
+def grid_values(sg):
+    """Width, height and row-major values of a ``gen_tri_grid`` graph."""
+    h = len({p[: p.index("c")] for p in sg.graph.sites})
+    w = len(sg.graph) // h
+    return w, h, [sg.value_of(grid_site_id(r, c)) for r in range(h) for c in range(w)]
+
+
 class TestMetamorphic:
     """Relations the iso-tree keeps beyond the oracle's size cap."""
 
@@ -285,6 +293,42 @@ class TestMetamorphic:
         )
         back = dict(zip(shuffled, sites))
         assert tree_shape(build_iso_tree(relabelled), back.__getitem__) == (zones, edges, ref_value)
+
+    @settings(max_examples=20, deadline=None)
+    @given(case=large_tie_heavy_grids())
+    def test_increasing_map_and_grid_automorphisms(self, case):
+        sg, rng = case
+        zones, edges, ref_value = tree_shape(build_iso_tree(sg))
+
+        phi, level = {}, rng.randint(-100, 100)
+        for v in sorted(set(sg.values.values())):
+            level += rng.randint(1, 1000)
+            phi[v] = level
+        mapped = ScalarGraph(sg.graph, {p: phi[v] for p, v in sg.values.items()})
+        value = dict(zones)
+        assert tree_shape(build_iso_tree(mapped)) == (
+            {(sites, phi[v]) for sites, v in zones},
+            {(lo, up, phi[value[up]] - phi[value[lo]]) for lo, up, _ in edges},
+            phi[ref_value],
+        )
+
+        # The 180-degree rotation reverses the row-major values.
+        w, h, values = grid_values(sg)
+        turn = {
+            grid_site_id(r, c): grid_site_id(h - 1 - r, w - 1 - c) for r in range(h) for c in range(w)
+        }
+        turned = gen_tri_grid(w, h, values[::-1])
+        turned = ScalarGraph(turned.graph, turned.values, reference=turn[sg.reference_site()])
+        assert tree_shape(build_iso_tree(turned), turn.__getitem__) == (zones, edges, ref_value)
+
+        # The transpose of the largest top-left square block.
+        s = min(w, h)
+        flip = {grid_site_id(r, c): grid_site_id(c, r) for r in range(s) for c in range(s)}
+        square = gen_tri_grid(s, s, [values[r * w + c] for r in range(s) for c in range(s)])
+        transposed = gen_tri_grid(s, s, [values[c * w + r] for r in range(s) for c in range(s)])
+        assert tree_shape(build_iso_tree(transposed), flip.__getitem__) == tree_shape(
+            build_iso_tree(square)
+        )
 
 
 class TestMemory:
