@@ -150,6 +150,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
             raise ValidationError("validating a tree document requires --graph")
         tree = tio.parse_tree_json(data)
         g = _load_scalar_graph(args.graph, "json").graph
+        reconstruct_rt(g, tree)  # rejects zones that do not partition g's sites
         division = ValuedJDivision.of_tree(tree)
     else:
         raise ValidationError("input is neither a division nor a tree document")

@@ -17,14 +17,7 @@ from ._bitgraph import BitGraph, bit_view, bits
 from .errors import PreconditionError, SizeLimitError
 from .graph import JCut, ScalarGraph
 from .mono import _cut_masks, is_mono_connected
-from .tree import (
-    IsoTree,
-    IsoZone,
-    LCut,
-    _tree_of_pairs,
-    _zones_and_pairs,
-    check_iso_tree,
-)
+from .tree import IsoTree, LCut, _cut_arrays, check_iso_tree
 
 DEFAULT_ORACLE_CAP = 14
 
@@ -45,7 +38,8 @@ def _oriented_l_cut_masks(sg: ScalarGraph, bg: BitGraph) -> list[int]:
     return winners
 
 
-def _check_preconditions(sg: ScalarGraph, cap: int, trust_mono: bool) -> None:
+def _level_cuts(sg: ScalarGraph, cap: int, trust_mono: bool) -> list[JCut]:
+    """The level cuts in cut order, once the graph is small, connected and mono-connected."""
     n = len(sg.graph)
     if n > cap:
         raise SizeLimitError(f"{n} sites exceeds the oracle cap of {cap}")
@@ -58,21 +52,7 @@ def _check_preconditions(sg: ScalarGraph, cap: int, trust_mono: bool) -> None:
             raise PreconditionError(
                 f"graph is not mono-connected (counterexample: {witness.counterexample!r})"
             )
-
-
-def _l_cuts_and_zones(
-    sg: ScalarGraph, cap: int, trust_mono: bool
-) -> tuple[tuple[LCut, ...], tuple[IsoZone, ...], list[tuple[int, int]]]:
-    """The level cuts in cut order, their zones, and each cut's zone pair."""
-    _check_preconditions(sg, cap, trust_mono)
-    bg = bit_view(sg.graph)
-    cuts = sorted((JCut(bg.set_of(m)) for m in _oriented_l_cut_masks(sg, bg)), key=JCut.sort_key)
-    zones, pairs = _zones_and_pairs(sg, cuts)
-    l_cuts = tuple(
-        LCut(cut, zones[up_idx].value - zones[low_idx].value)
-        for cut, (low_idx, up_idx) in zip(cuts, pairs)
-    )
-    return l_cuts, zones, pairs
+    return sorted((JCut(bg.set_of(m)) for m in _oriented_l_cut_masks(sg, bg)), key=JCut.sort_key)
 
 
 def brute_force_l_cuts(
@@ -83,14 +63,15 @@ def brute_force_l_cuts(
     Pass ``trust_mono=True`` to skip the mono-connectivity scan for
     inputs known to be mono-connected (e.g. generated grids and paths).
     """
-    return _l_cuts_and_zones(sg, cap, trust_mono)[0]
+    cuts = _level_cuts(sg, cap, trust_mono)
+    gaps = _cut_arrays(sg, cuts)[4]  # edge k of the arrays is cut k
+    return tuple(map(LCut, cuts, gaps))
 
 
 def brute_force_iso_tree(
     sg: ScalarGraph, cap: int = DEFAULT_ORACLE_CAP, trust_mono: bool = False
 ) -> IsoTree:
     """Iso-tree assembled from the brute-force cut set, invariants asserted."""
-    l_cuts, zones, pairs = _l_cuts_and_zones(sg, cap, trust_mono)
-    tree = _tree_of_pairs(sg, zones, l_cuts, pairs)
+    tree = IsoTree.from_arrays(*_cut_arrays(sg, _level_cuts(sg, cap, trust_mono)))
     check_iso_tree(sg, tree)
     return tree

@@ -10,13 +10,15 @@ transform recovers every site value by signed gap sums along tree paths.
 
 Two axioms (nesting and tangency) characterize exactly the valued cut
 sets that arise this way; ``validate_regular_division`` checks them.
+Every tree made from a cut set is assembled one way: one signature pass
+groups the sites, and ``IsoTree.from_arrays`` joins each cut's pair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, islice, repeat
-from operator import attrgetter, gt
+from operator import gt
 from typing import Iterable, Iterator
 
 from .errors import (
@@ -31,6 +33,7 @@ from .graph import (
     JCut,
     ScalarGraph,
     SiteId,
+    _check_region,
     boundary_surfels,
     immediate_interior,
     inverse_surfels,
@@ -465,16 +468,70 @@ def is_l_cut(sg: ScalarGraph, c: JCut) -> bool:
     return bounds is not None and bounds[0] < bounds[1]
 
 
-def _signature_partition(g: Graph, cuts: list[JCut]) -> list[frozenset[SiteId]]:
-    """Group sites by which side of each cut they lie on."""
-    groups: dict[int, list[SiteId]] = {}
+def _signature_partition(g: Graph, cuts: list[JCut]) -> dict[int, list[SiteId]]:
+    """Group sites by which side of each cut they lie on.
+
+    Bit ``i`` of a site's signature is set when the site lies on the low
+    side of ``cuts[i]``.  The classes are keyed by signature, each lists
+    its sites ascending, and they come in order of their least site.  A
+    cut site outside the graph raises :class:`InvalidRegionError`.
+    """
+    sig = dict.fromkeys(g.site_list, 0)
+    for i, c in enumerate(cuts):
+        bit = 1 << i
+        for p in _check_region(g, c.low):
+            sig[p] |= bit
+    classes: dict[int, list[SiteId]] = {}
     for p in g.site_list:
-        sig = 0
-        for i, c in enumerate(cuts):
-            if p in c.low:
-                sig |= 1 << i
-        groups.setdefault(sig, []).append(p)
-    return [frozenset(sites) for sites in groups.values()]
+        classes.setdefault(sig[p], []).append(p)
+    return classes
+
+
+def _class_values(sg: ScalarGraph, classes: dict[int, list[SiteId]]) -> list[float]:
+    """The one value of each signature class, in class order."""
+    values = []
+    for sites in classes.values():
+        found = {sg.value_of(p) for p in sites}
+        if len(found) != 1:
+            raise InconsistentZoneError(f"zone {sites} carries several values {sorted(found)}")
+        values.append(found.pop())
+    return values
+
+
+def _zone_pairs(cuts: list[JCut], classes: dict) -> tuple[list[int], list[int]]:
+    """Each cut's (low, up) zone numbers: the classes whose signatures differ only in its bit."""
+    zone = {sig: z for z, sig in enumerate(classes)}
+    lows, ups = [], []
+    for i, c in enumerate(cuts):
+        bit = 1 << i
+        found = [(z, zone[s ^ bit]) for s, z in zone.items() if s & bit and s ^ bit in zone]
+        if len(found) != 1:
+            raise NotATreeError(f"cut {c!r} does not join exactly one pair of zones")
+        lows.append(found[0][0])
+        ups.append(found[0][1])
+    return lows, ups
+
+
+def _cut_arrays(sg: ScalarGraph, cuts: list[JCut], gaps: list[float] | None = None) -> tuple:
+    """``IsoTree.from_arrays``' arguments for a sorted, duplicate-free cut list.
+
+    Edge ``k`` joins cut ``k``'s zone pair and, without ``gaps``, takes
+    the value difference of its zones.  No cut is handed to the tree to
+    check again: with every cut site a graph site, a cut's low side is
+    exactly the split its edge makes, because along any other edge only
+    that edge's own signature bit flips.
+    """
+    classes = _signature_partition(sg.graph, cuts)
+    values = _class_values(sg, classes)
+    lows, ups = _zone_pairs(cuts, classes)
+    if gaps is None:
+        gaps = [values[b] - values[a] for a, b in zip(lows, ups)]
+    zone_sites = list(classes.values())
+    reference = sg.reference_site()
+    return (
+        zone_sites, values, [zone_sites[a][0] for a in lows], [zone_sites[b][0] for b in ups],
+        gaps, reference, sg.value_of(reference),
+    )
 
 
 def zones_from_cuts(sg: ScalarGraph, cuts: Iterable[JCut]) -> tuple[IsoZone, ...]:
@@ -483,72 +540,8 @@ def zones_from_cuts(sg: ScalarGraph, cuts: Iterable[JCut]) -> tuple[IsoZone, ...
     The scalar function must be constant on every class; a non-constant
     class signals that the cuts are not the full L-cut set of the graph.
     """
-    cut_list = sorted(set(cuts), key=JCut.sort_key)
-    zones = []
-    for sites in _signature_partition(sg.graph, cut_list):
-        values = {sg.value_of(p) for p in sites}
-        if len(values) != 1:
-            raise InconsistentZoneError(
-                f"zone {sorted(sites)} carries several values {sorted(values)}"
-            )
-        zones.append(IsoZone(sites, values.pop()))
-    return tuple(sorted(zones, key=attrgetter("rep")))
-
-
-def _paired_edges(
-    cut_list: list[JCut], zone_sites: list[frozenset[SiteId]]
-) -> list[tuple[int, int]]:
-    """For each cut, the unique pair of zones whose signatures differ only there.
-
-    Returns (low zone index, up zone index) per cut, in cut order.
-    """
-    sig_of_zone: list[int] = []
-    for sites in zone_sites:
-        rep = min(sites)
-        sig = 0
-        for i, c in enumerate(cut_list):
-            if rep in c.low:
-                sig |= 1 << i
-        sig_of_zone.append(sig)
-    zone_at_sig = {sig: idx for idx, sig in enumerate(sig_of_zone)}
-    if len(zone_at_sig) != len(zone_sites):
-        raise NotATreeError("two zones share a side signature")
-    pairs: list[tuple[int, int]] = []
-    for i in range(len(cut_list)):
-        bit = 1 << i
-        found: list[tuple[int, int]] = []
-        for sig, idx in zone_at_sig.items():
-            if sig & bit and (sig ^ bit) in zone_at_sig:
-                found.append((idx, zone_at_sig[sig ^ bit]))
-        if len(found) != 1:
-            raise NotATreeError(
-                f"cut {cut_list[i]!r} does not join exactly one pair of zones"
-            )
-        pairs.append(found[0])
-    return pairs
-
-
-def _zones_and_pairs(
-    sg: ScalarGraph, cut_list: list[JCut]
-) -> tuple[tuple[IsoZone, ...], list[tuple[int, int]]]:
-    """Zones of a sorted, duplicate-free cut list, and each cut's zone pair."""
-    zones = zones_from_cuts(sg, cut_list)
-    return zones, _paired_edges(cut_list, [z.sites for z in zones])
-
-
-def _tree_of_pairs(
-    sg: ScalarGraph,
-    zones: tuple[IsoZone, ...],
-    cuts: Iterable[LCut],
-    pairs: list[tuple[int, int]],
-) -> IsoTree:
-    """The tree whose edges join each cut's zone pair; ``IsoTree`` checks the gaps."""
-    edges = [
-        TreeEdge(zones[low_idx].rep, zones[up_idx].rep, lc.cut, lc.gap)
-        for lc, (low_idx, up_idx) in zip(cuts, pairs)
-    ]
-    reference = sg.reference_site()
-    return IsoTree(zones, edges, reference, sg.value_of(reference))
+    classes = _signature_partition(sg.graph, sorted(set(cuts), key=JCut.sort_key))
+    return tuple(map(IsoZone, map(frozenset, classes.values()), _class_values(sg, classes)))
 
 
 def build_iso_tree_from_cuts(sg: ScalarGraph, cuts: Iterable[LCut]) -> IsoTree:
@@ -556,15 +549,38 @@ def build_iso_tree_from_cuts(sg: ScalarGraph, cuts: Iterable[LCut]) -> IsoTree:
 
     The cuts must be exactly the L-cuts of the scalar graph; anything
     else surfaces as an inconsistent zone or a failed free-tree check.
+    A cut given twice with different gaps raises ``ValueError``.
     """
-    by_cut: dict[JCut, LCut] = {}
-    for lc in cuts:
-        if lc.cut in by_cut and by_cut[lc.cut].gap != lc.gap:
-            raise NotATreeError(f"conflicting gaps for cut {lc.cut!r}")
-        by_cut[lc.cut] = lc
-    cut_list = sorted(by_cut, key=JCut.sort_key)
-    zones, pairs = _zones_and_pairs(sg, cut_list)
-    return _tree_of_pairs(sg, zones, [by_cut[c] for c in cut_list], pairs)
+    division = ValuedJDivision(cuts)
+    return IsoTree.from_arrays(
+        *_cut_arrays(sg, [lc.cut for lc in division], [lc.gap for lc in division])
+    )
+
+
+def _signed_gap_walk(n, lows, ups, gaps, ref, ref_value) -> list[float | None]:
+    """Each of ``n`` zones' value: ``ref_value`` plus the signed gap sum from zone ``ref``.
+
+    Edge ``k`` adds ``gaps[k]`` from zone ``lows[k]`` to zone ``ups[k]``
+    and subtracts it the other way; a zone left unreached gets ``None``.
+    """
+    incident: list[list[int]] = [[] for _ in range(n)]
+    for k, (a, b) in enumerate(zip(lows, ups)):
+        incident[a].append(k)
+        incident[b].append(k)
+    value: list[float | None] = [None] * n
+    value[ref] = ref_value
+    stack = [ref]
+    while stack:
+        z = stack.pop()
+        for k in incident[z]:
+            if lows[k] == z:
+                if value[ups[k]] is None:
+                    value[ups[k]] = value[z] + gaps[k]
+                    stack.append(ups[k])
+            elif value[lows[k]] is None:
+                value[lows[k]] = value[z] - gaps[k]
+                stack.append(lows[k])
+    return value
 
 
 def division_to_tree(
@@ -580,37 +596,23 @@ def division_to_tree(
     function is consulted; the reference zone gets ``reference_value``
     and every other zone the signed gap sum along its tree path.
     """
-    cut_list = [lc.cut for lc in division.cuts]
-    gaps = [lc.gap for lc in division.cuts]
-    zone_sites = sorted(_signature_partition(g, cut_list), key=min)
-    pairs = _paired_edges(cut_list, zone_sites)
+    cuts = [lc.cut for lc in division]
+    gaps = [lc.gap for lc in division]
+    classes = _signature_partition(g, cuts)
+    lows, ups = _zone_pairs(cuts, classes)
+    zone_sites = list(classes.values())
     if reference is None:
         reference = g.least_site()
-    ref_idx = next((i for i, sites in enumerate(zone_sites) if reference in sites), None)
-    if ref_idx is None:
+    ref = next((z for z, sites in enumerate(zone_sites) if reference in sites), None)
+    if ref is None:
         raise MissingReferenceError(f"reference {reference!r} not covered by any zone")
-
-    adj: dict[int, list[tuple[int, float]]] = {i: [] for i in range(len(zone_sites))}
-    for (low_idx, up_idx), gap in zip(pairs, gaps):
-        adj[low_idx].append((up_idx, +gap))
-        adj[up_idx].append((low_idx, -gap))
-    value: dict[int, float] = {ref_idx: reference_value}
-    stack = [ref_idx]
-    while stack:
-        idx = stack.pop()
-        for other, signed in adj[idx]:
-            if other not in value:
-                value[other] = value[idx] + signed
-                stack.append(other)
-    if len(value) != len(zone_sites):
+    values = _signed_gap_walk(len(zone_sites), lows, ups, gaps, ref, reference_value)
+    if None in values:
         raise NotATreeError("division does not connect all zones")
-
-    zones = [IsoZone(sites, value[i]) for i, sites in enumerate(zone_sites)]
-    edges = [
-        TreeEdge(zones[low_idx].rep, zones[up_idx].rep, cut, gap)
-        for cut, gap, (low_idx, up_idx) in zip(cut_list, gaps, pairs)
-    ]
-    return IsoTree(zones, edges, reference, reference_value)
+    return IsoTree.from_arrays(
+        zone_sites, values, [zone_sites[a][0] for a in lows], [zone_sites[b][0] for b in ups],
+        gaps, reference, reference_value,
+    )
 
 
 def validate_regular_division(g: Graph, division: ValuedJDivision) -> AxiomReport:
@@ -649,25 +651,9 @@ def reconstruct_rt(g: Graph, tree: IsoTree) -> ScalarGraph:
     if zone.keys() != g.sites:
         raise NotATreeError("tree zones do not partition the graph's sites")
 
-    low, up, gap = tree._low, tree._up, tree._gap
-    incident: list[list[int]] = [[] for _ in tree._reps]
-    for k, (a, b) in enumerate(zip(low, up)):
-        incident[a].append(k)
-        incident[b].append(k)
-    zone_value: list[float | None] = [None] * len(incident)
-    zone_value[ref] = tree.reference_value
-    stack = [ref]
-    while stack:
-        z = stack.pop()
-        for k in incident[z]:
-            if low[k] == z:
-                if zone_value[up[k]] is None:
-                    zone_value[up[k]] = zone_value[z] + gap[k]
-                    stack.append(up[k])
-            elif zone_value[low[k]] is None:
-                zone_value[low[k]] = zone_value[z] - gap[k]
-                stack.append(low[k])
-
+    zone_value = _signed_gap_walk(
+        len(tree._reps), tree._low, tree._up, tree._gap, ref, tree.reference_value
+    )
     values = dict(zip(zone, map(zone_value.__getitem__, zone.values())))
     return ScalarGraph(g, values, reference=tree.reference)
 

@@ -220,6 +220,23 @@ class TestValidate:
         assert "edge 'a'->'b'" in res.stderr
         assert "valid" not in res.stdout
 
+    def test_tree_missing_a_site_is_exit_2(self, tmp_path, peak_file):
+        doc = {
+            "zones": [
+                {"id": "a", "sites": ["a"], "value": 1},
+                {"id": "b", "sites": ["b"], "value": 3},
+            ],
+            "edges": [{"low": "a", "up": "b", "gap": 2}],
+            "reference": "a",
+            "referenceValue": 1,
+        }
+        tree_path = tmp_path / "t.json"
+        tree_path.write_text(json.dumps(doc))
+        res = run_cli("validate", "--input", str(tree_path), "--graph", str(peak_file))
+        assert res.returncode == 2
+        assert "tree zones do not partition the graph's sites" in res.stderr
+        assert "valid" not in res.stdout
+
     def test_wrong_reference_value_is_exit_2(self, tmp_path):
         sg = gen_path(3, [0, 2, 5])
         graph_path = tmp_path / "g.json"

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from isotree import (
     Graph,
     InconsistentZoneError,
+    InvalidRegionError,
     IsoTree,
     IsoZone,
     JCut,
@@ -94,6 +95,26 @@ class TestBuildFromCuts:
         # Only one of the two L-cuts: the remaining signature class mixes values.
         with pytest.raises(InconsistentZoneError):
             build_iso_tree_from_cuts(peak, [LCut(cut("a"), 2)])
+
+    def test_conflicting_gaps_rejected_by_the_division(self, peak):
+        cuts = [LCut(cut("a"), 2), LCut(cut("a"), 1), LCut(cut("c"), 3)]
+        with pytest.raises(ValueError, match="conflicting gaps for cut"):
+            build_iso_tree_from_cuts(peak, cuts)
+
+
+@pytest.mark.parametrize(
+    "assemble",
+    [
+        lambda sg, cuts: zones_from_cuts(sg, [lc.cut for lc in cuts]),
+        build_iso_tree_from_cuts,
+        lambda sg, cuts: division_to_tree(sg.graph, ValuedJDivision(cuts)),
+    ],
+    ids=["zones_from_cuts", "build_iso_tree_from_cuts", "division_to_tree"],
+)
+def test_cut_site_outside_the_graph_rejected(peak, assemble):
+    cuts = [LCut(cut("a", "zz"), 2), LCut(cut("c"), 3)]
+    with pytest.raises(InvalidRegionError, match=r"region references unknown sites \['zz'\]"):
+        assemble(peak, cuts)
 
 
 class TestIsoTreeStructure:
@@ -335,6 +356,18 @@ def test_oracle_trees_satisfy_every_invariant(sg):
     check_iso_tree(sg, tree)
     assert validate_regular_division(sg.graph, ValuedJDivision.of_tree(tree)).valid
     assert reconstruct_rt(sg.graph, tree).values == sg.values
+
+
+@settings(max_examples=60, deadline=None)
+@given(sg=mono_scalar_graphs)
+def test_cut_sets_and_trees_map_both_ways(sg):
+    # Trees assembled from a cut set are handed no cut to check, so each
+    # edge's split must come out as the very cut the edge was made from.
+    tree = brute_force_iso_tree(sg, trust_mono=True)
+    division = ValuedJDivision.of_tree(tree)
+    assert division.cuts == brute_force_l_cuts(sg, trust_mono=True)
+    assert build_iso_tree_from_cuts(sg, division) == tree
+    assert division_to_tree(sg.graph, division, tree.reference, tree.reference_value) == tree
 
 
 @settings(max_examples=60, deadline=None)
