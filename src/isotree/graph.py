@@ -211,13 +211,19 @@ def components_of(g: Graph, r: Iterable[SiteId]) -> tuple[frozenset[SiteId], ...
 
 def is_region_connected(g: Graph, r: Iterable[SiteId]) -> bool:
     """True for regions with at most one component (the empty region counts)."""
-    return len(components_of(g, r)) <= 1
+    todo = set(_check_region(g, r))
+    frontier = [todo.pop()] if todo else []
+    while frontier:
+        found = todo.intersection(g.neighbors(frontier.pop()))
+        todo -= found
+        frontier += found
+    return not todo
 
 
 def immediate_interior(g: Graph, r: Iterable[SiteId]) -> frozenset[SiteId]:
     """Sites of ``r`` having at least one neighbor outside ``r``."""
     region = _check_region(g, r)
-    return frozenset(p for p in region if g.neighbors(p) - region)
+    return frozenset(p for p in region if not g.neighbors(p) <= region)
 
 
 def is_j_cut(g: Graph, x: Iterable[SiteId]) -> bool:

@@ -9,11 +9,15 @@ Exhaustive operations scan all bipartitions once per graph: the L-cut
 test and the mono-connectivity precondition read the J-cut masks and
 the witness that the graph's bit view keeps (see :mod:`isotree.mono`),
 so a graph already checked by ``is_mono_connected`` is not scanned again.
+Each side's max or min is two lookups in ``_bitgraph._fold`` tables of
+the site values over the low and the high half of the sites.
 """
 
 from __future__ import annotations
 
-from ._bitgraph import BitGraph, bit_view, bits
+from math import inf
+
+from ._bitgraph import BitGraph, _fold, bit_view
 from .errors import PreconditionError, SizeLimitError
 from .graph import JCut, ScalarGraph
 from .mono import _cut_masks, is_mono_connected
@@ -25,15 +29,19 @@ DEFAULT_ORACLE_CAP = 14
 def _oriented_l_cut_masks(sg: ScalarGraph, bg: BitGraph) -> list[int]:
     """Low-side masks of all level cuts, found by testing every J-cut of the scan."""
     value = [sg.value_of(p) for p in bg.sites]
+    half, low = bg.half, bg.low_half
+    # Max and min value over each half-mask (-inf and +inf for none), per
+    # call: the values belong to ``sg``, not to the cached bit view.
+    lo_max, hi_max = _fold(value[:half], max, -inf), _fold(value[half:], max, -inf)
+    lo_min, hi_min = _fold(value[:half], min, inf), _fold(value[half:], min, inf)
     winners: list[int] = []
     for mask in _cut_masks(bg):
         comp = bg.full & ~mask
-        ii_x = [value[i] for i in bits(bg.interior(mask))]
-        ii_c = [value[i] for i in bits(bg.interior(comp))]
-        # Strictness means at most one orientation can win.
-        if max(ii_x) < min(ii_c):
+        x, c = bg.interior(mask), bg.interior(comp)
+        # max(II(x)) < min(II(c)); strictness means at most one orientation can win.
+        if max(lo_max[x & low], hi_max[x >> half]) < min(lo_min[c & low], hi_min[c >> half]):
             winners.append(mask)
-        elif max(ii_c) < min(ii_x):
+        elif max(lo_max[c & low], hi_max[c >> half]) < min(lo_min[x & low], hi_min[x >> half]):
             winners.append(comp)
     return winners
 

@@ -625,6 +625,7 @@ def validate_regular_division(g: Graph, division: ValuedJDivision) -> AxiomRepor
     cuts = [lc.cut for lc in division.cuts]
     sides = [(frozenset(c.low), g.sites - frozenset(c.low)) for c in cuts]
     boundaries = [boundary_surfels(g, c) for c in cuts]
+    inverted = [inverse_surfels(b) for b in boundaries]
     violations: list[AxiomViolation] = []
     for i in range(len(cuts)):
         x, xc = sides[i]
@@ -632,7 +633,7 @@ def validate_regular_division(g: Graph, division: ValuedJDivision) -> AxiomRepor
             y, yc = sides[j]
             if not (x <= y or x <= yc or xc <= y or xc <= yc):
                 violations.append(AxiomViolation("nesting", cuts[i], cuts[j]))
-            if boundaries[i] & inverse_surfels(boundaries[j]):
+            if not boundaries[i].isdisjoint(inverted[j]):
                 violations.append(AxiomViolation("tangent", cuts[i], cuts[j]))
     return AxiomReport(tuple(violations))
 

@@ -7,12 +7,14 @@ and asks only ``is_region_connected`` and ``immediate_interior``.
 from __future__ import annotations
 
 import random
+from fractions import Fraction
+from math import inf
 
 import pytest
 
 from isotree import Graph, JCut, constant, gen_path, gen_tri_grid, is_mono_connected
 from isotree import mono
-from isotree._bitgraph import bit_view
+from isotree._bitgraph import _fold, bit_view
 from isotree.graph import immediate_interior, is_region_connected
 from isotree.mono import MonoWitness, path_site_ids
 
@@ -142,3 +144,51 @@ def test_cut_masks_match_the_literal_scan(make):
 def test_mono_witness_matches_the_literal_scan(make):
     g = make()
     assert is_mono_connected(g) == _literal_witness(g)
+
+
+VALUE_KINDS = {
+    "int": lambda rng: rng.randint(-3, 3),
+    "float": lambda rng: rng.uniform(-3, 3),
+    "Fraction": lambda rng: Fraction(rng.randint(-9, 9), rng.randint(1, 4)),
+}
+
+
+def _check_half_tables(g: Graph, masks) -> None:
+    """The oracle's max and min lookups equal max and min over the literal interior.
+
+    An empty interior (a disconnected graph, or the empty or full mask)
+    reads the sentinels, so they meet every value type a graph can hold.
+    """
+    bg = bit_view(g)
+    half, low = bg.half, bg.low_half
+    rng = random.Random(len(g))
+    tables = {}
+    for kind, draw in VALUE_KINDS.items():
+        value = [draw(rng) for _ in bg.sites]
+        tables[kind] = (
+            value,
+            _fold(value[:half], max, -inf),
+            _fold(value[half:], max, -inf),
+            _fold(value[:half], min, inf),
+            _fold(value[half:], min, inf),
+        )
+    for m in masks:
+        ii = bg.interior(m)
+        interior = immediate_interior(g, bg.set_of(m))
+        literal = [i for i, p in enumerate(bg.sites) if p in interior]
+        for kind, (value, lo_max, hi_max, lo_min, hi_min) in tables.items():
+            top = max(lo_max[ii & low], hi_max[ii >> half])
+            bottom = min(lo_min[ii & low], hi_min[ii >> half])
+            assert top == max((value[i] for i in literal), default=-inf), (kind, bin(m))
+            assert bottom == min((value[i] for i in literal), default=inf), (kind, bin(m))
+
+
+@graphs
+def test_half_tables_give_interior_extremes(make):
+    g = make()
+    _check_half_tables(g, range(1 << len(g)))
+
+
+def test_half_tables_give_interior_extremes_at_16_sites():
+    g = gen_tri_grid(4, 4, constant(0)).graph
+    _check_half_tables(g, [0, (1 << 16) - 1, *_seeded_masks(16, 4096)])

@@ -16,6 +16,7 @@ from isotree import (
     inverse_surfels,
     is_j_cut,
 )
+from isotree.graph import is_region_connected
 
 from conftest import mono_scalar_graphs
 
@@ -142,3 +143,19 @@ def test_boundary_flip_is_inverse(sg, data):
     region = frozenset(data.draw(st.sets(st.sampled_from(sorted(g.sites)))))
     cut = JCut(region)
     assert boundary_surfels(g, cut.flipped(g)) == inverse_surfels(boundary_surfels(g, cut))
+
+
+@st.composite
+def graphs_and_regions(draw):
+    """A graph of 1-9 sites, connected or not, and any region of it, the empty one included."""
+    sites = "abcdefghi"[: draw(st.integers(1, 9))]
+    every_pair = [(p, q) for i, p in enumerate(sites) for q in sites[i + 1 :]]
+    pairs = draw(st.lists(st.sampled_from(every_pair), unique=True)) if every_pair else []
+    region = draw(st.sets(st.sampled_from(sites)))
+    return Graph(sites, pairs), region
+
+
+@given(graph_and_region=graphs_and_regions())
+def test_region_connected_iff_at_most_one_component(graph_and_region):
+    g, region = graph_and_region
+    assert is_region_connected(g, region) == (len(components_of(g, region)) <= 1)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,12 +15,14 @@ from isotree import (
     ValuedJDivision,
     enumerate_j_cuts,
     gen_path,
+    is_l_cut,
     is_mono_connected,
     validate_regular_division,
 )
 from isotree import tree as itree
+from isotree._bitgraph import bit_view
 from isotree.mono import path_site_ids
-from isotree.oracle import brute_force_iso_tree, brute_force_l_cuts
+from isotree.oracle import _oriented_l_cut_masks, brute_force_iso_tree, brute_force_l_cuts
 
 from conftest import cycle_graph, mono_scalar_graphs
 
@@ -146,3 +150,22 @@ def test_warm_graph_answers_like_a_fresh_copy(sg, order):
         g = sg.graph
         fresh = ScalarGraph(Graph(g.sites, g.pairs), sg.values, sg.reference)
         assert _outcome(call, sg) == _outcome(call, fresh), name
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    sg=mono_scalar_graphs,
+    kind=st.sampled_from([int, float, lambda v: Fraction(v, 3)]),
+)
+def test_table_scan_finds_the_literal_l_cuts(sg, kind):
+    """The half-table scan keeps exactly the J-cuts whose string-level L-cut test holds."""
+    sg = ScalarGraph(sg.graph, {p: kind(v) for p, v in sg.values.items()}, sg.reference)
+    g = sg.graph
+    bg = bit_view(g)
+    scanned = {bg.set_of(m) for m in _oriented_l_cut_masks(sg, bg)}
+    literal = set()
+    for c in enumerate_j_cuts(g):
+        for side in (c, c.flipped(g)):
+            if is_l_cut(sg, side):
+                literal.add(side.low)
+    assert scanned == literal

@@ -22,6 +22,7 @@ from isotree import (
     components_of,
     division_to_tree,
     gen_path,
+    gen_tri_grid,
     immediate_interior,
     is_l_cut,
     reconstruct_rt,
@@ -29,6 +30,7 @@ from isotree import (
     value_gap_of,
     zones_from_cuts,
 )
+from isotree import tree as itree
 from isotree.oracle import brute_force_iso_tree, brute_force_l_cuts
 
 from conftest import CORPUS_SIZE, corpus_graph, mono_scalar_graphs, random_mono_scalar_graph
@@ -222,6 +224,21 @@ class TestValidateRegularDivision:
         }
         assert (cut("a", "b"), cut("b", "c")) in nesting_pairs
         assert (cut("b", "c"), cut("c", "d")) in nesting_pairs
+
+    def test_each_boundary_is_inverted_once(self, monkeypatch):
+        sg = gen_tri_grid(5, 5, list(range(25)))
+        tree = build_iso_tree(sg)
+        calls = []
+        inverse = itree.inverse_surfels
+
+        def counted(surfels):
+            calls.append(surfels)
+            return inverse(surfels)
+
+        monkeypatch.setattr(itree, "inverse_surfels", counted)
+        assert validate_regular_division(sg.graph, ValuedJDivision.of_tree(tree)).valid
+        assert len(tree.edges) == 24
+        assert len(calls) == len(tree.edges)
 
 
 class TestReconstruct:
