@@ -59,10 +59,19 @@ class BitGraph:
 
 
 def _fold(items: list, op, empty) -> list:
-    """Entry k combines ``items[j]`` over the set bits j of k with ``op``, from ``empty``."""
+    """Entry k combines ``items[j]`` over the set bits j of k with ``op``, from ``empty``.
+
+    ``max`` and ``min`` fold by one comparison per entry, not a call:
+    each keeps ``u`` unless ``a`` is strictly beyond it, as the builtins do.
+    """
     table = [empty]
     for a in items:
-        table += [op(u, a) for u in table]
+        if op is max:
+            table += [a if a > u else u for u in table]
+        elif op is min:
+            table += [a if a < u else u for u in table]
+        else:
+            table += [op(u, a) for u in table]
     return table
 
 

@@ -34,8 +34,11 @@ class Graph:
     Adjacency is given as unordered pairs.  Self-pairs and pairs that
     reference unknown sites are rejected; duplicate pairs collapse.
     Connectedness is a queryable property, not a construction invariant.
-    The bit view that exhaustive scans use is built on first use and kept
-    here (see ``_bitgraph.bit_view``); equality, hash and repr ignore it.
+    The sorted pairs tuple is derived from the adjacency on first read,
+    and the bit view that exhaustive scans use is built on first use
+    (see ``_bitgraph.bit_view``); both are kept here.  Filling either
+    slot is idempotent: two threads racing to fill one store equal
+    values.  Equality, hash and repr ignore the bit view.
     """
 
     __slots__ = ("_sites", "_site_list", "_adj", "_pairs", "_bits")
@@ -45,7 +48,6 @@ class Graph:
         if not site_set:
             raise ValueError("a graph needs at least one site")
         adj: dict[SiteId, set[SiteId]] = {p: set() for p in site_set}
-        pairs: set[tuple[SiteId, SiteId]] = set()
         for p, q in adjacency:
             if p == q:
                 raise ValueError(f"self-pair on site {p!r}")
@@ -53,11 +55,24 @@ class Graph:
                 raise ValueError(f"adjacency pair ({p!r}, {q!r}) references an unknown site")
             adj[p].add(q)
             adj[q].add(p)
-            pairs.add((p, q) if p < q else (q, p))
-        self._sites = site_set
-        self._site_list = tuple(sorted(site_set))
+        self._fill(adj)
+
+    @classmethod
+    def _from_adjacency(cls, adj: dict[SiteId, set[SiteId]]) -> "Graph":
+        """The graph whose neighbour sets are ``adj``, taken unchecked.
+
+        For callers that have already checked every pair: ``adj`` is
+        non-empty, and it is symmetric and loop-free over its own keys.
+        """
+        g = cls.__new__(cls)
+        g._fill(adj)
+        return g
+
+    def _fill(self, adj: dict[SiteId, set[SiteId]]) -> None:
+        self._sites = frozenset(adj)
+        self._site_list = tuple(sorted(adj))
         self._adj: dict[SiteId, frozenset[SiteId]] = {p: frozenset(n) for p, n in adj.items()}
-        self._pairs = tuple(sorted(pairs))
+        self._pairs: tuple[tuple[SiteId, SiteId], ...] | None = None
         self._bits = None
 
     @property
@@ -72,7 +87,13 @@ class Graph:
     @property
     def pairs(self) -> tuple[tuple[SiteId, SiteId], ...]:
         """Unordered adjacency pairs, each sorted, in ascending order."""
-        return self._pairs
+        pairs = self._pairs
+        if pairs is None:
+            adj = self._adj
+            pairs = self._pairs = tuple(
+                (p, q) for p in self._site_list for q in sorted(adj[p]) if p < q
+            )
+        return pairs
 
     def neighbors(self, p: SiteId) -> frozenset[SiteId]:
         try:
@@ -92,13 +113,13 @@ class Graph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self._sites == other._sites and self._pairs == other._pairs
+        return self._sites == other._sites and self.pairs == other.pairs
 
     def __hash__(self) -> int:
-        return hash((self._sites, self._pairs))
+        return hash((self._sites, self.pairs))
 
     def __repr__(self) -> str:
-        return f"Graph({len(self._sites)} sites, {len(self._pairs)} pairs)"
+        return f"Graph({len(self._sites)} sites, {len(self.pairs)} pairs)"
 
 
 class ScalarGraph:

@@ -93,7 +93,8 @@ def load_graph_json(data: bytes | str) -> ScalarGraph:
     adjacency = doc.get("adjacency", [])
     if not isinstance(adjacency, list):
         raise ValidationError("adjacency: expected an array")
-    seen: set[tuple[str, str]] = set()
+    # The checked pairs fill the neighbour sets that the graph keeps.
+    adj: dict[str, set[str]] = {p: set() for p in values}
     for i, pair in enumerate(adjacency):
         if type(pair) is not list or len(pair) != 2:
             raise ValidationError(f"adjacency[{i}]: expected a pair of ids")
@@ -102,19 +103,20 @@ def load_graph_json(data: bytes | str) -> ScalarGraph:
             _require_strs(pair, f"adjacency[{i}]")
         if p == q:
             raise ValidationError(f"adjacency[{i}]: self-loop on {p!r}")
-        if p not in values or q not in values:
-            raise ValidationError(f"adjacency[{i}]: unknown id {q if p in values else p!r}")
-        key = (p, q) if p < q else (q, p)
-        if key in seen:
+        near_p, near_q = adj.get(p), adj.get(q)
+        if near_p is None or near_q is None:
+            raise ValidationError(f"adjacency[{i}]: unknown id {q if near_p is not None else p!r}")
+        if q in near_p:
             raise ValidationError(f"adjacency[{i}]: duplicate pair ({p!r}, {q!r})")
-        seen.add(key)
+        near_p.add(q)
+        near_q.add(p)
 
     reference = doc.get("reference")
     if reference is not None:
         reference = _require_str(reference, "reference")
         if reference not in values:
             raise ValidationError(f"reference: unknown id {reference!r}")
-    return ScalarGraph(Graph(values, adjacency), values, reference=reference)
+    return ScalarGraph(Graph._from_adjacency(adj), values, reference=reference)
 
 
 def graph_to_json(sg: ScalarGraph) -> str:

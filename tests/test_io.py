@@ -14,8 +14,10 @@ from hypothesis import strategies as st
 
 from conftest import CORPUS_SIZE, corpus_graph
 from isotree import (
+    Graph,
     NotATreeError,
     ParseError,
+    ScalarGraph,
     ValidationError,
     build_iso_tree,
     gen_path,
@@ -104,6 +106,47 @@ class TestGraphJson:
         doc = {"sites": [{"id": "a", "value": 0}, {"id": "b", "value": bad}], "adjacency": []}
         with pytest.raises(ValidationError, match=r"sites\[1\]\.value: expected a finite number"):
             load_graph_json(json.dumps(doc))
+
+    def test_loaded_graph_is_the_api_graph_on_the_corpus(self):
+        for i in range(CORPUS_SIZE):
+            _check_loaded_graph(corpus_graph(i))
+
+
+def _check_loaded_graph(sg: ScalarGraph) -> None:
+    """The loader's graph equals ``Graph(site_list, pairs)`` in every observable way."""
+    text = graph_to_json(sg)
+    want = Graph(sg.graph.site_list, sg.graph.pairs)
+    want_pairs = want.pairs
+    # Fresh loads whose pairs are first read by ==, by the reflected ==, and by hash.
+    first, second, third = (load_graph_json(text).graph for _ in range(3))
+    assert first == want
+    assert want == second
+    assert hash(third) == hash(want)
+    assert first == sg.graph
+    assert repr(first) == repr(want)
+    assert first.site_list == want.site_list
+    assert first.pairs == want_pairs
+    for p in want.site_list:
+        assert first.neighbors(p) == want.neighbors(p)
+    assert graph_to_json(ScalarGraph(first, sg.values, sg.reference)) == text
+
+
+@st.composite
+def any_scalar_graphs(draw) -> ScalarGraph:
+    """1-10 sites with any ids, any pairs in either orientation and any order, any reference."""
+    ids = draw(st.lists(st.text(min_size=1, max_size=3), min_size=1, max_size=10, unique=True))
+    every_pair = [(p, q) for i, p in enumerate(ids) for q in ids[i + 1 :]]
+    pairs = draw(st.lists(st.sampled_from(every_pair), unique=True)) if every_pair else []
+    pairs = [(q, p) if draw(st.booleans()) else (p, q) for p, q in pairs]
+    values = draw(st.lists(st.integers(-3, 3), min_size=len(ids), max_size=len(ids)))
+    reference = draw(st.none() | st.sampled_from(ids))
+    return ScalarGraph(Graph(ids, pairs), dict(zip(ids, values)), reference)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sg=any_scalar_graphs())
+def test_loaded_graph_is_the_api_graph(sg):
+    _check_loaded_graph(sg)
 
 
 class TestTreeJson:
@@ -404,6 +447,11 @@ class TestFaultInLastEntry:
         [
             (["r0c0"], "expected a pair of ids"),
             (["r0c0", "r0c0"], "self-loop on 'r0c0'"),
+            # The first pair of the document, reversed.
+            (["r0c1", "r0c0"], "duplicate pair ('r0c1', 'r0c0')"),
+            (["r0c0", "zz"], "unknown id 'zz'"),
+            # The self-loop check comes before the id lookup.
+            (["zz", "zz"], "self-loop on 'zz'"),
         ],
     )
     def test_adjacency_entry(self, big_graph_doc, pair, message):
