@@ -2,7 +2,9 @@
 
 Ties are broken symbolically: sites are ranked by (value, site id), so
 the ranked graph has a unique value per site.  Two union-find sweeps
-build the sublevel and superlevel merge trees, and a leaf-pruning merge
+build the sublevel and superlevel merge trees; a sweep that ends with
+more than one root rejects the graph as disconnected.  A leaf-pruning
+merge, on one parent pointer and one child count per site in each tree,
 combines them into the augmented contour tree (one node per site).  One
 tie contraction then builds both trees: with the input values it joins
 the sites of every equal-value edge into one zone (the iso-tree, gaps in
@@ -20,7 +22,6 @@ from typing import Mapping, NamedTuple, Sequence
 from .errors import InternalInconsistencyError, PreconditionError
 from .graph import ScalarGraph, SiteId
 from .tree import IsoTree
-from .unionfind import UnionFind
 
 
 class RankPerturbation(NamedTuple):
@@ -51,13 +52,6 @@ class MergeTree:
     flavor: str  # "sublevel" | "superlevel"
     parent: Mapping[SiteId, SiteId | None]
 
-    def children(self) -> dict[SiteId, set[SiteId]]:
-        out: dict[SiteId, set[SiteId]] = {p: set() for p in self.parent}
-        for p, q in self.parent.items():
-            if q is not None:
-                out[q].add(p)
-        return out
-
 
 @dataclass(frozen=True)
 class AugmentedContourTree:
@@ -74,24 +68,24 @@ def perturb_rank(sg: ScalarGraph) -> RankPerturbation:
 
 
 def _sweep(sg: ScalarGraph, rp: RankPerturbation, ascending: bool) -> dict[SiteId, SiteId | None]:
-    g = sg.graph
-    if not g.is_connected():
-        raise PreconditionError("merge-tree sweeps require a connected graph")
-    order = rp.order if ascending else tuple(reversed(rp.order))
+    neighbors = sg.graph.neighbors
     parent: dict[SiteId, SiteId | None] = {}
-    uf = UnionFind()
-    # newest[root] is the most recently added site of the component: the
-    # "top" while sweeping up, the "bottom" while sweeping down.
-    newest: dict[SiteId, SiteId] = {}
-    for x in order:
-        uf.add(x)
+    # Path-halving union-find over the swept sites.  Each new site becomes
+    # the root of its merged component, so a root is always the newest
+    # site of its component: the "top" sweeping up, the "bottom" down.
+    uf: dict[SiteId, SiteId] = {}
+    roots = len(rp.order)
+    for x in rp.order if ascending else reversed(rp.order):
         parent[x] = None
-        roots = {uf.find(q) for q in g.neighbors(x) if q in parent and q != x}
-        roots.discard(uf.find(x))
-        for root in sorted(roots, key=rp.rank.__getitem__):
-            parent[newest[root]] = x
-            uf.union(root, x)
-        newest[uf.find(x)] = x
+        uf[x] = x
+        for r in filter(uf.__contains__, neighbors(x)):
+            while uf[r] != r:
+                uf[r] = r = uf[uf[r]]
+            if r != x:
+                parent[r] = uf[r] = x
+                roots -= 1
+    if roots > 1:
+        raise PreconditionError("merge-tree sweeps require a connected graph")
     return parent
 
 
@@ -108,69 +102,71 @@ def superlevel_merge_tree(sg: ScalarGraph, rp: RankPerturbation) -> MergeTree:
 def merge_to_augmented_ct(jt: MergeTree, st: MergeTree) -> AugmentedContourTree:
     """Leaf-pruning merge of the two sweep trees into the contour tree.
 
-    A site is prunable when it is childless in one tree and has exactly
-    one child in the other: the edge to its parent in the childless tree
-    is a contour-tree edge.  Pruned sites are spliced out of both trees;
-    the process ends when a single site remains.
+    Each tree keeps one parent pointer and one child count per site.  A
+    site is prunable when it has no child in one tree and exactly one in
+    the other: the edge to its parent in the childless tree is a
+    contour-tree edge, and that parent loses a child.  A pruned site
+    stays in the pointers; a lookup skips pruned sites and stores the
+    parent it found.  The process ends when a single site remains.
     """
     if jt.parent.keys() != st.parent.keys():
         raise PreconditionError("merge trees cover different site sets")
-    sites = set(jt.parent.keys())
+    sites = jt.parent.keys()
     if len(sites) <= 1:
         return AugmentedContourTree(frozenset(sites), ())
 
-    p_sub: dict[SiteId, SiteId | None] = dict(jt.parent)
-    p_sup: dict[SiteId, SiteId | None] = dict(st.parent)
-    ch_sub = jt.children()
-    ch_sup = st.children()
+    def child_counts(tree: MergeTree) -> dict[SiteId, int]:
+        count = dict.fromkeys(sites, 0)
+        for q in tree.parent.values():
+            if q in count:
+                count[q] += 1
+            elif q is not None:
+                raise InternalInconsistencyError(f"{tree.flavor} parent {q!r} is not a site")
+        return count
 
-    def lower_leaf(x: SiteId) -> bool:
-        return not ch_sub[x] and len(ch_sup[x]) == 1
+    p_sub, n_sub = dict(jt.parent), child_counts(jt)
+    p_sup, n_sup = dict(st.parent), child_counts(st)
+    pruned: set[SiteId] = set()
 
-    def upper_leaf(x: SiteId) -> bool:
-        return not ch_sup[x] and len(ch_sub[x]) == 1
+    def lookup(parent: dict, x: SiteId) -> SiteId | None:
+        """x's nearest parent that is not pruned, stored in place of x's pointer.
+
+        Both of a leaf's parents are looked up before it is pruned: one that
+        came back to x would leave a cycle of pruned sites to circle forever.
+        """
+        y = parent[x]
+        while y in pruned:
+            y = parent[y]
+        if y == x:
+            raise InternalInconsistencyError(f"merge trees hold a cycle through {x!r}")
+        parent[x] = y
+        return y
 
     heap = sorted(sites)
     edges: list[tuple[SiteId, SiteId]] = []
-    remaining = set(sites)
-
-    def splice(parent: dict, children: dict, x: SiteId) -> list[SiteId]:
-        """Remove x, reconnecting its unique child (if any) to its parent."""
-        touched = []
-        pp = parent.pop(x)
-        kids = children.pop(x)
-        if pp is not None:
-            ch = children[pp]
-            ch.discard(x)
-            touched.append(pp)
-        for c in kids:
-            parent[c] = pp
-            if pp is not None:
-                children[pp].add(c)
-            touched.append(c)
-        return touched
-
-    while len(remaining) > 1:
+    for _ in range(len(sites) - 1):
         while heap:
             x = heapq.heappop(heap)
-            if x in remaining and (lower_leaf(x) or upper_leaf(x)):
+            if x not in pruned and n_sub[x] + n_sup[x] == 1:
                 break
         else:
             raise InternalInconsistencyError("leaf-pruning merge stalled; malformed merge trees")
-        if lower_leaf(x):
-            mate = p_sub[x]
+        if n_sub[x] == 0:
+            mate = lookup(p_sub, x)
             if mate is None:
                 raise InternalInconsistencyError(f"lower leaf {x!r} has no sublevel parent")
+            lookup(p_sup, x)
             edges.append((x, mate))
+            n_sub[mate] -= 1
         else:
-            mate = p_sup[x]
+            mate = lookup(p_sup, x)
             if mate is None:
                 raise InternalInconsistencyError(f"upper leaf {x!r} has no superlevel parent")
+            lookup(p_sub, x)
             edges.append((mate, x))
-        remaining.discard(x)
-        for touched in splice(p_sub, ch_sub, x) + splice(p_sup, ch_sup, x):
-            if touched in remaining:
-                heapq.heappush(heap, touched)
+            n_sup[mate] -= 1
+        pruned.add(x)
+        heapq.heappush(heap, mate)  # the only site whose child counts changed
 
     return AugmentedContourTree(frozenset(sites), tuple(sorted(edges)))
 

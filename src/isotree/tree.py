@@ -670,18 +670,18 @@ def value_gap_of(sg: ScalarGraph, c: JCut) -> float:
 def check_iso_tree(sg: ScalarGraph, tree: IsoTree) -> None:
     """Assert every iso-tree invariant against its scalar graph.
 
-    Raises :class:`InvariantViolationError` on the first failure.  Used
-    by the oracle before returning a tree, and by tests.
+    The zones must partition the sites (:func:`reconstruct_rt` raises
+    :class:`NotATreeError` otherwise) and give each site its value.  Any
+    other failure raises :class:`InvariantViolationError`.  Used by the
+    oracle before returning a tree, and by tests.
     """
     g = sg.graph
-    if tree.sites() != g.sites:
-        raise InvariantViolationError("zones do not partition the site set")
-    for z in tree.zones:
-        values = {sg.value_of(p) for p in z.sites}
-        if values != {z.value}:
-            raise InvariantViolationError(
-                f"zone {z.rep!r} value {z.value!r} disagrees with site values {sorted(values)}"
-            )
+    recovered = reconstruct_rt(g, tree).values
+    if recovered != sg.values:
+        p = min(p for p in g.sites if recovered[p] != sg.value_of(p))
+        raise InvariantViolationError(
+            f"site {p!r} reads value {recovered[p]!r} from the tree, not {sg.value_of(p)!r}"
+        )
     for e in tree.edges:
         cut = e.cut
         if not is_j_cut(g, cut.low):

@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from isotree import (
+    Graph,
     JCut,
     LCut,
     ScalarGraph,
@@ -34,7 +35,6 @@ from isotree import (
 )
 from isotree.io import graph_to_json
 from isotree.oracle import brute_force_iso_tree
-from isotree.unionfind import UnionFind
 
 from conftest import CORPUS_SIZE, corpus_graph, cycle_graph
 
@@ -166,12 +166,10 @@ def test_criterion_6_reduction_clauses():
         assert cuts_h - cuts_f == {e.cut for e in tied_edges}
         # (3) within any reduced zone, the singletons are connected by
         #     equal-value edges alone
-        uf = UnionFind(sg.graph.sites)
-        for e in tied_edges:
-            uf.union(e.low, e.up)
+        ties = Graph(sg.graph.sites, [(e.low, e.up) for e in tied_edges])
+        part = {p: k for k, c in enumerate(components_of(ties, ties.sites)) for p in c}
         for z in oracle_f.zones:
-            roots = {uf.find(p) for p in z.sites}
-            assert len(roots) == 1
+            assert len({part[p] for p in z.sites}) == 1
         # (4) every equal-value edge lands inside one reduced zone
         zone_of = {p: z.rep for z in oracle_f.zones for p in z.sites}
         for e in tied_edges:

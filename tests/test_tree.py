@@ -7,6 +7,7 @@ from isotree import (
     Graph,
     InconsistentZoneError,
     InvalidRegionError,
+    InvariantViolationError,
     IsoTree,
     IsoZone,
     JCut,
@@ -14,6 +15,7 @@ from isotree import (
     MissingReferenceError,
     NotAnLCutError,
     NotATreeError,
+    ScalarGraph,
     TreeEdge,
     ValuedJDivision,
     build_iso_tree,
@@ -310,6 +312,19 @@ class TestEdgeToJCut:
         tree = brute_force_iso_tree(plateau)
         (edge,) = tree.edges
         assert edge.cut == cut("a", "b")
+
+
+class TestCheckIsoTree:
+    def test_tree_that_misses_a_site(self, ramp3):
+        tree = build_iso_tree(gen_path(2, [0, 1]))
+        with pytest.raises(NotATreeError, match="do not partition the graph's sites"):
+            check_iso_tree(ramp3, tree)
+
+    def test_zone_with_a_wrong_value(self, ramp3):
+        tree = build_iso_tree(ramp3)
+        raised = ScalarGraph(ramp3.graph, {"a": 0, "b": 1, "c": 5})
+        with pytest.raises(InvariantViolationError, match="site 'c' reads value 2 from the tree, not 5"):
+            check_iso_tree(raised, tree)
 
 
 class TestDisconnectedZone:
