@@ -671,17 +671,17 @@ def check_iso_tree(sg: ScalarGraph, tree: IsoTree) -> None:
     """Assert every iso-tree invariant against its scalar graph.
 
     The zones must partition the sites (:func:`reconstruct_rt` raises
-    :class:`NotATreeError` otherwise) and give each site its value.  Any
-    other failure raises :class:`InvariantViolationError`.  Used by the
-    oracle before returning a tree, and by tests.
+    :class:`NotATreeError` otherwise) and each zone's value must be the
+    value of its sites.  Any other failure raises
+    :class:`InvariantViolationError`.  Used by the oracle before
+    returning a tree, and by tests.
     """
     g = sg.graph
-    recovered = reconstruct_rt(g, tree).values
-    if recovered != sg.values:
-        p = min(p for p in g.sites if recovered[p] != sg.value_of(p))
-        raise InvariantViolationError(
-            f"site {p!r} reads value {recovered[p]!r} from the tree, not {sg.value_of(p)!r}"
-        )
+    reconstruct_rt(g, tree)
+    held = {p: tree._values[z] for p, z in tree._zone.items()}
+    if held != sg.values:
+        p = min(p for p in g.sites if held[p] != sg.values[p])
+        raise InvariantViolationError(f"site {p!r} has value {sg.values[p]!r}, its zone {held[p]!r}")
     for e in tree.edges:
         cut = e.cut
         if not is_j_cut(g, cut.low):

@@ -84,6 +84,12 @@ class TestBruteForceIsoTree:
         assert tree.edges == ()
         assert tree.reference_value == 3
 
+    def test_decimal_values_are_checked_zone_by_zone(self):
+        # Walking the gap down from 'a' gives 0.68 - 0.57 = 0.10999999999999999 for 'b'.
+        tree = brute_force_iso_tree(gen_path(2, [0.68, 0.11]))
+        assert [(sorted(z.sites), z.value) for z in tree.zones] == [(["a"], 0.68), (["b"], 0.11)]
+        assert [(e.low, e.up, e.gap) for e in tree.edges] == [("b", "a", 0.68 - 0.11)]
+
     def test_output_is_always_regular(self, peak, plateau, disconnected_zone_grid):
         for sg in (peak, plateau, disconnected_zone_grid):
             tree = brute_force_iso_tree(sg)

@@ -323,7 +323,7 @@ class TestCheckIsoTree:
     def test_zone_with_a_wrong_value(self, ramp3):
         tree = build_iso_tree(ramp3)
         raised = ScalarGraph(ramp3.graph, {"a": 0, "b": 1, "c": 5})
-        with pytest.raises(InvariantViolationError, match="site 'c' reads value 2 from the tree, not 5"):
+        with pytest.raises(InvariantViolationError, match="site 'c' has value 5, its zone 2"):
             check_iso_tree(raised, tree)
 
 
