@@ -18,7 +18,7 @@ from itertools import chain
 from json.encoder import encode_basestring_ascii
 from typing import Any
 
-from .errors import ParseError, ValidationError
+from .errors import NotATreeError, ParseError, ValidationError
 from .graph import Graph, JCut, ScalarGraph
 from .mono import gen_tri_grid
 from .tree import IsoTree, LCut, ValuedJDivision
@@ -71,7 +71,11 @@ def _loads(data: bytes | str, what: str) -> Any:
 
 def load_graph_json(data: bytes | str) -> ScalarGraph:
     """Parse and validate a graph document into a scalar graph."""
-    doc = _loads(data, "graph")
+    return _graph_of(_loads(data, "graph"))
+
+
+def _graph_of(doc: Any) -> ScalarGraph:
+    """The scalar graph of a parsed graph document, checked entry by entry."""
     if not isinstance(doc, dict):
         raise ValidationError("graph document must be a JSON object")
     sites = doc.get("sites")
@@ -119,14 +123,18 @@ def load_graph_json(data: bytes | str) -> ScalarGraph:
     return ScalarGraph(Graph._from_adjacency(adj), values, reference=reference)
 
 
-def graph_to_json(sg: ScalarGraph) -> str:
+def _graph_doc(sg: ScalarGraph) -> dict[str, Any]:
     doc: dict[str, Any] = {
         "sites": [{"id": p, "value": _num(sg.value_of(p))} for p in sg.graph.site_list],
         "adjacency": [list(pair) for pair in sg.graph.pairs],
     }
     if sg.reference is not None:
         doc["reference"] = sg.reference
-    return json.dumps(doc, indent=2)
+    return doc
+
+
+def graph_to_json(sg: ScalarGraph) -> str:
+    return json.dumps(_graph_doc(sg), indent=2)
 
 
 # ---------------------------------------------------------------------------
@@ -199,12 +207,13 @@ def parse_tree_json(data: bytes | str) -> IsoTree:
     edges_doc = doc.get("edges", [])
     if not isinstance(edges_doc, list):
         raise ValidationError("edges: expected an array")
-    lows, ups, gaps, cuts = [], [], [], []
+    lows, ups, gaps, sides = [], [], [], {}
     for i, entry in enumerate(edges_doc):
         if type(entry) is not dict:
             raise ValidationError(f"edges[{i}]: expected an object")
         low, up, gap = entry.get("low"), entry.get("up"), entry.get("gap")
-        # cutLow is optional: the tree derives it, and checks it when given.
+        # cutLow, which earlier versions wrote, is optional: the tree
+        # derives every edge's side, and a side given must be that one.
         cut = entry.get("cutLow")
         given = "cutLow" in entry
         if given and (type(cut) is not list or not cut):
@@ -216,17 +225,23 @@ def parse_tree_json(data: bytes | str) -> IsoTree:
         if given:
             if not all(type(p) is str for p in cut):
                 _require_strs(cut, f"edges[{i}].cutLow")
-            cut = JCut(frozenset(cut))
+            sides[low, up] = frozenset(cut)
         if type(gap) is not int and not (type(gap) is float and math.isfinite(gap)):
             _require_number(gap, f"edges[{i}].gap")
         lows.append(low)
         ups.append(up)
         gaps.append(gap)
-        cuts.append(cut)
 
     reference = _require_str(doc.get("reference"), "reference")
     reference_value = _require_number(doc.get("referenceValue"), "referenceValue")
-    tree = IsoTree.from_arrays(zone_sites, values, lows, ups, gaps, reference, reference_value, cuts)
+    tree = IsoTree(zone_sites, values, lows, ups, gaps, reference, reference_value)
+    if sides:
+        for e in tree.edges:
+            side = sides.get((e.low, e.up))
+            if side is not None and side != e.cut.low:
+                raise NotATreeError(
+                    f"edge {e.low!r}->{e.up!r}: stored cut differs from its subtree split"
+                )
     # The tree reconstructs values from the reference's zone, so a
     # reference outside every zone, or a value that is not its zone's,
     # would give back another function.
@@ -256,7 +271,7 @@ def parse_division_json(data: bytes | str) -> tuple[ScalarGraph, ValuedJDivision
     doc = _loads(data, "division")
     if not isinstance(doc, dict) or "graph" not in doc:
         raise ValidationError("division document needs a graph field")
-    sg = load_graph_json(json.dumps(doc["graph"]))
+    sg = _graph_of(doc["graph"])
     cuts_doc = doc.get("cuts")
     if not isinstance(cuts_doc, list):
         raise ValidationError("cuts: expected an array")
@@ -280,7 +295,7 @@ def parse_division_json(data: bytes | str) -> tuple[ScalarGraph, ValuedJDivision
 
 def division_to_json(sg: ScalarGraph, division: ValuedJDivision) -> str:
     doc = {
-        "graph": json.loads(graph_to_json(sg)),
+        "graph": _graph_doc(sg),
         "cuts": [{"low": sorted(lc.cut.low), "gap": _num(lc.gap)} for lc in division.cuts],
     }
     return json.dumps(doc, indent=2)

@@ -48,6 +48,8 @@ def constant(value: float = 0) -> ValuePolicy:
 
 def seeded_random(seed: int, low: int = 0, high: int = 5) -> ValuePolicy:
     """Integer values drawn uniformly from [low, high] with a fixed seed."""
+    if low > high:
+        raise PreconditionError(f"empty value range: low {low} exceeds high {high}")
 
     def draw(n: int) -> Sequence[float]:
         rng = random.Random(seed)

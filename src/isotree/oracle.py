@@ -80,6 +80,6 @@ def brute_force_iso_tree(
     sg: ScalarGraph, cap: int = DEFAULT_ORACLE_CAP, trust_mono: bool = False
 ) -> IsoTree:
     """Iso-tree assembled from the brute-force cut set, invariants asserted."""
-    tree = IsoTree.from_arrays(*_cut_arrays(sg, _level_cuts(sg, cap, trust_mono)))
+    tree = IsoTree(*_cut_arrays(sg, _level_cuts(sg, cap, trust_mono)))
     check_iso_tree(sg, tree)
     return tree

@@ -267,7 +267,7 @@ def _contract(
             zone_sites[z].append(order[i])
     rep = [sites[0] for sites in zone_sites]
     reference = sg.reference_site()
-    return IsoTree.from_arrays(
+    return IsoTree(
         zone_sites,
         zone_value,
         [rep[zone_of[i]] for i, _ in kept],

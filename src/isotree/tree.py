@@ -11,7 +11,7 @@ transform recovers every site value by signed gap sums along tree paths.
 Two axioms (nesting and tangency) characterize exactly the valued cut
 sets that arise this way; ``validate_regular_division`` checks them.
 Every tree made from a cut set is assembled one way: one signature pass
-groups the sites, and ``IsoTree.from_arrays`` joins each cut's pair.
+groups the sites, and the ``IsoTree`` constructor joins each cut's pair.
 """
 
 from __future__ import annotations
@@ -70,31 +70,28 @@ class IsoZone:
 class TreeEdge:
     """Directed tree edge from the low zone to the up zone of one L-cut.
 
-    The cut is the split the tree makes when the edge is removed, so a
-    tree derives it instead of storing it: an edge of an :class:`IsoTree`
-    holds its low side as one slice of the tree's preorder site tuple, or
-    as that slice's complement, and builds the site set only when ``cut``
-    is read.  An edge made outside a tree may carry the cut it stands for
-    (``cut=None`` otherwise); the tree checks it once.  Edges compare by
-    zones and gap only.
+    The cut is the split the tree makes when the edge is removed, so it
+    is derived, not stored: an edge holds its low side as one slice of
+    its tree's preorder site tuple, or as that slice's complement, and
+    builds the site set only when ``cut`` is read.  Only
+    :attr:`IsoTree.edges` makes edges.  Edges compare by zones and gap
+    only.
     """
 
-    __slots__ = ("low", "up", "gap", "_cut", "_span")
+    __slots__ = ("low", "up", "gap", "_span")
 
-    def __init__(self, low: SiteId, up: SiteId, cut: JCut | None, gap: float):
+    def __init__(self, low: SiteId, up: SiteId, gap: float, span: tuple):
         self.low = low
         self.up = up
         self.gap = gap
-        self._cut = cut
         # (sites in zone preorder, start, stop, inside): the low side is
         # sites[start:stop] when inside, every other site if not.
-        self._span: tuple[tuple[SiteId, ...], int, int, bool] | None = None
+        self._span = span
 
     @property
-    def cut(self) -> JCut | None:
-        if self._span is None:
-            return self._cut
-        return JCut(_low_side(self._span))
+    def cut(self) -> JCut:
+        sites, start, stop, inside = self._span
+        return JCut(frozenset(sites[start:stop] if inside else sites[:start] + sites[stop:]))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TreeEdge):
@@ -106,12 +103,6 @@ class TreeEdge:
 
     def __repr__(self) -> str:
         return f"TreeEdge(low={self.low!r}, up={self.up!r}, gap={self.gap!r})"
-
-
-def _low_side(span: tuple[tuple[SiteId, ...], int, int, bool]) -> frozenset[SiteId]:
-    """The low side a ``TreeEdge._span`` stands for."""
-    sites, start, stop, inside = span
-    return frozenset(sites[start:stop] if inside else sites[:start] + sites[stop:])
 
 
 def _disjoint(reps: list[SiteId], zone_sites: list[list[SiteId]]) -> list[list[SiteId]]:
@@ -152,46 +143,26 @@ class IsoTree:
     - ``_zone``: the zone number of every site, for ``zone_of``.
 
     An edge's low side is the subtree slice of its child end, or that
-    slice's complement, so no cut is stored.  ``zones``, ``edges``,
-    ``zone_by_rep`` and ``incident_edges`` build their :class:`IsoZone`
-    and :class:`TreeEdge` objects the first time they are read and keep
-    them; equality compares the arrays.
+    slice's complement, so no cut is stored.  ``zones`` and ``edges``
+    build their :class:`IsoZone` and :class:`TreeEdge` objects the first
+    time they are read and keep them; equality compares the arrays.
 
-    Construction validates the structural invariants: zones are disjoint
-    and non-empty, edges reference zone representatives, every edge gap
-    is positive and equals the value difference of its zones, and the
-    zone/edge structure is a connected tree (``|edges| = |zones| - 1``).
-    A cut given with an edge must be the side the tree gives it.
+    The constructor takes zones as ascending site lists and edges by
+    their ends' representatives, both in any order; a site repeated
+    within one zone counts once.  It checks the structural invariants:
+    zones are disjoint, every edge joins two distinct zones with a
+    positive gap equal to their value difference, and the zones and
+    edges form a connected tree (``|edges| = |zones| - 1``).
     """
 
     __slots__ = (
         "_sites", "_zone", "_reps", "_values", "_start", "_end", "_stop",
         "_low", "_up", "_gap", "_reference", "_reference_value",
-        "_zone_objs", "_edge_objs", "_incident",
+        "_zone_objs", "_edge_objs",
     )
 
     def __init__(
         self,
-        zones: Iterable[IsoZone],
-        edges: Iterable[TreeEdge],
-        reference: SiteId,
-        reference_value: float,
-    ):
-        zones, edges = list(zones), list(edges)
-        self._build(
-            [sorted(z.sites) for z in zones],
-            [z.value for z in zones],
-            [e.low for e in edges],
-            [e.up for e in edges],
-            [e.gap for e in edges],
-            [e._cut for e in edges],
-            reference,
-            reference_value,
-        )
-
-    @classmethod
-    def from_arrays(
-        cls,
         zone_sites: list[list[SiteId]],
         values: list[float],
         lows: list[SiteId],
@@ -199,20 +170,7 @@ class IsoTree:
         gaps: list[float],
         reference: SiteId,
         reference_value: float,
-        cuts: list[JCut | None] | None = None,
-    ) -> "IsoTree":
-        """The tree of zones given as ascending site lists and edges given by representatives.
-
-        Zones and edges may come in any order, and a site repeated
-        within one zone counts once; the checks are the constructor's.
-        ``cuts``, when given, holds one cut or ``None`` per edge.
-        """
-        tree = cls.__new__(cls)
-        tree._build(zone_sites, values, lows, ups, gaps, cuts, reference, reference_value)
-        return tree
-
-    def _build(self, zone_sites, values, lows, ups, gaps, cuts, reference, reference_value):
-        """The checks and the arrays, for both constructors (see ``from_arrays``)."""
+    ):
         n = len(zone_sites)
         reps = [sites[0] for sites in zone_sites]
         if any(map(gt, reps, islice(reps, 1, None))):
@@ -292,22 +250,7 @@ class IsoTree:
         self._reps, self._values = tuple(reps), tuple(values)
         self._start, self._end, self._stop = tuple(start), tuple(end), tuple(stop)
         self._low, self._up, self._gap = tuple(low), tuple(up), tuple(gap)
-        self._zone_objs = self._edge_objs = self._incident = None
-
-        if cuts is not None:
-            for k, j in enumerate(order):
-                if cuts[j] is not None and cuts[j].low != _low_side(self._span(k)):
-                    raise NotATreeError(
-                        f"edge {reps[low[k]]!r}->{reps[up[k]]!r}: "
-                        "stored cut differs from its subtree split"
-                    )
-
-    def _span(self, k: int) -> tuple[tuple[SiteId, ...], int, int, bool]:
-        """Edge ``k``'s low side as a ``TreeEdge._span``: its child end's subtree, or the rest."""
-        a, b = self._low[k], self._up[k]
-        start, stop = self._start, self._stop
-        child = b if start[a] <= start[b] < stop[a] else a
-        return self._sites, start[child], stop[child], child == a
+        self._zone_objs = self._edge_objs = None
 
     @property
     def zones(self) -> tuple[IsoZone, ...]:
@@ -322,12 +265,13 @@ class IsoTree:
     @property
     def edges(self) -> tuple[TreeEdge, ...]:
         if self._edge_objs is None:
-            reps = self._reps
+            reps, sites, start, stop = self._reps, self._sites, self._start, self._stop
             edges = []
-            for k, (a, b, gap) in enumerate(zip(self._low, self._up, self._gap)):
-                edge = TreeEdge(reps[a], reps[b], None, gap)
-                edge._span = self._span(k)
-                edges.append(edge)
+            for a, b, gap in zip(self._low, self._up, self._gap):
+                # The low side is the child end's subtree slice, or the rest.
+                child = b if start[a] <= start[b] < stop[a] else a
+                span = (sites, start[child], stop[child], child == a)
+                edges.append(TreeEdge(reps[a], reps[b], gap, span))
             self._edge_objs = tuple(edges)
         return self._edge_objs
 
@@ -350,12 +294,6 @@ class IsoTree:
         rep = self._reps.__getitem__
         return zip(map(rep, self._low), map(rep, self._up), self._gap)
 
-    def zone_by_rep(self, rep: SiteId) -> IsoZone:
-        z = self._zone[rep]
-        if self._reps[z] != rep:
-            raise KeyError(rep)
-        return self.zones[z]
-
     def zone_of(self, site: SiteId) -> IsoZone | None:
         z = self._zone.get(site)
         if z is None:
@@ -363,18 +301,6 @@ class IsoTree:
         if self._zone_objs is not None:
             return self._zone_objs[z]
         return IsoZone(frozenset(self._sites[self._start[z] : self._end[z]]), self._values[z])
-
-    def incident_edges(self, rep: SiteId) -> tuple[TreeEdge, ...]:
-        if self._incident is None:
-            incident: dict[SiteId, list[TreeEdge]] = {r: [] for r in self._reps}
-            for e in self.edges:
-                incident[e.low].append(e)
-                incident[e.up].append(e)
-            self._incident = {r: tuple(es) for r, es in incident.items()}
-        return self._incident[rep]
-
-    def sites(self) -> frozenset[SiteId]:
-        return frozenset(self._zone)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, IsoTree):
@@ -513,11 +439,11 @@ def _zone_pairs(cuts: list[JCut], classes: dict) -> tuple[list[int], list[int]]:
 
 
 def _cut_arrays(sg: ScalarGraph, cuts: list[JCut], gaps: list[float] | None = None) -> tuple:
-    """``IsoTree.from_arrays``' arguments for a sorted, duplicate-free cut list.
+    """The ``IsoTree`` constructor's arguments for a sorted, duplicate-free cut list.
 
     Edge ``k`` joins cut ``k``'s zone pair and, without ``gaps``, takes
-    the value difference of its zones.  No cut is handed to the tree to
-    check again: with every cut site a graph site, a cut's low side is
+    the value difference of its zones.  The cut edge ``k`` derives is
+    cut ``k``: with every cut site a graph site, a cut's low side is
     exactly the split its edge makes, because along any other edge only
     that edge's own signature bit flips.
     """
@@ -552,9 +478,7 @@ def build_iso_tree_from_cuts(sg: ScalarGraph, cuts: Iterable[LCut]) -> IsoTree:
     A cut given twice with different gaps raises ``ValueError``.
     """
     division = ValuedJDivision(cuts)
-    return IsoTree.from_arrays(
-        *_cut_arrays(sg, [lc.cut for lc in division], [lc.gap for lc in division])
-    )
+    return IsoTree(*_cut_arrays(sg, [lc.cut for lc in division], [lc.gap for lc in division]))
 
 
 def _signed_gap_walk(n, lows, ups, gaps, ref, ref_value) -> list[float | None]:
@@ -609,7 +533,7 @@ def division_to_tree(
     values = _signed_gap_walk(len(zone_sites), lows, ups, gaps, ref, reference_value)
     if None in values:
         raise NotATreeError("division does not connect all zones")
-    return IsoTree.from_arrays(
+    return IsoTree(
         zone_sites, values, [zone_sites[a][0] for a in lows], [zone_sites[b][0] for b in ups],
         gaps, reference, reference_value,
     )

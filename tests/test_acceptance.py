@@ -156,8 +156,7 @@ def test_criterion_6_reduction_clauses():
         tied_edges = [
             e
             for e in tree_h.edges
-            if sg.value_of(next(iter(tree_h.zone_by_rep(e.low).sites)))
-            == sg.value_of(next(iter(tree_h.zone_by_rep(e.up).sites)))
+            if sg.value_of(e.low) == sg.value_of(e.up)
         ]
 
         # (1) the input's cuts are among the ranked graph's cuts

@@ -283,6 +283,12 @@ class TestGen:
         doc = json.loads(res.stdout)
         assert [s["value"] for s in doc["sites"]] == [7, 7]
 
+    def test_gen_empty_value_range_is_exit_3(self):
+        res = run_cli("gen", "--values", "random", "--low", "5", "--high", "0")
+        assert res.returncode == 3
+        assert "low 5 exceeds high 0" in res.stderr
+        assert "Traceback" not in res.stderr
+
 
 class TestErrorPaths:
     def test_missing_file_is_exit_2(self):

@@ -321,8 +321,7 @@ class TestTiesReduction:
         tied = {
             e.cut
             for e in tree_h.edges
-            if sg.value_of(next(iter(tree_h.zone_by_rep(e.low).sites)))
-            == sg.value_of(next(iter(tree_h.zone_by_rep(e.up).sites)))
+            if sg.value_of(e.low) == sg.value_of(e.up)
         }
         assert dropped == tied
 

@@ -16,7 +16,6 @@ from isotree import (
     NotAnLCutError,
     NotATreeError,
     ScalarGraph,
-    TreeEdge,
     ValuedJDivision,
     build_iso_tree,
     build_iso_tree_from_cuts,
@@ -124,48 +123,34 @@ def test_cut_site_outside_the_graph_rejected(peak, assemble):
 class TestIsoTreeStructure:
     def test_overlapping_zones_rejected(self):
         with pytest.raises(NotATreeError, match="site 'b' belongs to more than one zone"):
-            IsoTree(
-                [IsoZone(frozenset("ab"), 0), IsoZone(frozenset("b"), 1)],
-                [TreeEdge("a", "b", cut("a", "b"), 1)],
-                "a",
-                0,
-            )
+            IsoTree([["a", "b"], ["b"]], [0, 1], ["a"], ["b"], [1], "a", 0)
 
     def test_duplicate_representative_rejected(self):
         with pytest.raises(NotATreeError, match="duplicate zone representative 'a'"):
-            IsoTree([IsoZone(frozenset("ab"), 0), IsoZone(frozenset("ac"), 1)], [], "a", 0)
+            IsoTree([["a", "b"], ["a", "c"]], [0, 1], [], [], [], "a", 0)
 
     def test_overlap_in_the_last_of_many_zones_is_named(self):
         # Zone k holds a<k> and b<k>; the last zone takes b0005 instead of
         # its own b, so only the zone-by-zone scan can say which site.
         n = 2000
-        zones = [IsoZone(frozenset({f"a{k:04d}", f"b{k:04d}"}), k) for k in range(n - 1)]
-        zones.append(IsoZone(frozenset({f"a{n - 1:04d}", "b0005"}), n - 1))
-        edges = [TreeEdge(f"a{k:04d}", f"a{k + 1:04d}", None, 1) for k in range(n - 1)]
+        zone_sites = [[f"a{k:04d}", f"b{k:04d}"] for k in range(n - 1)]
+        zone_sites.append([f"a{n - 1:04d}", "b0005"])
+        lows = [f"a{k:04d}" for k in range(n - 1)]
+        ups = [f"a{k + 1:04d}" for k in range(n - 1)]
         with pytest.raises(NotATreeError, match="^site 'b0005' belongs to more than one zone$"):
-            IsoTree(zones, edges, "a0000", 0)
+            IsoTree(zone_sites, list(range(n)), lows, ups, [1] * (n - 1), "a0000", 0)
 
     def test_edge_count_must_match(self):
         with pytest.raises(NotATreeError):
-            IsoTree([IsoZone(frozenset("a"), 0), IsoZone(frozenset("b"), 1)], [], "a", 0)
+            IsoTree([["a"], ["b"]], [0, 1], [], [], [], "a", 0)
 
     def test_gap_must_bridge_values(self):
         with pytest.raises(NotATreeError):
-            IsoTree(
-                [IsoZone(frozenset("a"), 0), IsoZone(frozenset("b"), 5)],
-                [TreeEdge("a", "b", cut("a"), 1)],
-                "a",
-                0,
-            )
+            IsoTree([["a"], ["b"]], [0, 5], ["a"], ["b"], [1], "a", 0)
 
     def test_non_positive_gap_rejected(self):
         with pytest.raises(NotATreeError):
-            IsoTree(
-                [IsoZone(frozenset("a"), 0), IsoZone(frozenset("b"), 0)],
-                [TreeEdge("a", "b", cut("a"), 0)],
-                "a",
-                0,
-            )
+            IsoTree([["a"], ["b"]], [0, 0], ["a"], ["b"], [0], "a", 0)
 
     def test_empty_zone_rejected(self):
         with pytest.raises(ValueError):
@@ -174,26 +159,21 @@ class TestIsoTreeStructure:
     @pytest.mark.parametrize(
         "values, edges, message",
         [
-            ({"a": 0, "b": 1}, [("a", "z", None, 1)], "edge 'a'->'z' references an unknown zone"),
-            ({"a": 0, "b": 1}, [("a", "a", None, 1)], "self-edge on zone 'a'"),
-            ({"a": 0, "b": 0}, [("a", "b", None, 0)], "edge 'a'->'b' has non-positive gap 0"),
+            ({"a": 0, "b": 1}, [("a", "z", 1)], "edge 'a'->'z' references an unknown zone"),
+            ({"a": 0, "b": 1}, [("a", "a", 1)], "self-edge on zone 'a'"),
+            ({"a": 0, "b": 0}, [("a", "b", 0)], "edge 'a'->'b' has non-positive gap 0"),
             # Three edges over four zones: a cycle, and d left out.
             (
                 {"a": 0, "b": 1, "c": 2, "d": 5},
-                [("a", "b", None, 1), ("b", "c", None, 1), ("a", "c", None, 2)],
+                [("a", "b", 1), ("b", "c", 1), ("a", "c", 2)],
                 "zone graph is not connected",
-            ),
-            (
-                {"a": 0, "b": 1},
-                [("a", "b", cut("b"), 1)],
-                "edge 'a'->'b': stored cut differs from its subtree split",
             ),
         ],
     )
     def test_constructor_names_the_fault(self, values, edges, message):
-        zones = [IsoZone(frozenset({rep}), v) for rep, v in values.items()]
+        lows, ups, gaps = map(list, zip(*edges))
         with pytest.raises(NotATreeError) as info:
-            IsoTree(zones, [TreeEdge(*e) for e in edges], "a", 0)
+            IsoTree([[rep] for rep in values], list(values.values()), lows, ups, gaps, "a", 0)
         assert str(info.value) == message
 
 
@@ -266,12 +246,12 @@ class TestReconstruct:
         assert recovered.values == sg.values
 
     def test_missing_reference(self):
-        tree = IsoTree([IsoZone(frozenset("a"), 0)], [], "z", 0)
+        tree = IsoTree([["a"]], [0], [], [], [], "z", 0)
         with pytest.raises(MissingReferenceError):
             reconstruct_rt(Graph("a"), tree)
 
     def test_zone_cover_mismatch(self):
-        tree = IsoTree([IsoZone(frozenset("a"), 0)], [], "a", 0)
+        tree = IsoTree([["a"]], [0], [], [], [], "a", 0)
         with pytest.raises(NotATreeError):
             reconstruct_rt(Graph("ab", [("a", "b")]), tree)
 
