@@ -33,10 +33,10 @@ class BitGraph:
 
     def __init__(self, g: Graph):
         self.sites: tuple[SiteId, ...] = g.site_list
-        index = {p: i for i, p in enumerate(self.sites)}
         n = len(self.sites)
         self.full = (1 << n) - 1
-        adj = [sum(1 << index[q] for q in g.neighbors(p)) for p in self.sites]
+        offsets, targets = g._offsets, g._targets
+        adj = [sum(1 << j for j in targets[offsets[i] : offsets[i + 1]]) for i in range(n)]
         # Byte m is 1 iff mask m induces a connected subgraph.
         self.connected = _connected_table(adj)
         # Neighbour unions over the low and the high half of the sites.

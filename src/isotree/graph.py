@@ -1,16 +1,23 @@
 """Core graph machinery: sites, surfels, regions and Jordan cuts.
 
-A graph is a finite set of sites with an undirected adjacency relation.
-Every unordered adjacent pair induces two oriented surfels.  A region is
-any subset of the site set (plain ``frozenset`` in this package); a
-Jordan cut (J-cut) is an oriented bipartition whose two sides are both
-non-empty and connected.  All objects are immutable after construction
-and safe to share between threads; the operations below are pure.
+A graph is a finite set of sites with an undirected adjacency relation,
+held as compressed sparse rows over site numbers (each site's place in
+the ascending id tuple), so that the pipeline and the bit view run on
+ints; ``neighbors`` gives a site's row as ids.  Every unordered adjacent
+pair induces two oriented surfels.  A region is any subset of the site
+set (plain ``frozenset`` in this package); a Jordan cut (J-cut) is an
+oriented bipartition whose two sides are both non-empty and connected.
+All objects are immutable after construction and safe to share between
+threads; the operations below are pure.
 """
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import islice, repeat
+from operator import eq
 from typing import Iterable, Mapping, NamedTuple
 
 from .errors import InvalidRegionError
@@ -34,92 +41,89 @@ class Graph:
     Adjacency is given as unordered pairs.  Self-pairs and pairs that
     reference unknown sites are rejected; duplicate pairs collapse.
     Connectedness is a queryable property, not a construction invariant.
-    The sorted pairs tuple is derived from the adjacency on first read,
-    and the bit view that exhaustive scans use is built on first use
-    (see ``_bitgraph.bit_view``); both are kept here.  Filling either
-    slot is idempotent: two threads racing to fill one store equal
-    values.  Equality, hash and repr ignore the bit view.
+    Site ``i`` (the i-th id, ascending) has the neighbours
+    ``_targets[_offsets[i]:_offsets[i + 1]]``, ascending.  The site set,
+    the pairs and the bit view (``_bitgraph.bit_view``) are derived on
+    first use and kept; filling a slot is idempotent.
     """
 
-    __slots__ = ("_sites", "_site_list", "_adj", "_pairs", "_bits")
+    __slots__ = ("_ids", "_number", "_offsets", "_targets", "_sites", "_pairs", "_bits")
 
     def __init__(self, sites: Iterable[SiteId], adjacency: Iterable[tuple[SiteId, SiteId]] = ()):
-        site_set = frozenset(sites)
-        if not site_set:
+        ids = tuple(sorted(set(sites)))
+        if not ids:
             raise ValueError("a graph needs at least one site")
-        adj: dict[SiteId, set[SiteId]] = {p: set() for p in site_set}
+        number = dict(zip(ids, range(len(ids))))
+        n, keys = len(ids), []
         for p, q in adjacency:
             if p == q:
                 raise ValueError(f"self-pair on site {p!r}")
-            if p not in site_set or q not in site_set:
+            i, j = number.get(p), number.get(q)
+            if i is None or j is None:
                 raise ValueError(f"adjacency pair ({p!r}, {q!r}) references an unknown site")
-            adj[p].add(q)
-            adj[q].add(p)
-        self._fill(adj)
+            keys += (i * n + j, j * n + i)
+        keys.sort()
+        if any(map(eq, keys, islice(keys, 1, None))):
+            keys = sorted(set(keys))  # duplicate pairs collapse
+        self._fill(ids, number, keys)
 
-    @classmethod
-    def _from_adjacency(cls, adj: dict[SiteId, set[SiteId]]) -> "Graph":
-        """The graph whose neighbour sets are ``adj``, taken unchecked.
-
-        For callers that have already checked every pair: ``adj`` is
-        non-empty, and it is symmetric and loop-free over its own keys.
-        """
-        g = cls.__new__(cls)
-        g._fill(adj)
-        return g
-
-    def _fill(self, adj: dict[SiteId, set[SiteId]]) -> None:
-        self._sites = frozenset(adj)
-        self._site_list = tuple(sorted(adj))
-        self._adj: dict[SiteId, frozenset[SiteId]] = {p: frozenset(n) for p, n in adj.items()}
-        self._pairs: tuple[tuple[SiteId, SiteId], ...] | None = None
-        self._bits = None
+    def _fill(self, ids: tuple[SiteId, ...], number: dict[SiteId, int], keys: list[int]) -> None:
+        """Take ``keys``, the ascending distinct ``i * n + j`` of every ordered adjacent pair."""
+        n = len(ids)
+        self._ids, self._number = ids, number
+        self._targets = array("i", [k % n for k in keys])
+        self._offsets = array("i", map(bisect_left, repeat(keys), range(0, n * n + 1, n)))
+        self._sites = self._pairs = self._bits = None  # derived on first use
 
     @property
     def sites(self) -> frozenset[SiteId]:
+        if self._sites is None:
+            self._sites = frozenset(self._ids)
         return self._sites
 
     @property
     def site_list(self) -> tuple[SiteId, ...]:
         """All sites in ascending order (the deterministic iteration order)."""
-        return self._site_list
+        return self._ids
 
     @property
     def pairs(self) -> tuple[tuple[SiteId, SiteId], ...]:
         """Unordered adjacency pairs, each sorted, in ascending order."""
-        pairs = self._pairs
-        if pairs is None:
-            adj = self._adj
-            pairs = self._pairs = tuple(
-                (p, q) for p in self._site_list for q in sorted(adj[p]) if p < q
+        if self._pairs is None:
+            ids, o, t = self._ids, self._offsets, self._targets
+            self._pairs = tuple(
+                (ids[i], ids[j]) for i in range(len(ids)) for j in t[o[i] : o[i + 1]] if i < j
             )
-        return pairs
+        return self._pairs
 
-    def neighbors(self, p: SiteId) -> frozenset[SiteId]:
-        try:
-            return self._adj[p]
-        except KeyError:
-            raise InvalidRegionError(f"unknown site {p!r}") from None
+    def neighbors(self, p: SiteId) -> tuple[SiteId, ...]:
+        """The neighbours of ``p``, ascending."""
+        i = self._number.get(p)
+        if i is None:
+            raise InvalidRegionError(f"unknown site {p!r}")
+        row = self._targets[self._offsets[i] : self._offsets[i + 1]]
+        return tuple(map(self._ids.__getitem__, row))
 
     def least_site(self) -> SiteId:
-        return self._site_list[0]
+        return self._ids[0]
 
     def is_connected(self) -> bool:
-        return len(components_of(self, self._sites)) <= 1
+        return is_region_connected(self, self._ids)
 
     def __len__(self) -> int:
-        return len(self._sites)
+        return len(self._ids)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self._sites == other._sites and self.pairs == other.pairs
+        same_rows = self._offsets == other._offsets and self._targets == other._targets
+        return self._ids == other._ids and same_rows
 
     def __hash__(self) -> int:
-        return hash((self._sites, self.pairs))
+        return hash((self._ids, self._targets.tobytes()))
 
     def __repr__(self) -> str:
-        return f"Graph({len(self._sites)} sites, {len(self.pairs)} pairs)"
+        return f"Graph({len(self._ids)} sites, {len(self._targets) // 2} pairs)"
 
 
 class ScalarGraph:
@@ -128,13 +132,13 @@ class ScalarGraph:
     __slots__ = ("_graph", "_values", "_reference")
 
     def __init__(self, graph: Graph, values: Mapping[SiteId, float], reference: SiteId | None = None):
-        missing = graph.sites - values.keys()
-        if missing:
-            raise ValueError(f"values missing for sites {sorted(missing)}")
-        extra = values.keys() - graph.sites
-        if extra:
-            raise ValueError(f"values given for unknown sites {sorted(extra)}")
-        if reference is not None and reference not in graph.sites:
+        sites = graph._number.keys()
+        if values.keys() != sites:
+            missing = sites - values.keys()
+            if missing:
+                raise ValueError(f"values missing for sites {sorted(missing)}")
+            raise ValueError(f"values given for unknown sites {sorted(values.keys() - sites)}")
+        if reference is not None and reference not in sites:
             raise ValueError(f"reference {reference!r} is not a site")
         self._graph = graph
         self._values = dict(values)
@@ -232,19 +236,13 @@ def components_of(g: Graph, r: Iterable[SiteId]) -> tuple[frozenset[SiteId], ...
 
 def is_region_connected(g: Graph, r: Iterable[SiteId]) -> bool:
     """True for regions with at most one component (the empty region counts)."""
-    todo = set(_check_region(g, r))
-    frontier = [todo.pop()] if todo else []
-    while frontier:
-        found = todo.intersection(g.neighbors(frontier.pop()))
-        todo -= found
-        frontier += found
-    return not todo
+    return len(components_of(g, r)) <= 1
 
 
 def immediate_interior(g: Graph, r: Iterable[SiteId]) -> frozenset[SiteId]:
     """Sites of ``r`` having at least one neighbor outside ``r``."""
     region = _check_region(g, r)
-    return frozenset(p for p in region if not g.neighbors(p) <= region)
+    return frozenset(p for p in region if not region.issuperset(g.neighbors(p)))
 
 
 def is_j_cut(g: Graph, x: Iterable[SiteId]) -> bool:

@@ -97,30 +97,35 @@ def _graph_of(doc: Any) -> ScalarGraph:
     adjacency = doc.get("adjacency", [])
     if not isinstance(adjacency, list):
         raise ValidationError("adjacency: expected an array")
-    # The checked pairs fill the neighbour sets that the graph keeps.
-    adj: dict[str, set[str]] = {p: set() for p in values}
-    for i, pair in enumerate(adjacency):
+    # A pair (i, j) of site numbers adds two keys of the rows (Graph._fill).
+    ids = tuple(sorted(values))
+    number = dict(zip(ids, range(len(ids))))
+    n, keys, seen = len(ids), [], set()
+    for k, pair in enumerate(adjacency):
         if type(pair) is not list or len(pair) != 2:
-            raise ValidationError(f"adjacency[{i}]: expected a pair of ids")
+            raise ValidationError(f"adjacency[{k}]: expected a pair of ids")
         p, q = pair
         if type(p) is not str or type(q) is not str:
-            _require_strs(pair, f"adjacency[{i}]")
+            _require_strs(pair, f"adjacency[{k}]")
         if p == q:
-            raise ValidationError(f"adjacency[{i}]: self-loop on {p!r}")
-        near_p, near_q = adj.get(p), adj.get(q)
-        if near_p is None or near_q is None:
-            raise ValidationError(f"adjacency[{i}]: unknown id {q if near_p is not None else p!r}")
-        if q in near_p:
-            raise ValidationError(f"adjacency[{i}]: duplicate pair ({p!r}, {q!r})")
-        near_p.add(q)
-        near_q.add(p)
+            raise ValidationError(f"adjacency[{k}]: self-loop on {p!r}")
+        i, j = number.get(p), number.get(q)
+        if i is None or j is None:
+            raise ValidationError(f"adjacency[{k}]: unknown id {q if i is not None else p!r}")
+        key = i * n + j if i < j else j * n + i
+        if key in seen:
+            raise ValidationError(f"adjacency[{k}]: duplicate pair ({p!r}, {q!r})")
+        seen.add(key)
+        keys += (i * n + j, j * n + i)
 
     reference = doc.get("reference")
     if reference is not None:
         reference = _require_str(reference, "reference")
         if reference not in values:
             raise ValidationError(f"reference: unknown id {reference!r}")
-    return ScalarGraph(Graph._from_adjacency(adj), values, reference=reference)
+    graph = Graph.__new__(Graph)
+    graph._fill(ids, number, sorted(keys))
+    return ScalarGraph(graph, values, reference=reference)
 
 
 def _graph_doc(sg: ScalarGraph) -> dict[str, Any]:
@@ -134,7 +139,7 @@ def _graph_doc(sg: ScalarGraph) -> dict[str, Any]:
 
 
 def graph_to_json(sg: ScalarGraph) -> str:
-    return json.dumps(_graph_doc(sg), indent=2)
+    return json.dumps(_graph_doc(sg), indent=2, allow_nan=False)
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +303,7 @@ def division_to_json(sg: ScalarGraph, division: ValuedJDivision) -> str:
         "graph": _graph_doc(sg),
         "cuts": [{"low": sorted(lc.cut.low), "gap": _num(lc.gap)} for lc in division.cuts],
     }
-    return json.dumps(doc, indent=2)
+    return json.dumps(doc, indent=2, allow_nan=False)
 
 
 # ---------------------------------------------------------------------------

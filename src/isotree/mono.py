@@ -23,6 +23,7 @@ per unit square (a triangulation of a topological disk).
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
@@ -43,6 +44,8 @@ def ramp(start: float = 0, step: float = 1) -> ValuePolicy:
 
 
 def constant(value: float = 0) -> ValuePolicy:
+    if not math.isfinite(value):
+        raise PreconditionError(f"constant value {value!r} is not finite")
     return lambda n: [value] * n
 
 

@@ -1,26 +1,29 @@
 """Efficient iso-tree construction via sublevel/superlevel merge trees.
 
-Ties are broken symbolically: sites are ranked by (value, site id), so
-the ranked graph has a unique value per site.  Two union-find sweeps
-build the sublevel and superlevel merge trees; a sweep that ends with
-more than one root rejects the graph as disconnected.  A leaf-pruning
-merge, on one parent pointer and one child count per site in each tree,
-combines them into the augmented contour tree (one node per site).  One
-tie contraction then builds both trees: with the input values it joins
-the sites of every equal-value edge into one zone (the iso-tree, gaps in
+Every step runs on site numbers (see ``Graph``); ids appear only in the
+zone lists and in error messages.  Ties are broken symbolically: sites
+are ranked by (value, site id), so the ranked graph has a unique value
+per site.  Two union-find sweeps over the graph's rows build the
+sublevel and superlevel merge trees; a sweep that ends with more than
+one root rejects the graph as disconnected.  A leaf-pruning merge, on
+one parent pointer and one child count per site in each tree, combines
+them into the augmented contour tree (one node per site).  One tie
+contraction then builds both trees: with the input values it joins the
+sites of every equal-value edge into one zone (the iso-tree, gaps in
 input units); with the ranks as values nothing ties, and it gives the
 ranked iso-tree (singleton zones, rank gaps), which is built only on
-request (``--no-reduce``, ``--show-intermediate``).
+request (``--no-reduce``, ``--show-intermediate``).  The public stage
+functions wrap the same steps in id-keyed conversions.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Mapping, NamedTuple, Sequence
 
 from .errors import InternalInconsistencyError, PreconditionError
-from .graph import ScalarGraph, SiteId
+from .graph import Graph, ScalarGraph, SiteId
 from .tree import IsoTree
 
 
@@ -61,24 +64,31 @@ class AugmentedContourTree:
     edges: tuple[tuple[SiteId, SiteId], ...]
 
 
+def _ranked(sg: ScalarGraph) -> tuple[list[float], list[int]]:
+    """The values in site order, and the sites in (value, site id) order: a stable sort."""
+    value = list(map(sg._values.__getitem__, sg.graph.site_list))
+    return value, sorted(range(len(value)), key=value.__getitem__)
+
+
 def perturb_rank(sg: ScalarGraph) -> RankPerturbation:
     """Rank sites by (value, site id); injective and order-preserving."""
-    order = tuple(sorted(sg.graph.sites, key=lambda p: (sg.value_of(p), p)))
+    order = tuple(map(sg.graph.site_list.__getitem__, _ranked(sg)[1]))
     return RankPerturbation(order, dict(zip(order, range(len(order)))))
 
 
-def _sweep(sg: ScalarGraph, rp: RankPerturbation, ascending: bool) -> dict[SiteId, SiteId | None]:
-    neighbors = sg.graph.neighbors
-    parent: dict[SiteId, SiteId | None] = {}
-    # Path-halving union-find over the swept sites.  Each new site becomes
-    # the root of its merged component, so a root is always the newest
-    # site of its component: the "top" sweeping up, the "bottom" down.
-    uf: dict[SiteId, SiteId] = {}
-    roots = len(rp.order)
-    for x in rp.order if ascending else reversed(rp.order):
-        parent[x] = None
+def _sweep(g: Graph, order: Sequence[int]) -> list[int]:
+    """Each site's parent number (``n`` for the root) in the merge tree of a sweep in ``order``."""
+    offsets, targets, n = g._offsets, g._targets, len(order)
+    # Path-halving union-find over the swept sites (-1 before a site is
+    # swept).  Each new site becomes the root of its merged component, so
+    # a root is always the newest site of its component: the "top"
+    # sweeping up, the "bottom" down.
+    parent, uf, roots = [n] * n, [-1] * n, n
+    for x in order:
         uf[x] = x
-        for r in filter(uf.__contains__, neighbors(x)):
+        for r in targets[offsets[x] : offsets[x + 1]]:
+            if uf[r] < 0:
+                continue
             while uf[r] != r:
                 uf[r] = r = uf[uf[r]]
             if r != x:
@@ -89,91 +99,93 @@ def _sweep(sg: ScalarGraph, rp: RankPerturbation, ascending: bool) -> dict[SiteI
     return parent
 
 
+def _merge_tree(sg: ScalarGraph, rp: RankPerturbation, flavor: str) -> MergeTree:
+    g = sg.graph
+    order = list(map(g._number.__getitem__, rp.order))[:: 1 if flavor == "sublevel" else -1]
+    names, parent = g.site_list + (None,), _sweep(g, order)
+    return MergeTree(flavor, {names[x]: names[parent[x]] for x in order})
+
+
 def sublevel_merge_tree(sg: ScalarGraph, rp: RankPerturbation) -> MergeTree:
     """Track components of the growing sublevel sets; edges point up-rank."""
-    return MergeTree("sublevel", _sweep(sg, rp, ascending=True))
+    return _merge_tree(sg, rp, "sublevel")
 
 
 def superlevel_merge_tree(sg: ScalarGraph, rp: RankPerturbation) -> MergeTree:
     """Track components of the growing superlevel sets; edges point down-rank."""
-    return MergeTree("superlevel", _sweep(sg, rp, ascending=False))
+    return _merge_tree(sg, rp, "superlevel")
 
 
 def merge_to_augmented_ct(jt: MergeTree, st: MergeTree) -> AugmentedContourTree:
-    """Leaf-pruning merge of the two sweep trees into the contour tree.
+    """Leaf-pruning merge (``_merge``) of the two sweep trees into the contour tree."""
+    if jt.parent.keys() != st.parent.keys():
+        raise PreconditionError("merge trees cover different site sets")
+    ids = tuple(sorted(jt.parent))
+    if len(ids) <= 1:
+        return AugmentedContourTree(frozenset(ids), ())
+    number = dict(zip(ids + (None,), range(len(ids) + 1)))
+    for tree in (jt, st):
+        for q in tree.parent.values():
+            if q not in number:
+                raise InternalInconsistencyError(f"{tree.flavor} parent {q!r} is not a site")
+    edges = _merge(*([number[t.parent[p]] for p in ids] for t in (jt, st)), ids)
+    return AugmentedContourTree(frozenset(ids), tuple((ids[a], ids[b]) for a, b in edges))
 
-    Each tree keeps one parent pointer and one child count per site.  A
-    site is prunable when it has no child in one tree and exactly one in
-    the other: the edge to its parent in the childless tree is a
+
+def _merge(p_sub: list[int], p_sup: list[int], ids: Sequence[SiteId]) -> list[tuple[int, int]]:
+    """Contour-tree edges (lower, higher), ascending, from the sweeps' parents (``n``: none).
+
+    A site is prunable when it has no child in one tree and exactly one
+    in the other: the edge to its parent in the childless tree is a
     contour-tree edge, and that parent loses a child.  A pruned site
     stays in the pointers; a lookup skips pruned sites and stores the
     parent it found.  The process ends when a single site remains.
     """
-    if jt.parent.keys() != st.parent.keys():
-        raise PreconditionError("merge trees cover different site sets")
-    sites = jt.parent.keys()
-    if len(sites) <= 1:
-        return AugmentedContourTree(frozenset(sites), ())
+    n = len(ids)
+    n_sub, n_sup = [0] * (n + 1), [0] * (n + 1)
+    for q, r in zip(p_sub, p_sup):
+        n_sub[q] += 1
+        n_sup[r] += 1
+    pruned = bytearray(n + 1)
 
-    def child_counts(tree: MergeTree) -> dict[SiteId, int]:
-        count = dict.fromkeys(sites, 0)
-        for q in tree.parent.values():
-            if q in count:
-                count[q] += 1
-            elif q is not None:
-                raise InternalInconsistencyError(f"{tree.flavor} parent {q!r} is not a site")
-        return count
-
-    p_sub, n_sub = dict(jt.parent), child_counts(jt)
-    p_sup, n_sup = dict(st.parent), child_counts(st)
-    pruned: set[SiteId] = set()
-
-    def lookup(parent: dict, x: SiteId) -> SiteId | None:
-        """x's nearest parent that is not pruned, stored in place of x's pointer.
-
-        Both of a leaf's parents are looked up before it is pruned: one that
-        came back to x would leave a cycle of pruned sites to circle forever.
-        """
+    def lookup(parent: list[int], x: int) -> int:
+        # x's nearest parent that is not pruned, stored in place of x's
+        # pointer.  Both of a leaf's parents are looked up before it is
+        # pruned: one that came back to x would leave a cycle of pruned
+        # sites to circle forever.
         y = parent[x]
-        while y in pruned:
+        while pruned[y]:
             y = parent[y]
         if y == x:
-            raise InternalInconsistencyError(f"merge trees hold a cycle through {x!r}")
+            raise InternalInconsistencyError(f"merge trees hold a cycle through {ids[x]!r}")
         parent[x] = y
         return y
 
-    heap = sorted(sites)
-    edges: list[tuple[SiteId, SiteId]] = []
-    for _ in range(len(sites) - 1):
+    heap, edges = list(range(n)), []  # the heap pops the least site first
+    for _ in range(n - 1):
         while heap:
-            x = heapq.heappop(heap)
-            if x not in pruned and n_sub[x] + n_sup[x] == 1:
+            x = heappop(heap)
+            if not pruned[x] and n_sub[x] + n_sup[x] == 1:
                 break
         else:
             raise InternalInconsistencyError("leaf-pruning merge stalled; malformed merge trees")
-        if n_sub[x] == 0:
-            mate = lookup(p_sub, x)
-            if mate is None:
-                raise InternalInconsistencyError(f"lower leaf {x!r} has no sublevel parent")
-            lookup(p_sup, x)
-            edges.append((x, mate))
-            n_sub[mate] -= 1
-        else:
-            mate = lookup(p_sup, x)
-            if mate is None:
-                raise InternalInconsistencyError(f"upper leaf {x!r} has no superlevel parent")
-            lookup(p_sub, x)
-            edges.append((mate, x))
-            n_sup[mate] -= 1
-        pruned.add(x)
-        heapq.heappush(heap, mate)  # the only site whose child counts changed
-
-    return AugmentedContourTree(frozenset(sites), tuple(sorted(edges)))
+        low = n_sub[x] == 0  # a lower leaf: its edge goes to its sublevel parent
+        mate = lookup(p_sub if low else p_sup, x)
+        if mate == n:
+            side, tree = ("lower", "sublevel") if low else ("upper", "superlevel")
+            raise InternalInconsistencyError(f"{side} leaf {ids[x]!r} has no {tree} parent")
+        lookup(p_sup if low else p_sub, x)
+        edges.append((x, mate) if low else (mate, x))
+        (n_sub if low else n_sup)[mate] -= 1
+        pruned[x] = 1
+        heappush(heap, mate)  # the only site whose child counts changed
+    edges.sort()
+    return edges
 
 
 def ct_to_iso_tree(sg: ScalarGraph, rp: RankPerturbation, ct: AugmentedContourTree) -> IsoTree:
     """Iso-tree of the rank-valued graph: singleton zones, rank gaps."""
-    return _contract(sg, rp.order, ct.edges, range(len(rp.order)))
+    return _contract(sg, rp.order, ct.edges, ranked=True)
 
 
 def build_iso_tree(sg: ScalarGraph, reduce: bool = True) -> IsoTree:
@@ -182,11 +194,10 @@ def build_iso_tree(sg: ScalarGraph, reduce: bool = True) -> IsoTree:
     With ``reduce=False`` the returned tree is the iso-tree of the
     rank-valued graph (singleton zones, gaps in rank units).
     """
-    rp = perturb_rank(sg)
-    jt = sublevel_merge_tree(sg, rp)
-    st = superlevel_merge_tree(sg, rp)
-    ct = merge_to_augmented_ct(jt, st)
-    return _contract(sg, rp.order, ct.edges, None if reduce else range(len(rp.order)))
+    g = sg.graph
+    value, order = _ranked(sg)
+    edges = _merge(_sweep(g, order), _sweep(g, order[::-1]), g.site_list)
+    return _tree(sg, edges, value if reduce else sorted(range(len(order)), key=order.__getitem__))
 
 
 def reduce_by_f(sg: ScalarGraph, tree_h: IsoTree) -> IsoTree:
@@ -200,38 +211,37 @@ def reduce_by_f(sg: ScalarGraph, tree_h: IsoTree) -> IsoTree:
     return _contract(sg, perturb_rank(sg).order, [(lo, hi) for lo, hi, _ in tree_h.edge_rows()])
 
 
-def _contract(
-    sg: ScalarGraph,
-    order: Sequence[SiteId],
-    edges: Sequence[tuple[SiteId, SiteId]],
-    values: Sequence[float] | None = None,
-) -> IsoTree:
-    """Iso-tree of ``sg`` from its contour tree, ties contracted.
+def _contract(sg: ScalarGraph, order: Sequence[SiteId], edges, ranked: bool = False) -> IsoTree:
+    """``_tree`` of edges ``(lo, hi)`` by id, each checked to point up in ``order``.
 
-    ``order`` lists the sites in (value, site) order, so that each
-    zone's sites arrive ascending, and each edge ``(lo, hi)`` must point
-    up in it.  Node values are ``values``,
-    aligned with ``order``, or the input values when it is None.  Edges
-    whose ends carry equal values join their sites into one zone; every
-    other edge becomes a tree edge with gap ``value(hi) - value(lo)``.
+    Node values are the ranks when ``ranked``, else the input values.
     """
-    n = len(order)
+    n, number = len(order), sg.graph._number
     if len(edges) != n - 1:
         raise InternalInconsistencyError(f"{len(edges)} edges over {n} nodes")
-    number = dict(zip(order, range(n)))
-    lo_at = [number.get(lo) for lo, _ in edges]
-    hi_at = [number.get(hi) for _, hi in edges]
-    for (lo, hi), i, j in zip(edges, lo_at, hi_at):
+    rank = sorted(range(n), key=list(map(number.__getitem__, order)).__getitem__)
+    numbered = []
+    for lo, hi in edges:
+        i, j = number.get(lo), number.get(hi)
         if i is None or j is None:
             raise InternalInconsistencyError(f"contour edge {lo!r}->{hi!r} names an unknown site")
-        if not i < j:
+        if not rank[i] < rank[j]:
             raise InternalInconsistencyError(f"contour edge {lo!r}->{hi!r} points down in rank")
+        numbered.append((i, j))
+    return _tree(sg, numbered, rank if ranked else _ranked(sg)[0])
 
-    # Union-find over the tie edges; each root is the least node of its set.
-    value = list(map(sg.value_of, order)) if values is None else values
-    parent = list(range(n))
+
+def _tree(sg: ScalarGraph, edges: Sequence[tuple[int, int]], value: Sequence[float]) -> IsoTree:
+    """Iso-tree of ``sg`` from contour edges ``(lo, hi)`` over site numbers, ties contracted.
+
+    Edges whose ends carry equal node values (``value``, per site) join
+    into one zone; every other edge gets the gap ``value[hi] - value[lo]``.
+    """
+    ids = sg.graph.site_list
+    # Union-find over the tie edges; each root is the least site of its set.
+    parent = list(range(len(ids)))
     kept = []
-    for i, j in zip(lo_at, hi_at):
+    for i, j in edges:
         if value[i] != value[j]:
             kept.append((i, j))
             continue
@@ -241,38 +251,22 @@ def _contract(
         while parent[rj] != rj:
             parent[rj] = rj = parent[parent[rj]]
         if ri == rj:
-            raise InternalInconsistencyError(
-                f"tie edge {order[i]!r}->{order[j]!r} closes a cycle"
-            )
-        if ri < rj:
-            parent[rj] = ri
-        else:
-            parent[ri] = rj
+            raise InternalInconsistencyError(f"tie edge {ids[i]!r}->{ids[j]!r} closes a cycle")
+        parent[max(ri, rj)] = min(ri, rj)
 
-    # Zones in order of their least node; nodes join them in rank order.
-    zone_of = [0] * n
-    zone_sites: list[list[SiteId]] = []
-    zone_value = []
-    for i in range(n):
-        r = parent[i]
-        while parent[r] != r:
-            r = parent[r]
-        parent[i] = r
+    # Zones by their root, the least site, which represents them; sites
+    # join them ascending.
+    zones: dict[int, list[SiteId]] = {}
+    for i, p in enumerate(ids):
+        # Parents point to smaller sites, whose parent is by now their root.
+        r = parent[i] = parent[parent[i]]
         if r == i:
-            zone_of[i] = len(zone_sites)
-            zone_sites.append([order[i]])
-            zone_value.append(value[i])
+            zones[i] = [p]
         else:
-            zone_of[i] = z = zone_of[r]
-            zone_sites[z].append(order[i])
-    rep = [sites[0] for sites in zone_sites]
+            zones[r].append(p)
     reference = sg.reference_site()
     return IsoTree(
-        zone_sites,
-        zone_value,
-        [rep[zone_of[i]] for i, _ in kept],
-        [rep[zone_of[j]] for _, j in kept],
-        [value[j] - value[i] for i, j in kept],
-        reference,
-        value[number[reference]],
+        list(zones.values()), [value[r] for r in zones], [ids[parent[i]] for i, _ in kept],
+        [ids[parent[j]] for _, j in kept], [value[j] - value[i] for i, j in kept],
+        reference, value[sg.graph._number[reference]],
     )

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import random
@@ -103,6 +104,27 @@ class TestBuild:
         res = run_cli("build", "--input", str(img), "--format", "pgm")
         assert res.returncode == 0
         assert len(json.loads(res.stdout)["zones"]) == 3
+
+    @pytest.mark.parametrize(
+        "flags, digest",
+        [
+            ([], "72a48201ec7881b0ea8975794232c3e91ca994801a4f177aad3f74c9fa6a11d4"),
+            (["--no-reduce"], "a83bc03be51d46e5bdc3068b3b031087789d51f502cec78349943a59483b59ec"),
+        ],
+    )
+    def test_grid_of_eleven_columns_listed_out_of_order(self, tmp_path, capsys, flags, digest):
+        # Ids "r10c0" sort before "r1c0"; the document lists sites and
+        # pairs shuffled, and half the pairs reversed.
+        rng = random.Random(11)
+        doc = json.loads(graph_to_json(gen_tri_grid(11, 12, [rng.randint(0, 3) for _ in range(132)])))
+        rng.shuffle(doc["sites"])
+        rng.shuffle(doc["adjacency"])
+        doc["adjacency"] = [p[::-1] if rng.random() < 0.5 else p for p in doc["adjacency"]]
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["build", "--input", str(path), *flags]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_oracle_cap_exceeded_is_exit_3(self, tmp_path):
         p = tmp_path / "big.json"
@@ -288,6 +310,17 @@ class TestGen:
         assert res.returncode == 3
         assert "low 5 exceeds high 0" in res.stderr
         assert "Traceback" not in res.stderr
+
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+    def test_gen_non_finite_constant_is_exit_3(self, tmp_path, capsys, value):
+        out = tmp_path / "g.json"
+        argv = ["gen", "--kind", "path", "--width", "2", "--values", "constant"]
+        assert cli.main([*argv, f"--constant={value}", "--output", str(out)]) == 3
+        assert "is not finite" in capsys.readouterr().err
+        assert not out.exists()
+        assert cli.main([*argv, f"--constant={value}"]) == 3
+        assert capsys.readouterr().out == ""
 
 
 class TestErrorPaths:

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -17,6 +19,7 @@ from isotree import (
     is_j_cut,
 )
 from isotree.graph import is_region_connected
+from isotree.mono import gen_tri_grid, grid_site_id
 
 from conftest import mono_scalar_graphs
 
@@ -48,6 +51,46 @@ class TestConstruction:
 
     def test_single_site_is_connected(self):
         assert Graph("a").is_connected()
+
+
+class TestSiteNumbers:
+    """Sites are numbered in id order, in which "r10c0" comes before "r1c0"."""
+
+    W, H = 11, 12
+
+    def grid_pairs(self) -> list[tuple[str, str]]:
+        pairs = []
+        for r in range(self.H):
+            for c in range(self.W):
+                for dr, dc in ((0, 1), (1, 0), (1, 1)):
+                    if r + dr < self.H and c + dc < self.W:
+                        pairs.append((grid_site_id(r, c), grid_site_id(r + dr, c + dc)))
+        return pairs
+
+    def test_any_listing_order_gives_the_same_graph(self):
+        g = gen_tri_grid(self.W, self.H, [0] * (self.W * self.H)).graph
+        rng = random.Random(12)
+        for _ in range(5):
+            ids = list(g.site_list)
+            rng.shuffle(ids)
+            pairs = [(q, p) if rng.random() < 0.5 else (p, q) for p, q in self.grid_pairs()]
+            rng.shuffle(pairs)
+            other = Graph(ids, pairs)
+            assert other == g and g == other
+            assert hash(other) == hash(g)
+            assert other.pairs == g.pairs
+        assert g.site_list[:3] == ("r0c0", "r0c1", "r0c10")
+        assert g != Graph(g.site_list, self.grid_pairs()[1:])
+
+    def test_pairs_and_neighbors(self):
+        g = gen_tri_grid(self.W, self.H, [0] * (self.W * self.H)).graph
+        pairs = self.grid_pairs()
+        assert g.pairs == tuple(sorted(tuple(sorted(pair)) for pair in pairs))
+        for p in g.site_list:
+            near = sorted(q for pair in pairs if p in pair for q in pair if q != p)
+            assert g.neighbors(p) == tuple(near)
+        assert g.neighbors("r1c1") == ("r0c0", "r0c1", "r1c0", "r1c2", "r2c1", "r2c2")
+        assert g.neighbors("r10c10") == ("r10c9", "r11c10", "r9c10", "r9c9")
 
 
 class TestComponents:
@@ -155,7 +198,20 @@ def graphs_and_regions(draw):
     return Graph(sites, pairs), region
 
 
+def _connected_by_search(g: Graph, region: set) -> bool:
+    """Connectivity of ``region`` by a search over the pair list alone."""
+    todo = set(region)
+    frontier = [todo.pop()] if todo else []
+    while frontier:
+        p = frontier.pop()
+        found = {q for pair in g.pairs if p in pair for q in pair if q in todo}
+        todo -= found
+        frontier += found
+    return not todo
+
+
 @given(graph_and_region=graphs_and_regions())
 def test_region_connected_iff_at_most_one_component(graph_and_region):
     g, region = graph_and_region
     assert is_region_connected(g, region) == (len(components_of(g, region)) <= 1)
+    assert is_region_connected(g, region) == _connected_by_search(g, region)

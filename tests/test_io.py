@@ -107,6 +107,29 @@ class TestGraphJson:
         with pytest.raises(ValidationError, match=r"sites\[1\]\.value: expected a finite number"):
             load_graph_json(json.dumps(doc))
 
+    @pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
+    def test_writers_refuse_non_finite_values(self, bad):
+        sg = gen_path(2, [0, bad])
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            graph_to_json(sg)
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            division_to_json(sg, ValuedJDivision([]))
+
+    def test_sites_out_of_id_order(self):
+        # "r10c0" sorts before "r1c0": site numbers follow the ids, not the document.
+        rng = random.Random(7)
+        sg = gen_tri_grid(11, 11, [rng.randint(0, 3) for _ in range(121)])
+        doc = json.loads(graph_to_json(sg))
+        rng.shuffle(doc["sites"])
+        rng.shuffle(doc["adjacency"])
+        doc["adjacency"] = [pair[::-1] if rng.random() < 0.5 else pair for pair in doc["adjacency"]]
+        loaded = load_graph_json(json.dumps(doc))
+        assert loaded.graph == Graph(sg.graph.site_list[::-1], sg.graph.pairs)
+        assert hash(loaded.graph) == hash(sg.graph)
+        assert loaded == sg
+        assert graph_to_json(loaded) == graph_to_json(sg)
+        assert build_iso_tree(loaded, reduce=False) == build_iso_tree(sg, reduce=False)
+
     def test_loaded_graph_is_the_api_graph_on_the_corpus(self):
         for i in range(CORPUS_SIZE):
             _check_loaded_graph(corpus_graph(i))

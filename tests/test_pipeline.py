@@ -202,6 +202,70 @@ def test_non_mono_cycles_keep_their_outcome(values, expected):
         assert [(e.low, e.up, e.gap) for e in build_iso_tree(sg).edges] == expected
 
 
+def _staged(sg: ScalarGraph, reduce: bool):
+    """``build_iso_tree`` composed from the public stage functions."""
+    rp = perturb_rank(sg)
+    ct = merge_to_augmented_ct(sublevel_merge_tree(sg, rp), superlevel_merge_tree(sg, rp))
+    ranked = ct_to_iso_tree(sg, rp, ct)
+    return reduce_by_f(sg, ranked) if reduce else ranked
+
+
+def _outcome(build, sg: ScalarGraph, reduce: bool):
+    try:
+        return build(sg, reduce)
+    except Exception as exc:  # the failure is the outcome compared
+        return type(exc), str(exc)
+
+
+def _random_graph(rng: random.Random) -> ScalarGraph:
+    """A random connected graph (a tree plus a few chords), not always mono-connected.
+
+    Ids of one and two digits make id order differ from creation order.
+    """
+    n = rng.randint(2, 14)
+    ids = [f"s{i}" for i in rng.sample(range(40), n)]
+    pairs = {tuple(sorted((ids[rng.randrange(i)], ids[i]))) for i in range(1, n)}
+    for _ in range(rng.randint(0, 3)):
+        p, q = rng.sample(ids, 2)
+        pairs.add(tuple(sorted((p, q))))
+    return ScalarGraph(Graph(ids, pairs), {p: rng.randint(0, 4) for p in ids})
+
+
+def _stage_inputs():
+    rng = random.Random(21)
+    for _ in range(30):
+        n = rng.randint(1, 30)
+        yield gen_path(n, [rng.randint(0, 3) for _ in range(n)])
+    for high in (3, None):  # tie-heavy, then near-distinct values
+        for _ in range(30):
+            w, h = rng.randint(1, 12), rng.randint(1, 12)
+            top = high if high is not None else 10 * w * h
+            yield gen_tri_grid(w, h, [rng.randint(0, top) for _ in range(w * h)])
+    for _ in range(80):
+        yield _random_graph(rng)
+
+
+@pytest.mark.parametrize("reduce", [False, True])
+def test_stage_functions_equal_the_build(reduce):
+    for sg in _stage_inputs():
+        assert _outcome(_staged, sg, reduce) == _outcome(build_iso_tree, sg, reduce), sg.values
+
+
+@pytest.mark.parametrize("reduce", [False, True])
+def test_stage_functions_fail_like_the_build(reduce):
+    graphs = [ScalarGraph(Graph("abc", [("a", "b")]), {"a": 0, "b": 1, "c": 2})]
+    for values, _ in NON_MONO_CYCLES:
+        ids = [f"c{i}" for i in range(len(values))]
+        g = Graph(ids, [(ids[i], ids[(i + 1) % len(ids)]) for i in range(len(ids))])
+        graphs.append(ScalarGraph(g, dict(zip(ids, values))))
+    raised = 0
+    for sg in graphs:
+        staged = _outcome(_staged, sg, reduce)
+        assert staged == _outcome(build_iso_tree, sg, reduce)
+        raised += isinstance(staged, tuple)
+    assert raised == 4  # the disconnected graph and the three stalled cycles
+
+
 class TestCtToIsoTree:
     def test_peak_rank_tree(self, peak):
         rp = perturb_rank(peak)
