@@ -43,11 +43,11 @@ class Graph:
     Connectedness is a queryable property, not a construction invariant.
     Site ``i`` (the i-th id, ascending) has the neighbours
     ``_targets[_offsets[i]:_offsets[i + 1]]``, ascending.  The site set,
-    the pairs and the bit view (``_bitgraph.bit_view``) are derived on
-    first use and kept; filling a slot is idempotent.
+    the pairs, the rows as ids and the bit view (``_bitgraph.bit_view``)
+    are derived on first use and kept; filling a slot is idempotent.
     """
 
-    __slots__ = ("_ids", "_number", "_offsets", "_targets", "_sites", "_pairs", "_bits")
+    __slots__ = ("_ids", "_number", "_offsets", "_targets", "_sites", "_pairs", "_near", "_bits")
 
     def __init__(self, sites: Iterable[SiteId], adjacency: Iterable[tuple[SiteId, SiteId]] = ()):
         ids = tuple(sorted(set(sites)))
@@ -69,11 +69,10 @@ class Graph:
 
     def _fill(self, ids: tuple[SiteId, ...], number: dict[SiteId, int], keys: list[int]) -> None:
         """Take ``keys``, the ascending distinct ``i * n + j`` of every ordered adjacent pair."""
-        n = len(ids)
-        self._ids, self._number = ids, number
+        n, self._ids, self._number = len(ids), ids, number
         self._targets = array("i", [k % n for k in keys])
         self._offsets = array("i", map(bisect_left, repeat(keys), range(0, n * n + 1, n)))
-        self._sites = self._pairs = self._bits = None  # derived on first use
+        self._sites = self._pairs = self._near = self._bits = None  # derived on first use
 
     @property
     def sites(self) -> frozenset[SiteId]:
@@ -101,14 +100,15 @@ class Graph:
         i = self._number.get(p)
         if i is None:
             raise InvalidRegionError(f"unknown site {p!r}")
-        row = self._targets[self._offsets[i] : self._offsets[i + 1]]
-        return tuple(map(self._ids.__getitem__, row))
+        if self._near is None:  # every row as ids, in one flat tuple
+            self._near = tuple(map(self._ids.__getitem__, self._targets))
+        return self._near[self._offsets[i] : self._offsets[i + 1]]
 
     def least_site(self) -> SiteId:
         return self._ids[0]
 
     def is_connected(self) -> bool:
-        return is_region_connected(self, self._ids)
+        return len(components_of(self, self._ids)) <= 1
 
     def __len__(self) -> int:
         return len(self._ids)

@@ -78,12 +78,12 @@ def perturb_rank(sg: ScalarGraph) -> RankPerturbation:
 
 def _sweep(g: Graph, order: Sequence[int]) -> list[int]:
     """Each site's parent number (``n`` for the root) in the merge tree of a sweep in ``order``."""
-    offsets, targets, n = g._offsets, g._targets, len(order)
+    offsets, targets, n = g._offsets, g._targets, len(g)
     # Path-halving union-find over the swept sites (-1 before a site is
     # swept).  Each new site becomes the root of its merged component, so
     # a root is always the newest site of its component: the "top"
     # sweeping up, the "bottom" down.
-    parent, uf, roots = [n] * n, [-1] * n, n
+    parent, uf, roots = [n] * n, [-1] * n, len(order)
     for x in order:
         uf[x] = x
         for r in targets[offsets[x] : offsets[x + 1]]:
