@@ -311,7 +311,6 @@ class TestGen:
         assert "low 5 exceeds high 0" in res.stderr
         assert "Traceback" not in res.stderr
 
-
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
     def test_gen_non_finite_constant_is_exit_3(self, tmp_path, capsys, value):
         out = tmp_path / "g.json"
