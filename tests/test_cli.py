@@ -146,6 +146,28 @@ class TestBuild:
         assert res.returncode == 3
 
 
+    @pytest.mark.parametrize("reduce", [[], ["--no-reduce"]], ids=["reduce", "no-reduce"])
+    @pytest.mark.parametrize(
+        "values, code", [([0, 1], 3), ([0, 5, 3, 5, 3], 5)], ids=["disconnected", "stalled-c5"]
+    )
+    def test_show_intermediate_fails_like_the_plain_build(
+        self, tmp_path, capsys, values, code, reduce
+    ):
+        # Two sites with no pair fail the sweeps; the C5 cycle stalls the merge.
+        ids = [f"c{i}" for i in range(len(values))]
+        pairs = [[ids[i], ids[(i + 1) % len(ids)]] for i in range(len(ids))] if len(ids) > 2 else []
+        p = tmp_path / "g.json"
+        p.write_text(json.dumps({
+            "sites": [{"id": s, "value": v} for s, v in zip(ids, values)], "adjacency": pairs,
+        }))
+        outcomes = []
+        for flags in ([], ["--show-intermediate"]):
+            status = cli.main(["build", "--input", str(p), *reduce, *flags])
+            outcomes.append((status, *capsys.readouterr()))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][:2] == (code, "")
+
+
 class TestCheckMono:
     def test_grid_passes(self, tmp_path):
         p = tmp_path / "grid.json"

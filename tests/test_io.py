@@ -417,6 +417,10 @@ class TestBuildBytes:
             ([], "4ab77ac314f98cb341d154278628fc024c2f6f2aebbc9a2ab9bc0171c6c95d01"),
             (["--no-reduce"], "3246e73f05acee1cfc6e7c0250163c33d8947cd1339c7fe5708dc9aba351aea4"),
             (["--show-intermediate"], "0a32de86b5a01eeea0e36cff2d84175944ffbb7b0ca0803aa135cdbfe65e3257"),
+            (
+                ["--show-intermediate", "--no-reduce"],
+                "fe51010202ba3d3da6a95ee7c6ad068ef4d489c98ef3117f4329caca35225180",
+            ),
         ],
     )
     def test_outputs_are_unchanged(self, tmp_path, capsys, flags, digest):

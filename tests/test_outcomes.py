@@ -1,13 +1,15 @@
-"""Outcome corpus: what the graph and division readers, ``build`` and ``validate`` do.
+"""Outcome corpus: what the graph, division and tree readers, ``build`` and ``validate`` do.
 
 A seeded generator makes small graph documents (paths of 1-8 sites and
-tri-grids up to 4x4, values 0-3) and division documents over them, each
-with 0-3 faults.  A document's outcome is what the reader writes back
-(``graph_to_json`` / ``division_to_json``) or the exception type and
+tri-grids up to 4x4, values 0-3), division documents over them, and the
+tree documents that ``build`` writes for them, each with 0-3 faults.  A
+document's outcome is what the reader writes back (``graph_to_json`` /
+``division_to_json`` / ``tree_to_json``) or the exception type and
 message it raises, plus the exit code, output file and stderr of the
 CLI command that reads it: ``build`` for a graph document, ``validate``
-for a division document.  ``outcome_digests.txt`` holds a short hash of
-each outcome; the test names the first document whose outcome moved.
+for a division document, and ``validate --graph`` for a tree document.
+``outcome_digests.txt`` holds a short hash of each outcome; the test
+names the first document whose outcome moved.
 
 Regenerate the digest file only for a deliberate contract change:
 
@@ -26,12 +28,20 @@ import sys
 import tempfile
 from pathlib import Path
 
-from isotree import cli
-from isotree.io import division_to_json, graph_to_json, load_graph_json, parse_division_json
+from isotree import build_iso_tree, cli
+from isotree.io import (
+    division_to_json,
+    graph_to_json,
+    load_graph_json,
+    parse_division_json,
+    parse_tree_json,
+    tree_to_json,
+)
 
 DIGESTS = Path(__file__).with_name("outcome_digests.txt")
 GRAPH_DOCS = 2000
 DIVISION_DOCS = 1000
+TREE_DOCS = 1000
 # Written in place of a quoted marker, since json.dumps cannot spell it.
 OVERFLOW = "__overflow__"
 
@@ -203,6 +213,127 @@ def division_document(seed: int) -> dict:
     return doc
 
 
+def _tree_fault(rng: random.Random, doc: dict, ids: list[str]) -> None:
+    """Damage a tree document in place, or (for some kinds) only reorder it."""
+    zones, edges = doc.get("zones"), doc.get("edges")
+    zone_list = [z for z in zones if isinstance(z, dict)] if isinstance(zones, list) else []
+    edge_list = [e for e in edges if isinstance(e, dict)] if isinstance(edges, list) else []
+    kind = rng.choice([
+        "drop-field", "field-type", "zone-entry-type", "zone-drop", "zone-type",
+        "edge-entry-type", "edge-drop", "edge-type", "unknown-end", "non-least-id",
+        "site-in-two-zones", "duplicate-zone", "wrong-gap", "non-positive-gap", "non-finite",
+        "wrong-cut-low", "cut-low-type", "reference-outside", "wrong-reference-value",
+        "reference-moved", "swap-ends", "drop-edge", "drop-zone",
+        # Faults that leave a readable document, weighted up.
+        "shuffle-zones", "shuffle-edges", "shuffle-sites", "reference-moved",
+        # Two faults in one entry, so that the order of the checks shows.
+        "non-least-id-bad-value", "unknown-end-bad-gap",
+    ])
+    if kind == "drop-field":
+        doc.pop(rng.choice(["zones", "edges", "reference", "referenceValue"]), None)
+    elif kind == "field-type":
+        key = rng.choice(["zones", "edges", "reference", "referenceValue"])
+        doc[key] = rng.choice([{}, "a", [], None, 3, True])
+    elif kind == "reference-outside":
+        doc["reference"] = "zz"
+    elif kind == "wrong-reference-value" and "referenceValue" in doc:
+        value = doc["referenceValue"]
+        doc["referenceValue"] = value + rng.choice([1, -1, 0.5]) if type(value) is int else 0
+    elif kind == "reference-moved":
+        doc["reference"] = rng.choice(ids)
+    elif kind == "shuffle-zones" and isinstance(zones, list):
+        rng.shuffle(zones)
+    elif kind == "shuffle-edges" and isinstance(edges, list):
+        rng.shuffle(edges)
+    elif kind in ("zone-entry-type", "duplicate-zone", "drop-zone") and zones:
+        k = rng.randrange(len(zones))
+        if kind == "zone-entry-type":
+            zones[k] = rng.choice([["a"], "a", None, 3])
+        elif kind == "duplicate-zone":
+            zones.insert(rng.randrange(len(zones) + 1), json.loads(json.dumps(zones[k])))
+        else:
+            del zones[k]
+    elif kind in ("zone-drop", "zone-type", "non-least-id", "site-in-two-zones",
+                  "shuffle-sites", "non-least-id-bad-value") and zone_list:
+        zone = rng.choice(zone_list)
+        sites = zone.get("sites") if isinstance(zone.get("sites"), list) else []
+        if kind == "zone-drop":
+            zone.pop(rng.choice(["sites", "id", "value"]), None)
+        elif kind == "zone-type":
+            key = rng.choice(["sites", "id", "value"])
+            zone[key] = rng.choice({
+                "sites": ["a", [], [1], None, {}], "id": [1, None, ["a"]],
+                "value": ["1", None, True, [1]],
+            }[key])
+        elif kind in ("non-least-id", "non-least-id-bad-value"):
+            others = [p for p in sites if p != zone.get("id")]
+            zone["id"] = rng.choice(others) if others else rng.choice(ids + ["zz"])
+            if kind == "non-least-id-bad-value":
+                zone["value"] = rng.choice(["1", float("nan")])
+        elif kind == "site-in-two-zones":
+            zone.setdefault("sites", []).append(rng.choice(ids))
+        else:
+            rng.shuffle(sites)
+    elif kind in ("edge-entry-type", "drop-edge") and edges:
+        k = rng.randrange(len(edges))
+        if kind == "edge-entry-type":
+            edges[k] = rng.choice([["a", "b"], "a", None, 3])
+        else:
+            del edges[k]
+    elif kind == "non-finite" and (zone_list or edge_list):
+        entry, key = rng.choice([(z, "value") for z in zone_list] + [(e, "gap") for e in edge_list]
+                                + [(doc, "referenceValue")])
+        entry[key] = rng.choice([float("nan"), float("inf"), float("-inf"), OVERFLOW])
+    elif edge_list:
+        edge = rng.choice(edge_list)
+        if kind == "edge-drop":
+            edge.pop(rng.choice(["low", "up", "gap"]), None)
+        elif kind == "edge-type":
+            key = rng.choice(["low", "up", "gap"])
+            edge[key] = rng.choice(["1", None, True, [1]] if key == "gap" else [1, None, ["a"]])
+        elif kind in ("unknown-end", "unknown-end-bad-gap"):
+            edge[rng.choice(["low", "up"])] = rng.choice(ids + ["zz"])
+            if kind == "unknown-end-bad-gap":
+                edge["gap"] = rng.choice(["1", float("inf"), 0])
+        elif kind == "wrong-gap" and type(edge.get("gap")) is int:
+            edge["gap"] += rng.choice([1, -1, 0.5])
+        elif kind == "non-positive-gap":
+            edge["gap"] = rng.choice([0, -1, -edge["gap"] if type(edge.get("gap")) is int else 0])
+        elif kind == "wrong-cut-low":
+            low = edge.get("cutLow") or []
+            edge["cutLow"] = rng.choice([
+                sorted(set(ids) - set(low)) or ["zz"], rng.sample(ids, rng.randint(1, len(ids))),
+                low + ["zz"],
+            ])
+        elif kind == "cut-low-type":
+            edge["cutLow"] = rng.choice(["a", [], [1], None, {}])
+        elif kind == "swap-ends":
+            edge["low"], edge["up"] = edge.get("up"), edge.get("low")
+
+
+def tree_document(seed: int) -> tuple[dict, dict]:
+    """Tree document ``seed``, built from a corpus graph, and that graph's document.
+
+    Some documents list every edge's ``cutLow``, as earlier versions wrote
+    them; some are checked against another graph of the corpus.
+    """
+    rng = random.Random(20_000_000 + seed)
+    graph, _ = graph_document(rng.randrange(10**6), faults=False)
+    ids = [site["id"] for site in graph["sites"]]
+    if rng.random() < 0.3:
+        graph["reference"] = rng.choice(ids)
+    tree = build_iso_tree(load_graph_json(json.dumps(graph)))
+    doc = json.loads(tree_to_json(tree))
+    if rng.random() < 0.3:
+        for entry, e in zip(doc["edges"], tree.edges):
+            entry["cutLow"] = sorted(e.cut.low)
+    for _ in _faults(rng):
+        _tree_fault(rng, doc, ids)
+    if rng.random() < 0.05:
+        graph, _ = graph_document(rng.randrange(10**6), faults=False)
+    return doc, graph
+
+
 def _text(doc: dict) -> str:
     return json.dumps(doc).replace(f'"{OVERFLOW}"', "1e400")
 
@@ -241,6 +372,16 @@ def outcomes(work: Path):
         src.write_text(text)
         read = _read(parse_division_json, division_to_json, text)
         yield f"division-{i:04d}", read + "\n" + _run(["validate", "--input", str(src)], out)
+    graph = work / "graph.json"
+    for i in range(TREE_DOCS):
+        doc, graph_doc = tree_document(i)
+        text = _text(doc)
+        src.write_text(text)
+        graph.write_text(_text(graph_doc))
+        read = _read(lambda t: (parse_tree_json(t),), tree_to_json, text)
+        yield f"tree-{i:04d}", read + "\n" + _run(
+            ["validate", "--input", str(src), "--graph", str(graph)], out
+        )
 
 
 def digest(outcome: str) -> str:
