@@ -62,24 +62,22 @@ def _cmd_build(args: argparse.Namespace) -> int:
     sg = _load_scalar_graph(args.input, args.format)
     if args.engine == "oracle":
         tree = brute_force_iso_tree(sg, cap=args.max_sites)
+    elif args.show_intermediate:
+        rp = perturb_rank(sg)
+        jt, st = sublevel_merge_tree(sg, rp), superlevel_merge_tree(sg, rp)
+        ct = merge_to_augmented_ct(jt, st)
+        tree_h = ct_to_iso_tree(sg, rp, ct)
+        ids, name = jt.sites, (*jt.sites, None)  # by site number; a root's parent is n
+        print(json.dumps({
+            "ranks": dict(zip(ids, rp.ranks())),
+            "sublevel": dict(zip(ids, map(name.__getitem__, jt.parent))),
+            "superlevel": dict(zip(ids, map(name.__getitem__, st.parent))),
+            "contourEdges": [[ids[a], ids[b]] for a, b in ct.edges],
+            "rankedTree": json.loads(tio.tree_to_json(tree_h)),
+        }, indent=2))
+        tree = reduce_by_f(sg, tree_h) if args.reduce else tree_h
     else:
-        if args.show_intermediate:
-            rp = perturb_rank(sg)
-            jt = sublevel_merge_tree(sg, rp)
-            st = superlevel_merge_tree(sg, rp)
-            ct = merge_to_augmented_ct(jt, st)
-            tree_h = ct_to_iso_tree(sg, rp, ct)
-            intermediate = {
-                "ranks": {p: rp.rank_of(p) for p in sorted(sg.graph.sites)},
-                "sublevel": {p: jt.parent[p] for p in sorted(jt.parent)},
-                "superlevel": {p: st.parent[p] for p in sorted(st.parent)},
-                "contourEdges": [list(e) for e in ct.edges],
-                "rankedTree": json.loads(tio.tree_to_json(tree_h)),
-            }
-            print(json.dumps(intermediate, indent=2))
-            tree = reduce_by_f(sg, tree_h) if args.reduce else tree_h
-        else:
-            tree = build_iso_tree(sg, reduce=args.reduce)
+        tree = build_iso_tree(sg, reduce=args.reduce)
     _emit(tio.tree_to_json(tree), args.output)
     if args.dot:
         Path(args.dot).write_text(tio.export_dot(tree), encoding="utf-8")

@@ -123,19 +123,12 @@ def enumerate_j_cuts(g: Graph, cap: int = DEFAULT_ENUMERATION_CAP) -> list[JCut]
 
 
 def _scan_witness(bg: BitGraph) -> MonoWitness:
-    # Stops at the first failing cut.  A scan that finds none has seen
-    # every J-cut, so it fills the mask table on the way.
-    masks = bg.cut_masks
-    seen = []
-    for mask in _enumerate_cut_masks(bg) if masks is None else masks:
+    # The first J-cut, in scan order, with a disconnected immediate interior.
+    for mask in _cut_masks(bg):
         if not bg.is_connected(bg.interior(mask)):
             return MonoWitness(False, JCut(bg.set_of(mask)), "low")
-        comp = bg.full & ~mask
-        if not bg.is_connected(bg.interior(comp)):
+        if not bg.is_connected(bg.interior(bg.full & ~mask)):
             return MonoWitness(False, JCut(bg.set_of(mask)), "up")
-        seen.append(mask)
-    if masks is None:
-        bg.cut_masks = tuple(seen)
     return MonoWitness(verdict=True)
 
 

@@ -13,14 +13,13 @@ sites of every equal-value edge into one zone (the iso-tree, gaps in
 input units); with the ranks as values nothing ties, and it gives the
 ranked iso-tree (singleton zones, rank gaps), which is built only on
 request (``--no-reduce``, ``--show-intermediate``).  The public stage
-functions wrap the same steps in id-keyed conversions.
+functions are the same steps, and they check the inputs they are given.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Mapping, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import InternalInconsistencyError, PreconditionError
 from .graph import Graph, ScalarGraph, SiteId
@@ -32,36 +31,33 @@ class RankPerturbation(NamedTuple):
 
     Ranks follow (value, site id) lexicographically, so equal values are
     broken by site order and strict value order is preserved exactly.
-    ``order`` lists the sites ascending (index = rank); ``rank`` maps
-    each site to its index.
+    ``order`` lists the site numbers by rank; ``ranks()`` gives each site's rank.
     """
 
-    order: tuple[SiteId, ...]
-    rank: Mapping[SiteId, int]
+    order: Sequence[int]
 
-    def rank_of(self, p: SiteId) -> int:
-        return self.rank[p]
+    def ranks(self) -> list[int]:
+        return sorted(range(len(self.order)), key=self.order.__getitem__)
 
 
-@dataclass(frozen=True)
-class MergeTree:
-    """Parent relation over all sites from one union-find sweep.
+class MergeTree(NamedTuple):
+    """Parent of each site number from one union-find sweep (``n`` for the root).
 
-    Sublevel flavor: every parent has a strictly greater rank (the tree
-    root is the global maximum).  Superlevel flavor: parents have
-    strictly smaller ranks and the root is the global minimum.
+    Sublevel flavor: every parent has a strictly greater rank (the root
+    is the global maximum); superlevel: strictly smaller (the minimum).
+    ``sites`` holds the graph's ids, by site number, for the messages.
     """
 
     flavor: str  # "sublevel" | "superlevel"
-    parent: Mapping[SiteId, SiteId | None]
+    parent: Sequence[int]
+    sites: tuple[SiteId, ...]
 
 
-@dataclass(frozen=True)
-class AugmentedContourTree:
-    """Free tree over all sites; every edge is oriented (lower, higher) by rank."""
+class AugmentedContourTree(NamedTuple):
+    """Free tree over site numbers; every edge is oriented (lower, higher) by rank."""
 
-    sites: frozenset[SiteId]
-    edges: tuple[tuple[SiteId, SiteId], ...]
+    sites: range
+    edges: tuple[tuple[int, int], ...]
 
 
 def _ranked(sg: ScalarGraph) -> tuple[list[float], list[int]]:
@@ -72,8 +68,7 @@ def _ranked(sg: ScalarGraph) -> tuple[list[float], list[int]]:
 
 def perturb_rank(sg: ScalarGraph) -> RankPerturbation:
     """Rank sites by (value, site id); injective and order-preserving."""
-    order = tuple(map(sg.graph.site_list.__getitem__, _ranked(sg)[1]))
-    return RankPerturbation(order, dict(zip(order, range(len(order)))))
+    return RankPerturbation(_ranked(sg)[1])
 
 
 def _sweep(g: Graph, order: Sequence[int]) -> list[int]:
@@ -99,37 +94,26 @@ def _sweep(g: Graph, order: Sequence[int]) -> list[int]:
     return parent
 
 
-def _merge_tree(sg: ScalarGraph, rp: RankPerturbation, flavor: str) -> MergeTree:
-    g = sg.graph
-    order = list(map(g._number.__getitem__, rp.order))[:: 1 if flavor == "sublevel" else -1]
-    names, parent = g.site_list + (None,), _sweep(g, order)
-    return MergeTree(flavor, {names[x]: names[parent[x]] for x in order})
-
-
 def sublevel_merge_tree(sg: ScalarGraph, rp: RankPerturbation) -> MergeTree:
     """Track components of the growing sublevel sets; edges point up-rank."""
-    return _merge_tree(sg, rp, "sublevel")
+    return MergeTree("sublevel", _sweep(sg.graph, rp.order), sg.graph.site_list)
 
 
 def superlevel_merge_tree(sg: ScalarGraph, rp: RankPerturbation) -> MergeTree:
     """Track components of the growing superlevel sets; edges point down-rank."""
-    return _merge_tree(sg, rp, "superlevel")
+    return MergeTree("superlevel", _sweep(sg.graph, rp.order[::-1]), sg.graph.site_list)
 
 
 def merge_to_augmented_ct(jt: MergeTree, st: MergeTree) -> AugmentedContourTree:
     """Leaf-pruning merge (``_merge``) of the two sweep trees into the contour tree."""
-    if jt.parent.keys() != st.parent.keys():
+    ids, n = jt.sites, len(jt.sites)
+    if st.sites != ids or len(jt.parent) != n or len(st.parent) != n:
         raise PreconditionError("merge trees cover different site sets")
-    ids = tuple(sorted(jt.parent))
-    if len(ids) <= 1:
-        return AugmentedContourTree(frozenset(ids), ())
-    number = dict(zip(ids + (None,), range(len(ids) + 1)))
-    for tree in (jt, st):
-        for q in tree.parent.values():
-            if q not in number:
-                raise InternalInconsistencyError(f"{tree.flavor} parent {q!r} is not a site")
-    edges = _merge(*([number[t.parent[p]] for p in ids] for t in (jt, st)), ids)
-    return AugmentedContourTree(frozenset(ids), tuple((ids[a], ids[b]) for a, b in edges))
+    bad = [(t.flavor, q) for t in (jt, st) for q in t.parent if not 0 <= q <= n]
+    if bad:
+        raise InternalInconsistencyError("%s parent %r is not a site number" % bad[0])
+    # _merge overwrites the pointers it follows; the trees stay as given.
+    return AugmentedContourTree(range(n), tuple(_merge(list(jt.parent), list(st.parent), ids)))
 
 
 def _merge(p_sub: list[int], p_sup: list[int], ids: Sequence[SiteId]) -> list[tuple[int, int]]:
@@ -185,7 +169,8 @@ def _merge(p_sub: list[int], p_sup: list[int], ids: Sequence[SiteId]) -> list[tu
 
 def ct_to_iso_tree(sg: ScalarGraph, rp: RankPerturbation, ct: AugmentedContourTree) -> IsoTree:
     """Iso-tree of the rank-valued graph: singleton zones, rank gaps."""
-    return _contract(sg, rp.order, ct.edges, ranked=True)
+    rank = rp.ranks()
+    return _checked_tree(sg, rank, ct.edges, range(len(rank)), rank)
 
 
 def build_iso_tree(sg: ScalarGraph, reduce: bool = True) -> IsoTree:
@@ -197,7 +182,7 @@ def build_iso_tree(sg: ScalarGraph, reduce: bool = True) -> IsoTree:
     g = sg.graph
     value, order = _ranked(sg)
     edges = _merge(_sweep(g, order), _sweep(g, order[::-1]), g.site_list)
-    return _tree(sg, edges, value if reduce else sorted(range(len(order)), key=order.__getitem__))
+    return _tree(sg, edges, value if reduce else RankPerturbation(order).ranks())
 
 
 def reduce_by_f(sg: ScalarGraph, tree_h: IsoTree) -> IsoTree:
@@ -208,27 +193,30 @@ def reduce_by_f(sg: ScalarGraph, tree_h: IsoTree) -> IsoTree:
     tree, each pointing up in rank.  Any other tree, an already reduced
     one included, raises ``InternalInconsistencyError``.
     """
-    return _contract(sg, perturb_rank(sg).order, [(lo, hi) for lo, hi, _ in tree_h.edge_rows()])
+    value, order = _ranked(sg)
+    edges = [(lo, hi) for lo, hi, _ in tree_h.edge_rows()]
+    return _checked_tree(sg, RankPerturbation(order).ranks(), edges, sg.graph._number, value)
 
 
-def _contract(sg: ScalarGraph, order: Sequence[SiteId], edges, ranked: bool = False) -> IsoTree:
-    """``_tree`` of edges ``(lo, hi)`` by id, each checked to point up in ``order``.
+def _checked_tree(sg: ScalarGraph, rank: Sequence[int], edges, number, value) -> IsoTree:
+    """``_tree`` of n - 1 contour edges ``(lo, hi)``, each checked to point up in ``rank``.
 
-    Node values are the ranks when ``ranked``, else the input values.
+    ``number`` maps an end to its site number: the graph's id dict, or ``range(n)``.
     """
-    n, number = len(order), sg.graph._number
+    ids, n = sg.graph.site_list, len(rank)
     if len(edges) != n - 1:
         raise InternalInconsistencyError(f"{len(edges)} edges over {n} nodes")
-    rank = sorted(range(n), key=list(map(number.__getitem__, order)).__getitem__)
     numbered = []
     for lo, hi in edges:
-        i, j = number.get(lo), number.get(hi)
-        if i is None or j is None:
+        if lo not in number or hi not in number:
             raise InternalInconsistencyError(f"contour edge {lo!r}->{hi!r} names an unknown site")
+        i, j = number[lo], number[hi]
         if not rank[i] < rank[j]:
-            raise InternalInconsistencyError(f"contour edge {lo!r}->{hi!r} points down in rank")
+            raise InternalInconsistencyError(
+                f"contour edge {ids[i]!r}->{ids[j]!r} points down in rank"
+            )
         numbered.append((i, j))
-    return _tree(sg, numbered, rank if ranked else _ranked(sg)[0])
+    return _tree(sg, numbered, value)
 
 
 def _tree(sg: ScalarGraph, edges: Sequence[tuple[int, int]], value: Sequence[float]) -> IsoTree:

@@ -148,7 +148,7 @@ def test_criterion_6_reduction_clauses():
         sg = _tied_graph(i)
         rp = perturb_rank(sg)
         tree_h = build_iso_tree(sg, reduce=False)
-        ranked = ScalarGraph(sg.graph, {p: rp.rank_of(p) for p in sg.graph.sites})
+        ranked = ScalarGraph(sg.graph, dict(zip(sg.graph.site_list, rp.ranks())))
         cuts_h = {e.cut for e in brute_force_iso_tree(ranked, trust_mono=True).edges}
         oracle_f = brute_force_iso_tree(sg, trust_mono=True)
         cuts_f = {e.cut for e in oracle_f.edges}

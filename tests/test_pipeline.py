@@ -26,46 +26,66 @@ from isotree import (
 )
 from isotree.mono import grid_site_id
 from isotree.oracle import brute_force_iso_tree
-from isotree.pipeline import MergeTree, _contract
+from isotree.pipeline import AugmentedContourTree, MergeTree, _tree
 
 from conftest import mono_scalar_graphs
 
 
+def ranks_by_id(sg: ScalarGraph) -> dict:
+    return dict(zip(sg.graph.site_list, perturb_rank(sg).ranks()))
+
+
+def parents_by_id(mt: MergeTree) -> dict:
+    """A merge tree's parent of each site, by id; None for the root."""
+    name = (*mt.sites, None)
+    return {p: name[q] for p, q in zip(mt.sites, mt.parent)}
+
+
+def merge_tree(flavor: str, parents: dict) -> MergeTree:
+    """The merge tree of ``parents``, a parent id (None for the root) per site id."""
+    ids = tuple(sorted(parents))
+    number = {p: i for i, p in enumerate((*ids, None))}
+    return MergeTree(flavor, [number[parents[p]] for p in ids], ids)
+
+
+def edges_by_id(sg: ScalarGraph, ct: AugmentedContourTree) -> tuple:
+    ids = sg.graph.site_list
+    return tuple((ids[lo], ids[hi]) for lo, hi in ct.edges)
+
+
 class TestPerturbRank:
     def test_plateau_breaks_ties_by_site(self, plateau):
-        rp = perturb_rank(plateau)
-        assert rp.rank == {"a": 0, "b": 1, "c": 2}
+        assert ranks_by_id(plateau) == {"a": 0, "b": 1, "c": 2}
 
     def test_injective_keeps_relative_order(self, peak):
-        rp = perturb_rank(peak)
-        assert rp.rank == {"a": 1, "b": 2, "c": 0}
+        assert ranks_by_id(peak) == {"a": 1, "b": 2, "c": 0}
 
     def test_constant(self):
-        rp = perturb_rank(gen_path(3, [5, 5, 5]))
-        assert rp.rank == {"a": 0, "b": 1, "c": 2}
-        assert rp.order == ("a", "b", "c")
+        sg = gen_path(3, [5, 5, 5])
+        assert ranks_by_id(sg) == {"a": 0, "b": 1, "c": 2}
+        assert [sg.graph.site_list[x] for x in perturb_rank(sg).order] == ["a", "b", "c"]
 
 
 class TestSweeps:
     def test_sublevel_ramp(self, ramp3):
         mt = sublevel_merge_tree(ramp3, perturb_rank(ramp3))
-        assert mt.parent == {"a": "b", "b": "c", "c": None}
+        assert parents_by_id(mt) == {"a": "b", "b": "c", "c": None}
 
     def test_sublevel_peak(self, peak):
         mt = sublevel_merge_tree(peak, perturb_rank(peak))
-        assert mt.parent == {"a": "b", "c": "b", "b": None}
+        assert parents_by_id(mt) == {"a": "b", "c": "b", "b": None}
 
     def test_superlevel_ramp(self, ramp3):
         mt = superlevel_merge_tree(ramp3, perturb_rank(ramp3))
-        assert mt.parent == {"c": "b", "b": "a", "a": None}
+        assert parents_by_id(mt) == {"c": "b", "b": "a", "a": None}
 
     def test_superlevel_peak(self, peak):
         mt = superlevel_merge_tree(peak, perturb_rank(peak))
-        assert mt.parent == {"b": "a", "a": "c", "c": None}
+        assert parents_by_id(mt) == {"b": "a", "a": "c", "c": None}
 
     def test_single_site(self):
         sg = gen_path(1, [0])
-        assert sublevel_merge_tree(sg, perturb_rank(sg)).parent == {"a": None}
+        assert parents_by_id(sublevel_merge_tree(sg, perturb_rank(sg))) == {"a": None}
 
     def test_disconnected_rejected(self):
         g = Graph("ab")
@@ -84,27 +104,28 @@ class TestSweeps:
         rp = perturb_rank(sg)
         sub = sublevel_merge_tree(sg, rp)
         sup = superlevel_merge_tree(sg, rp)
-        for p, q in sub.parent.items():
-            assert q is None or rp.rank_of(q) > rp.rank_of(p)
-        for p, q in sup.parent.items():
-            assert q is None or rp.rank_of(q) < rp.rank_of(p)
+        rank, n = rp.ranks(), len(sg.graph)
+        for p, q in enumerate(sub.parent):
+            assert q == n or rank[q] > rank[p]
+        for p, q in enumerate(sup.parent):
+            assert q == n or rank[q] < rank[p]
         # exactly one root each
-        assert sum(1 for q in sub.parent.values() if q is None) == 1
-        assert sum(1 for q in sup.parent.values() if q is None) == 1
+        assert sub.parent.count(n) == 1
+        assert sup.parent.count(n) == 1
 
 
 class TestMerge:
     def test_peak(self, peak):
         rp = perturb_rank(peak)
         ct = merge_to_augmented_ct(sublevel_merge_tree(peak, rp), superlevel_merge_tree(peak, rp))
-        assert set(ct.edges) == {("a", "b"), ("c", "b")}
+        assert set(edges_by_id(peak, ct)) == {("a", "b"), ("c", "b")}
 
     def test_ramp_chain(self, ramp3):
         rp = perturb_rank(ramp3)
         ct = merge_to_augmented_ct(
             sublevel_merge_tree(ramp3, rp), superlevel_merge_tree(ramp3, rp)
         )
-        assert set(ct.edges) == {("a", "b"), ("b", "c")}
+        assert set(edges_by_id(ramp3, ct)) == {("a", "b"), ("b", "c")}
 
     def test_single_site(self):
         sg = gen_path(1, [0])
@@ -113,30 +134,41 @@ class TestMerge:
         assert ct.edges == ()
 
     def test_mismatched_site_sets_rejected(self):
-        jt = MergeTree("sublevel", {"a": None})
-        st = MergeTree("superlevel", {"b": None})
+        jt = merge_tree("sublevel", {"a": None})
+        st = merge_tree("superlevel", {"b": None})
         with pytest.raises(PreconditionError):
             merge_to_augmented_ct(jt, st)
 
     def test_malformed_trees_stall(self):
-        jt = MergeTree("sublevel", {"a": "b", "b": None})
-        st = MergeTree("superlevel", {"a": "b", "b": None})
+        jt = merge_tree("sublevel", {"a": "b", "b": None})
+        st = merge_tree("superlevel", {"a": "b", "b": None})
         with pytest.raises(InternalInconsistencyError):
             merge_to_augmented_ct(jt, st)
 
     def test_cycle_through_pruned_sites(self):
         # Once every other site on the sublevel cycle f-b-c-e-b is pruned,
         # a lookup that skips pruned sites would circle forever.
-        jt = MergeTree("sublevel", {"a": "b", "b": "c", "c": "e", "d": "a", "e": "b", "f": "b"})
-        st = MergeTree("superlevel", {"a": "f", "b": None, "c": "e", "d": "b", "e": "d", "f": "a"})
+        jt = merge_tree("sublevel", {"a": "b", "b": "c", "c": "e", "d": "a", "e": "b", "f": "b"})
+        st = merge_tree("superlevel", {"a": "f", "b": None, "c": "e", "d": "b", "e": "d", "f": "a"})
         with pytest.raises(InternalInconsistencyError, match="merge trees hold a cycle through 'f'"):
             merge_to_augmented_ct(jt, st)
 
     def test_parent_outside_the_sites(self):
-        jt = MergeTree("sublevel", {"a": "z", "b": None})
-        st = MergeTree("superlevel", {"a": None, "b": "a"})
-        with pytest.raises(InternalInconsistencyError, match="sublevel parent 'z' is not a site"):
-            merge_to_augmented_ct(jt, st)
+        # Two sites: parents 0 and 1 are sites, 2 marks the root.
+        st = MergeTree("superlevel", [2, 0], ("a", "b"))
+        for q in (3, -1):
+            jt = MergeTree("sublevel", [q, 2], ("a", "b"))
+            with pytest.raises(
+                InternalInconsistencyError, match=f"sublevel parent {q} is not a site number"
+            ):
+                merge_to_augmented_ct(jt, st)
+
+    def test_merge_leaves_its_inputs_unchanged(self, peak):
+        rp = perturb_rank(peak)
+        jt, st = sublevel_merge_tree(peak, rp), superlevel_merge_tree(peak, rp)
+        before = list(jt.parent), list(st.parent)
+        merge_to_augmented_ct(jt, st)
+        assert (jt.parent, st.parent) == before
 
     def test_random_parent_maps_give_a_tree_or_an_error(self):
         rng = random.Random(19)
@@ -144,7 +176,7 @@ class TestMerge:
             sites = "abcdef"[: rng.randint(2, 6)]
             jt, st = ({p: rng.choice([*sites, None]) for p in sites} for _ in range(2))
             try:
-                ct = merge_to_augmented_ct(MergeTree("sublevel", jt), MergeTree("superlevel", st))
+                ct = merge_to_augmented_ct(merge_tree("sublevel", jt), merge_tree("superlevel", st))
             except InternalInconsistencyError:
                 continue
             assert len(ct.edges) == len(sites) - 1, (jt, st)
@@ -198,7 +230,7 @@ def test_non_mono_cycles_keep_their_outcome(values, expected):
                 call()
             assert str(info.value) == expected
     else:
-        assert merge().edges == tuple((lo, hi) for lo, hi, _ in expected)
+        assert edges_by_id(sg, merge()) == tuple((lo, hi) for lo, hi, _ in expected)
         assert [(e.low, e.up, e.gap) for e in build_iso_tree(sg).edges] == expected
 
 
@@ -326,24 +358,35 @@ class TestContractTies:
 
     @staticmethod
     def contract(values, edges):
+        """``ct_to_iso_tree`` of a path, given contour edges by site number."""
         sg = gen_path(len(values), values)
-        return _contract(sg, perturb_rank(sg).order, tuple(edges))
+        ct = AugmentedContourTree(range(len(values)), tuple(edges))
+        return ct_to_iso_tree(sg, perturb_rank(sg), ct)
 
     def test_edge_pointing_down_in_rank(self):
         with pytest.raises(InternalInconsistencyError, match="'b'->'a' points down in rank"):
-            self.contract([0, 1, 2], [("b", "a"), ("b", "c")])
+            self.contract([0, 1, 2], [(1, 0), (1, 2)])
+        # reduce_by_f checks the ranked tree it is given, by id.
+        with pytest.raises(InternalInconsistencyError, match="'b'->'a' points down in rank"):
+            reduce_by_f(gen_path(3, [0, 1, 2]), build_iso_tree(gen_path(3, [2, 1, 0]), reduce=False))
 
     def test_cycle_of_equal_valued_edges(self):
+        # Ranks never tie, so only the input values reach this check.
+        sg = gen_path(4, [0, 0, 0, 1])
         with pytest.raises(InternalInconsistencyError, match="tie edge 'a'->'c' closes a cycle"):
-            self.contract([0, 0, 0, 1], [("a", "b"), ("b", "c"), ("a", "c")])
+            _tree(sg, [(0, 1), (1, 2), (0, 2)], [0, 0, 0, 1])
 
     def test_edge_naming_an_unknown_site(self):
+        for q in (7, -1):
+            with pytest.raises(InternalInconsistencyError, match=f"0->{q} names an unknown site"):
+                self.contract([0, 1, 2], [(0, 1), (0, q)])
+        other = ScalarGraph(Graph("abz", [("a", "b"), ("a", "z")]), {"a": 0, "b": 1, "z": 2})
         with pytest.raises(InternalInconsistencyError, match="'a'->'z' names an unknown site"):
-            self.contract([0, 1, 2], [("a", "b"), ("a", "z")])
+            reduce_by_f(gen_path(3, [0, 1, 2]), build_iso_tree(other, reduce=False))
 
     def test_edge_count_must_make_a_tree(self):
         with pytest.raises(InternalInconsistencyError, match="1 edges over 3 nodes"):
-            self.contract([0, 1, 2], [("a", "b")])
+            self.contract([0, 1, 2], [(0, 1)])
 
 
 class TestPipelineAgainstOracle:
@@ -365,7 +408,7 @@ class TestPipelineAgainstOracle:
     def test_rank_tree_matches_oracle_of_ranked_graph(self, sg):
         rp = perturb_rank(sg)
         ranked = ScalarGraph(
-            sg.graph, {p: rp.rank_of(p) for p in sg.graph.sites}, reference=sg.reference
+            sg.graph, dict(zip(sg.graph.site_list, rp.ranks())), reference=sg.reference
         )
         assert build_iso_tree(sg, reduce=False) == brute_force_iso_tree(ranked, trust_mono=True)
 
