@@ -14,10 +14,8 @@ threads; the operations below are pure.
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import islice, repeat
-from operator import eq
+from itertools import accumulate, chain
 from typing import Iterable, Mapping, NamedTuple
 
 from .errors import InvalidRegionError
@@ -54,24 +52,28 @@ class Graph:
         if not ids:
             raise ValueError("a graph needs at least one site")
         number = dict(zip(ids, range(len(ids))))
-        n, keys = len(ids), []
+        rows: list[set[int]] = [set() for _ in ids]  # duplicate pairs collapse
         for p, q in adjacency:
             if p == q:
                 raise ValueError(f"self-pair on site {p!r}")
             i, j = number.get(p), number.get(q)
             if i is None or j is None:
                 raise ValueError(f"adjacency pair ({p!r}, {q!r}) references an unknown site")
-            keys += (i * n + j, j * n + i)
-        keys.sort()
-        if any(map(eq, keys, islice(keys, 1, None))):
-            keys = sorted(set(keys))  # duplicate pairs collapse
-        self._fill(ids, number, keys)
+            rows[i].add(j)
+            rows[j].add(i)
+        self._fill(ids, number, rows)
 
-    def _fill(self, ids: tuple[SiteId, ...], number: dict[SiteId, int], keys: list[int]) -> None:
-        """Take ``keys``, the ascending distinct ``i * n + j`` of every ordered adjacent pair."""
-        n, self._ids, self._number = len(ids), ids, number
-        self._targets = array("i", [k % n for k in keys])
-        self._offsets = array("i", map(bisect_left, repeat(keys), range(0, n * n + 1, n)))
+    @classmethod
+    def _from_rows(cls, ids: tuple[SiteId, ...], number: dict[SiteId, int], rows: list) -> Graph:
+        graph = cls.__new__(cls)  # over rows that the caller has checked
+        graph._fill(ids, number, rows)
+        return graph
+
+    def _fill(self, ids: tuple[SiteId, ...], number: dict[SiteId, int], rows: list) -> None:
+        """Take ``rows``: row ``i`` holds site ``i``'s distinct neighbour numbers, in any order."""
+        self._ids, self._number = ids, number
+        self._targets = array("i", chain.from_iterable(map(sorted, rows)))  # each row ascending
+        self._offsets = array("i", accumulate(map(len, rows), initial=0))
         self._sites = self._pairs = self._near = self._bits = None  # derived on first use
 
     @property

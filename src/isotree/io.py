@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 from typing import Any
@@ -97,10 +98,9 @@ def _graph_of(doc: Any) -> ScalarGraph:
     adjacency = doc.get("adjacency", [])
     if not isinstance(adjacency, list):
         raise ValidationError("adjacency: expected an array")
-    # A pair (i, j) of site numbers adds two keys of the rows (Graph._fill).
     ids = tuple(sorted(values))
     number = dict(zip(ids, range(len(ids))))
-    n, keys, seen = len(ids), [], set()
+    n, rows, seen = len(ids), [[] for _ in ids], set()
     for k, pair in enumerate(adjacency):
         if type(pair) is not list or len(pair) != 2:
             raise ValidationError(f"adjacency[{k}]: expected a pair of ids")
@@ -116,16 +116,15 @@ def _graph_of(doc: Any) -> ScalarGraph:
         if key in seen:
             raise ValidationError(f"adjacency[{k}]: duplicate pair ({p!r}, {q!r})")
         seen.add(key)
-        keys += (i * n + j, j * n + i)
+        rows[i].append(j)
+        rows[j].append(i)
 
     reference = doc.get("reference")
     if reference is not None:
         reference = _require_str(reference, "reference")
         if reference not in values:
             raise ValidationError(f"reference: unknown id {reference!r}")
-    graph = Graph.__new__(Graph)
-    graph._fill(ids, number, sorted(keys))
-    return ScalarGraph(graph, values, reference=reference)
+    return ScalarGraph(Graph._from_rows(ids, number, rows), values, reference=reference)
 
 
 def _graph_doc(sg: ScalarGraph) -> dict[str, Any]:
@@ -311,31 +310,22 @@ def division_to_json(sg: ScalarGraph, division: ValuedJDivision) -> str:
 # ---------------------------------------------------------------------------
 
 
+# Separators and "#" comments (to the end of the line) skipped, then one
+# token: the bytes up to the next separator.  It is empty only at the end.
+_PGM_TOKEN = re.compile(rb"(?:[ \t\r\n\v\f]+|#[^\n]*)*([^ \t\r\n\v\f#]*)")
+
+
 class _PgmScanner:
     def __init__(self, data: bytes):
         self.data = data
         self.pos = 0
 
-    def _skip_separators(self) -> None:
-        data, n = self.data, len(self.data)
-        while self.pos < n:
-            byte = data[self.pos]
-            if byte in b" \t\r\n\v\f":
-                self.pos += 1
-            elif byte in b"#":
-                while self.pos < n and data[self.pos] not in b"\n":
-                    self.pos += 1
-            else:
-                return
-
     def token(self, what: str) -> bytes:
-        self._skip_separators()
-        if self.pos >= len(self.data):
-            raise ParseError(f"unexpected end of PGM data at byte {self.pos} (reading {what})")
-        start = self.pos
-        while self.pos < len(self.data) and self.data[self.pos] not in b" \t\r\n\v\f#":
-            self.pos += 1
-        return self.data[start : self.pos]
+        m = _PGM_TOKEN.match(self.data, self.pos)
+        if not m[1]:
+            raise ParseError(f"unexpected end of PGM data at byte {m.end()} (reading {what})")
+        self.pos = m.end()
+        return m[1]
 
     def int_token(self, what: str) -> int:
         start_pos = self.pos
@@ -343,9 +333,7 @@ class _PgmScanner:
         try:
             return int(tok)
         except ValueError:
-            raise ParseError(
-                f"bad PGM {what} {tok!r} at byte {start_pos}"
-            ) from None
+            raise ParseError(f"bad PGM {what} {tok!r} at byte {start_pos}") from None
 
 
 def parse_pgm(data: bytes) -> tuple[int, int, list[int]]:

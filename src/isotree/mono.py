@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 from ._bitgraph import BitGraph, bit_view
 from .errors import PreconditionError, SizeLimitError
@@ -83,8 +83,8 @@ class MonoWitness:
     failing_side: str | None = None
 
 
-def _enumerate_cut_masks(bg: BitGraph) -> Iterator[int]:
-    # Fixing the least site's bit halves the scan and makes the emitted
+def _enumerate_cut_masks(bg: BitGraph) -> tuple[int, ...]:
+    # Fixing the least site's bit halves the scan and makes the listed
     # side the canonical (least-site-containing) one.  Every bipartition
     # is still tested, in bulk: byte i of ``row`` says whether the odd
     # mask 2i+1 is connected, byte i of ``comp`` whether its complement
@@ -95,16 +95,17 @@ def _enumerate_cut_masks(bg: BitGraph) -> Iterator[int]:
     row = int.from_bytes(table[1:full:2], "little")
     comp = int.from_bytes(table[full - 1 : 0 : -2], "little")
     both = (row & comp).to_bytes(full >> 1, "little")
-    i = both.find(1)
+    masks, i = [], both.find(1)
     while i >= 0:
-        yield 2 * i + 1
+        masks.append(2 * i + 1)
         i = both.find(1, i + 1)
+    return tuple(masks)
 
 
 def _cut_masks(bg: BitGraph) -> tuple[int, ...]:
     """The J-cut masks of ``bg`` in scan order, scanned on first use only."""
     if bg.cut_masks is None:
-        bg.cut_masks = tuple(_enumerate_cut_masks(bg))
+        bg.cut_masks = _enumerate_cut_masks(bg)
     return bg.cut_masks
 
 
@@ -174,16 +175,22 @@ def gen_tri_grid(width: int, height: int, values: ValuePolicy | Sequence[float])
     """
     if width < 1 or height < 1:
         raise PreconditionError("grid dimensions must be positive")
+    n = width * height
     ids = [grid_site_id(r, c) for r in range(height) for c in range(width)]
-    pairs: list[tuple[SiteId, SiteId]] = []
-    for r in range(height):
-        for c in range(width):
-            if c + 1 < width:
-                pairs.append((grid_site_id(r, c), grid_site_id(r, c + 1)))
-            if r + 1 < height:
-                pairs.append((grid_site_id(r, c), grid_site_id(r + 1, c)))
-            if c + 1 < width and r + 1 < height:
-                pairs.append((grid_site_id(r, c), grid_site_id(r + 1, c + 1)))
-    g = Graph(ids, pairs)
-    vals = _resolve_values(values, width * height)
+    order = sorted(range(n), key=ids.__getitem__)  # the pixel of each site number
+    site_ids = tuple(map(ids.__getitem__, order))
+    number = dict(zip(site_ids, range(n)))
+    pixel_number = list(map(number.__getitem__, ids))
+    # Pixel k touches k ± 1, k ± width and k ± (width + 1): shifted slices of the lines of
+    # site numbers, padded with None on every side.  Only border pixels have a None to drop.
+    pad = [None] * (width + 2)
+    lines = [pad, *([None, *pixel_number[k : k + width], None] for k in range(0, n, width)), pad]
+    by_pixel: list = []
+    for r, (up, mid, down) in enumerate(zip(lines, lines[1:], lines[2:])):
+        near = list(zip(up, up[1:], mid, mid[2:], down[1:], down[2:]))
+        for c in range(width) if r in (0, height - 1) else (0, width - 1):
+            near[c] = [q for q in near[c] if q is not None]
+        by_pixel += near
+    g = Graph._from_rows(site_ids, number, list(map(by_pixel.__getitem__, order)))
+    vals = _resolve_values(values, n)
     return ScalarGraph(g, dict(zip(ids, vals)))

@@ -58,33 +58,42 @@ class TestSiteNumbers:
 
     W, H = 11, 12
 
-    def grid_pairs(self) -> list[tuple[str, str]]:
+    @staticmethod
+    def grid_pairs(w: int, h: int) -> list[tuple[str, str]]:
         pairs = []
-        for r in range(self.H):
-            for c in range(self.W):
+        for r in range(h):
+            for c in range(w):
                 for dr, dc in ((0, 1), (1, 0), (1, 1)):
-                    if r + dr < self.H and c + dc < self.W:
+                    if r + dr < h and c + dc < w:
                         pairs.append((grid_site_id(r, c), grid_site_id(r + dr, c + dc)))
         return pairs
 
-    def test_any_listing_order_gives_the_same_graph(self):
-        g = gen_tri_grid(self.W, self.H, [0] * (self.W * self.H)).graph
+    # Every border case of the grid's offset fill: one site, one row, one
+    # column, all four corners, and more than ten rows or columns.
+    SHAPES = [(1, 1), (1, 9), (9, 1), (2, 2), (11, 12), (12, 11)]
+
+    @pytest.mark.parametrize("w,h", SHAPES, ids=[f"{w}x{h}" for w, h in SHAPES])
+    def test_any_listing_order_gives_the_same_graph(self, w, h):
+        g = gen_tri_grid(w, h, [0] * (w * h)).graph
         rng = random.Random(12)
+        ids = [grid_site_id(r, c) for r in range(h) for c in range(w)]
         for _ in range(5):
-            ids = list(g.site_list)
             rng.shuffle(ids)
-            pairs = [(q, p) if rng.random() < 0.5 else (p, q) for p, q in self.grid_pairs()]
+            pairs = [(q, p) if rng.random() < 0.5 else (p, q) for p, q in self.grid_pairs(w, h)]
             rng.shuffle(pairs)
             other = Graph(ids, pairs)
             assert other == g and g == other
             assert hash(other) == hash(g)
             assert other.pairs == g.pairs
-        assert g.site_list[:3] == ("r0c0", "r0c1", "r0c10")
-        assert g != Graph(g.site_list, self.grid_pairs()[1:])
+        assert g.site_list == tuple(sorted(ids))
+        if w > 10:
+            assert g.site_list[:3] == ("r0c0", "r0c1", "r0c10")
+        if w * h > 1:
+            assert g != Graph(g.site_list, self.grid_pairs(w, h)[1:])
 
     def test_pairs_and_neighbors(self):
         g = gen_tri_grid(self.W, self.H, [0] * (self.W * self.H)).graph
-        pairs = self.grid_pairs()
+        pairs = self.grid_pairs(self.W, self.H)
         assert g.pairs == tuple(sorted(tuple(sorted(pair)) for pair in pairs))
         for p in g.site_list:
             near = sorted(q for pair in pairs if p in pair for q in pair if q != p)
