@@ -16,7 +16,6 @@ from . import io as tio
 from .errors import (
     InternalInconsistencyError,
     IsoTreeError,
-    ParseError,
     PreconditionError,
     SizeLimitError,
     ValidationError,
@@ -135,18 +134,14 @@ def _cmd_oracle_diff(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    data = Path(args.input).read_bytes()
-    try:
-        doc = json.loads(data)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"malformed input document: {exc}") from None
+    doc = tio._loads(Path(args.input).read_bytes(), "input")
     if isinstance(doc, dict) and "cuts" in doc:
-        sg, division = tio.parse_division_json(data)
+        sg, division = tio._division_of(doc)
         g = sg.graph
     elif isinstance(doc, dict) and "zones" in doc:
         if not args.graph:
             raise ValidationError("validating a tree document requires --graph")
-        tree = tio.parse_tree_json(data)
+        tree = tio._tree_of(doc)
         g = _load_scalar_graph(args.graph, "json").graph
         reconstruct_rt(g, tree)  # rejects zones that do not partition g's sites
         division = ValuedJDivision.of_tree(tree)

@@ -14,7 +14,6 @@ threads; the operations below are pure.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 from itertools import accumulate, chain
 from typing import Iterable, Mapping, NamedTuple
 
@@ -178,8 +177,7 @@ class ScalarGraph:
         return f"ScalarGraph({len(self._graph)} sites)"
 
 
-@dataclass(frozen=True)
-class JCut:
+class JCut(NamedTuple):
     """Oriented bipartition of a graph's sites, identified by its low side.
 
     The up side is implicitly the complement.  Instances are plain data:

@@ -58,10 +58,9 @@ def _require_strs(items: Any, where: str) -> frozenset[str]:
 
 
 def _loads(data: bytes | str, what: str) -> Any:
-    text = data.decode("utf-8") if isinstance(data, bytes) else data
     try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
+        return json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ParseError(f"malformed {what} document: {exc}") from None
 
 
@@ -182,7 +181,11 @@ def tree_to_json(tree: IsoTree) -> str:
 
 
 def parse_tree_json(data: bytes | str) -> IsoTree:
-    doc = _loads(data, "tree")
+    return _tree_of(_loads(data, "tree"))
+
+
+def _tree_of(doc: Any) -> IsoTree:
+    """The iso-tree of a parsed tree document, checked entry by entry."""
     if not isinstance(doc, dict):
         raise ValidationError("tree document must be a JSON object")
     zones_doc = doc.get("zones")
@@ -272,7 +275,11 @@ def parse_division_json(data: bytes | str) -> tuple[ScalarGraph, ValuedJDivision
     are deliberately not required to be Jordan cuts, so that candidate
     divisions with crossing or disconnected sides can be validated.
     """
-    doc = _loads(data, "division")
+    return _division_of(_loads(data, "division"))
+
+
+def _division_of(doc: Any) -> tuple[ScalarGraph, ValuedJDivision]:
+    """The graph and division of a parsed division document."""
     if not isinstance(doc, dict) or "graph" not in doc:
         raise ValidationError("division document needs a graph field")
     sg = _graph_of(doc["graph"])

@@ -25,8 +25,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from ._bitgraph import BitGraph, bit_view
 from .errors import PreconditionError, SizeLimitError
@@ -68,8 +67,7 @@ def _resolve_values(values: ValuePolicy | Sequence[float], n: int) -> list[float
     return out
 
 
-@dataclass(frozen=True)
-class MonoWitness:
+class MonoWitness(NamedTuple):
     """Outcome of a mono-connectivity check.
 
     On a connected graph a false verdict always carries the first failing

@@ -16,10 +16,10 @@ groups the sites, and the ``IsoTree`` constructor joins each cut's pair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import chain, islice, repeat
 from operator import gt
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import (
     InconsistentZoneError,
@@ -41,30 +41,31 @@ from .graph import (
 )
 
 
-@dataclass(frozen=True)
-class LCut:
+class LCut(namedtuple("LCut", "cut gap")):
     """A Jordan cut paired with a positive value gap, oriented low to up."""
 
-    cut: JCut
-    gap: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.gap > 0:
-            raise ValueError(f"value gap must be positive, got {self.gap!r}")
+    def __new__(cls, cut: JCut, gap: float) -> LCut:
+        if not gap > 0:
+            raise ValueError(f"value gap must be positive, got {gap!r}")
+        return super().__new__(cls, cut, gap)
 
 
-@dataclass(frozen=True)
-class IsoZone:
+class IsoZone(namedtuple("IsoZone", "sites value")):
     """A maximal region of constant value; its subgraph may be disconnected."""
 
-    sites: frozenset[SiteId]
-    value: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.sites:
+    def __new__(cls, sites: frozenset[SiteId], value: float) -> IsoZone:
+        if not sites:
             raise ValueError("an iso-zone cannot be empty")
-        # The least site represents the zone; eq, hash and repr ignore it.
-        object.__setattr__(self, "rep", min(self.sites))
+        return super().__new__(cls, sites, value)
+
+    @property
+    def rep(self) -> SiteId:
+        """The least site, which represents the zone."""
+        return min(self.sites)
 
 
 class TreeEdge:
@@ -362,15 +363,13 @@ class ValuedJDivision:
         return cls(LCut(e.cut, e.gap) for e in tree.edges)
 
 
-@dataclass(frozen=True)
-class AxiomViolation:
+class AxiomViolation(NamedTuple):
     axiom: str  # "nesting" | "tangent"
     first: JCut
     second: JCut
 
 
-@dataclass(frozen=True)
-class AxiomReport:
+class AxiomReport(NamedTuple):
     violations: tuple[AxiomViolation, ...]
 
     @property

@@ -303,6 +303,23 @@ class TestValidate:
         res = run_cli("validate", "--input", str(tree_path))
         assert res.returncode == 2
 
+    @pytest.mark.parametrize("kind", ["division", "tree"])
+    def test_input_document_is_parsed_once(self, tmp_path, peak_file, monkeypatch, capsys, kind):
+        peak = gen_path(3, [1, 3, 0])
+        tree = brute_force_iso_tree(peak)
+        if kind == "division":
+            text = division_to_json(peak, ValuedJDivision.of_tree(tree))
+        else:
+            text = tree_to_json(tree)
+        p = tmp_path / f"{kind}.json"
+        p.write_text(text)
+        parsed = []
+        loads = json.loads
+        monkeypatch.setattr(json, "loads", lambda s, **kw: parsed.append(s) or loads(s, **kw))
+        assert cli.main(["validate", "--input", str(p), "--graph", str(peak_file)]) == 0
+        assert "valid" in capsys.readouterr().out
+        assert sum(s in (text, text.encode()) for s in parsed) == 1
+
 
 class TestGen:
     def test_gen_build_pipeline(self, tmp_path):
@@ -355,6 +372,13 @@ class TestErrorPaths:
         p.write_text("{nope")
         res = run_cli("build", "--input", str(p))
         assert res.returncode == 2
+
+    @pytest.mark.parametrize("command", ["build", "validate"])
+    def test_document_not_in_utf8_is_exit_2(self, tmp_path, capsys, command):
+        p = tmp_path / "g.json"
+        p.write_bytes(graph_to_json(gen_path(2, [0, 1])).encode("utf-16"))
+        assert cli.main([command, "--input", str(p)]) == 2
+        assert "codec can't decode" in capsys.readouterr().err
 
     def test_unknown_flag_is_exit_2(self, ramp_file):
         res = run_cli("build", "--input", str(ramp_file), "--bogus")

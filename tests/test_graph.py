@@ -142,6 +142,24 @@ class TestIsJCut:
         assert not is_j_cut(path3(), set())
 
 
+class TestJCutValue:
+    """A J-cut is an immutable value named by its low side."""
+
+    def test_repr_lists_the_sites_sorted(self):
+        assert repr(JCut(frozenset("cab"))) == "JCut({a,b,c})"
+        assert JCut(frozenset("ab")).low == frozenset("ab")
+
+    def test_equal_cuts_hash_alike(self):
+        a, b = JCut(frozenset("ab")), JCut(frozenset(["b", "a"]))
+        assert a == b and hash(a) == hash(b) == hash((frozenset("ab"),))
+        assert a != JCut(frozenset("a"))
+
+    @pytest.mark.parametrize("name", ["low", "other"])
+    def test_attributes_cannot_be_set(self, name):
+        with pytest.raises(AttributeError):
+            setattr(JCut(frozenset("a")), name, frozenset("b"))
+
+
 class TestBoundarySurfels:
     def test_path_singleton(self):
         assert boundary_surfels(path3(), JCut(frozenset("a"))) == {Surfel("a", "b")}

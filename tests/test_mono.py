@@ -106,6 +106,27 @@ class TestIsMonoConnected:
         assert is_mono_connected(path_graph(n)).verdict
 
 
+class TestMonoWitnessValue:
+    """The check's outcome is an immutable value with optional witness fields."""
+
+    def test_a_true_verdict_has_no_witness(self):
+        w = mono.MonoWitness(True)
+        assert (w.verdict, w.counterexample, w.failing_side) == (True, None, None)
+        assert repr(w) == "MonoWitness(verdict=True, counterexample=None, failing_side=None)"
+
+    def test_repr_and_hash_of_a_witness(self):
+        w = mono.MonoWitness(False, JCut(frozenset("ba")), "up")
+        assert repr(w) == "MonoWitness(verdict=False, counterexample=JCut({a,b}), failing_side='up')"
+        twin = mono.MonoWitness(False, JCut(frozenset("ab")), "up")
+        assert w == twin and hash(w) == hash(twin)
+        assert w != mono.MonoWitness(False, JCut(frozenset("ab")), "low")
+
+    @pytest.mark.parametrize("name", ["verdict", "failing_side", "other"])
+    def test_attributes_cannot_be_set(self, name):
+        with pytest.raises(AttributeError):
+            setattr(mono.MonoWitness(True), name, False)
+
+
 class TestSharedScan:
     """Each graph's bipartitions are scanned once, and only for that graph."""
 

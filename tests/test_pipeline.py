@@ -17,6 +17,8 @@ from isotree import (
     ct_to_iso_tree,
     gen_path,
     gen_tri_grid,
+    is_j_cut,
+    is_l_cut,
     merge_to_augmented_ct,
     perturb_rank,
     reconstruct_rt,
@@ -517,6 +519,23 @@ class TestMetamorphic:
         assert tree_shape(build_iso_tree(transposed), flip.__getitem__) == tree_shape(
             build_iso_tree(square)
         )
+
+
+class TestRankedTreeAtScale:
+    """Beyond the oracle cap, the ranked tree's edges are still the literal L-cuts."""
+
+    @pytest.mark.parametrize("side, seed", [(16, 3), (24, 11)])
+    def test_every_edge_is_a_literal_l_cut_of_the_ranks(self, side, seed):
+        rng = random.Random(seed)
+        sg = gen_tri_grid(side, side, [rng.randint(0, 3) for _ in range(side * side)])
+        g = sg.graph
+        ranked = ScalarGraph(g, ranks_by_id(sg))
+        tree = build_iso_tree(sg, reduce=False)
+        assert all(len(z.sites) == 1 for z in tree.zones)
+        assert len(tree.edges) == len(g) - 1
+        for e in tree.edges:
+            assert is_j_cut(g, e.cut.low), e
+            assert is_l_cut(ranked, e.cut), e
 
 
 class TestMemory:

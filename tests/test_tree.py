@@ -120,6 +120,59 @@ def test_cut_site_outside_the_graph_rejected(peak, assemble):
         assemble(peak, cuts)
 
 
+class TestValueTypes:
+    """L-cuts, zones and axiom reports are immutable values.
+
+    Reprs are pinned on one-site zones only: a frozenset's repr order
+    follows the hash seed.
+    """
+
+    def test_reprs(self):
+        assert repr(LCut(cut("b", "a"), 2)) == "LCut(cut=JCut({a,b}), gap=2)"
+        assert repr(IsoZone(frozenset("a"), 1)) == "IsoZone(sites=frozenset({'a'}), value=1)"
+        v = itree.AxiomViolation("nesting", cut("a"), cut("b", "a"))
+        assert repr(v) == "AxiomViolation(axiom='nesting', first=JCut({a}), second=JCut({a,b}))"
+        assert repr(itree.AxiomReport((v,))) == f"AxiomReport(violations=({v!r},))"
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: LCut(cut("a", "b"), 1.5),
+            lambda: IsoZone(frozenset("abc"), 0),
+            lambda: itree.AxiomViolation("tangent", cut("a"), cut("c")),
+            lambda: itree.AxiomReport((itree.AxiomViolation("nesting", cut("a"), cut("b")),)),
+        ],
+        ids=["LCut", "IsoZone", "AxiomViolation", "AxiomReport"],
+    )
+    def test_equal_values_hash_alike_and_cannot_be_set(self, make):
+        a, b = make(), make()
+        assert a is not b and a == b and hash(a) == hash(b)
+        for name in ("gap", "sites", "value", "rep", "axiom", "violations", "other"):
+            with pytest.raises(AttributeError):
+                setattr(a, name, None)
+
+    def test_unequal_values(self):
+        assert LCut(cut("a"), 1) != LCut(cut("a"), 2)
+        assert IsoZone(frozenset("a"), 0) != IsoZone(frozenset("ab"), 0)
+
+    def test_gap_must_be_positive(self):
+        with pytest.raises(ValueError, match=r"^value gap must be positive, got 0$"):
+            LCut(cut("a"), 0)
+
+    def test_zone_must_not_be_empty(self):
+        with pytest.raises(ValueError, match=r"^an iso-zone cannot be empty$"):
+            IsoZone(frozenset(), 1)
+
+    def test_zone_rep_is_the_least_site(self):
+        zone = IsoZone(frozenset(["r1c0", "r0c2", "r0c10"]), 3)
+        assert zone.rep == "r0c10"
+        assert IsoZone(frozenset("a"), 3).rep == "a"
+
+    def test_report_is_valid_without_violations(self):
+        assert itree.AxiomReport(()).valid
+        assert not itree.AxiomReport((itree.AxiomViolation("nesting", cut("a"), cut("b")),)).valid
+
+
 class TestIsoTreeStructure:
     def test_overlapping_zones_rejected(self):
         with pytest.raises(NotATreeError, match="site 'b' belongs to more than one zone"):
