@@ -41,11 +41,11 @@ from .oracle import brute_force_iso_tree, brute_force_l_cuts
 from .pipeline import (
     AugmentedContourTree,
     MergeTree,
-    RankPerturbation,
     build_iso_tree,
     ct_to_iso_tree,
     merge_to_augmented_ct,
     perturb_rank,
+    ranks,
     reduce_by_f,
     sublevel_merge_tree,
     superlevel_merge_tree,

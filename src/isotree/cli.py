@@ -10,9 +10,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 
 from . import io as tio
+from . import mono
 from .errors import (
     InternalInconsistencyError,
     IsoTreeError,
@@ -28,6 +28,7 @@ from .pipeline import (
     ct_to_iso_tree,
     merge_to_augmented_ct,
     perturb_rank,
+    ranks,
     reduce_by_f,
     sublevel_merge_tree,
     superlevel_merge_tree,
@@ -36,7 +37,8 @@ from .tree import ValuedJDivision, reconstruct_rt, validate_regular_division
 
 
 def _load_scalar_graph(path: str, fmt: str) -> ScalarGraph:
-    data = Path(path).read_bytes()
+    with open(path, "rb") as f:
+        data = f.read()
     if fmt == "pgm":
         return tio.load_pgm_tri_grid(data)
     return tio.load_graph_json(data)
@@ -52,7 +54,8 @@ def _format_cut(g: Graph, cut: JCut) -> str:
 
 def _emit(text: str, output: str | None) -> None:
     if output:
-        Path(output).write_text(text + "\n", encoding="utf-8")
+        with open(output, "w", encoding="utf-8") as f:
+            f.write(text + "\n")
     else:
         print(text)
 
@@ -62,13 +65,13 @@ def _cmd_build(args: argparse.Namespace) -> int:
     if args.engine == "oracle":
         tree = brute_force_iso_tree(sg, cap=args.max_sites)
     elif args.show_intermediate:
-        rp = perturb_rank(sg)
-        jt, st = sublevel_merge_tree(sg, rp), superlevel_merge_tree(sg, rp)
+        order = perturb_rank(sg)
+        jt, st = sublevel_merge_tree(sg, order), superlevel_merge_tree(sg, order)
         ct = merge_to_augmented_ct(jt, st)
-        tree_h = ct_to_iso_tree(sg, rp, ct)
+        tree_h = ct_to_iso_tree(sg, order, ct)
         ids, name = jt.sites, (*jt.sites, None)  # by site number; a root's parent is n
         print(json.dumps({
-            "ranks": dict(zip(ids, rp.ranks())),
+            "ranks": dict(zip(ids, ranks(order))),
             "sublevel": dict(zip(ids, map(name.__getitem__, jt.parent))),
             "superlevel": dict(zip(ids, map(name.__getitem__, st.parent))),
             "contourEdges": [[ids[a], ids[b]] for a, b in ct.edges],
@@ -79,7 +82,8 @@ def _cmd_build(args: argparse.Namespace) -> int:
         tree = build_iso_tree(sg, reduce=args.reduce)
     _emit(tio.tree_to_json(tree), args.output)
     if args.dot:
-        Path(args.dot).write_text(tio.export_dot(tree), encoding="utf-8")
+        with open(args.dot, "w", encoding="utf-8") as f:
+            f.write(tio.export_dot(tree))
     return 0
 
 
@@ -134,7 +138,8 @@ def _cmd_oracle_diff(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    doc = tio._loads(Path(args.input).read_bytes(), "input")
+    with open(args.input, "rb") as f:
+        doc = tio._loads(f.read(), "input")
     if isinstance(doc, dict) and "cuts" in doc:
         sg, division = tio._division_of(doc)
         g = sg.graph
@@ -196,7 +201,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check-mono", help="decide mono-connectivity exhaustively")
     add_input(p)
-    p.add_argument("--max-sites", type=int, default=16, help="enumeration site cap")
+    p.add_argument("--max-sites", type=int, default=mono.DEFAULT_ENUMERATION_CAP,
+                   help="enumeration site cap")
     p.set_defaults(func=_cmd_check_mono)
 
     p = sub.add_parser("roundtrip", help="build a tree, reconstruct, compare exactly")

@@ -152,10 +152,11 @@ def tree_to_json(tree: IsoTree) -> str:
     zone and edge records are filled into its layout here instead.
     """
     zones, edges = list(tree.zone_rows()), list(tree.edge_rows())
-    # The C encoder writes each number exactly as json.dumps would.
-    values = chain([value for _, _, value in zones], [gap for _, _, gap in edges])
-    numbers = json.dumps(list(map(_num, values)))[1:-1].split(", ")
-    gaps = numbers[len(zones) :]
+    # The C encoder writes each number exactly as json.dumps would, and
+    # refuses non-finite ones; the reference value is a zone's value.
+    values = chain([v for _, _, v in zones], [gap for _, _, gap in edges], [tree.reference_value])
+    numbers = json.dumps(list(map(_num, values)), allow_nan=False)[1:-1].split(", ")
+    gaps = numbers[len(zones) : -1]
     q = encode_basestring_ascii
     site_list = ",\n        ".join
     zone_records = ",\n".join(
@@ -176,7 +177,7 @@ def tree_to_json(tree: IsoTree) -> str:
     return (
         f'{{\n  "zones": [\n{zone_records}\n  ],\n  "edges": {edge_array},\n'
         f'  "reference": {q(tree.reference)},\n'
-        f'  "referenceValue": {json.dumps(_num(tree.reference_value))}\n}}'
+        f'  "referenceValue": {numbers[-1]}\n}}'
     )
 
 
@@ -241,7 +242,7 @@ def _tree_of(doc: Any) -> IsoTree:
 
     reference = _require_str(doc.get("reference"), "reference")
     reference_value = _require_number(doc.get("referenceValue"), "referenceValue")
-    tree = IsoTree(zone_sites, values, lows, ups, gaps, reference, reference_value)
+    tree = IsoTree(zone_sites, values, lows, ups, gaps, reference)
     if sides:
         for e in tree.edges:
             side = sides.get((e.low, e.up))

@@ -37,9 +37,9 @@ ValuePolicy = Callable[[int], Sequence[float]]
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
 
-def ramp(start: float = 0, step: float = 1) -> ValuePolicy:
-    """Values start, start+step, ... in site order."""
-    return lambda n: [start + i * step for i in range(n)]
+def ramp() -> ValuePolicy:
+    """Values 0, 1, ..., n - 1 in site order."""
+    return lambda n: list(range(n))
 
 
 def constant(value: float = 0) -> ValuePolicy:

@@ -46,7 +46,7 @@ def _oriented_l_cut_masks(sg: ScalarGraph, bg: BitGraph) -> list[int]:
     return winners
 
 
-def _level_cuts(sg: ScalarGraph, cap: int, trust_mono: bool) -> list[JCut]:
+def _level_cuts(sg: ScalarGraph, cap: int) -> list[JCut]:
     """The level cuts in cut order, once the graph is small, connected and mono-connected."""
     n = len(sg.graph)
     if n > cap:
@@ -54,32 +54,23 @@ def _level_cuts(sg: ScalarGraph, cap: int, trust_mono: bool) -> list[JCut]:
     bg = bit_view(sg.graph)
     if not bg.is_connected(bg.full):
         raise PreconditionError("the oracle requires a connected graph")
-    if not trust_mono:
-        witness = is_mono_connected(sg.graph, cap=cap)
-        if not witness.verdict:
-            raise PreconditionError(
-                f"graph is not mono-connected (counterexample: {witness.counterexample!r})"
-            )
+    witness = is_mono_connected(sg.graph, cap=cap)
+    if not witness.verdict:
+        raise PreconditionError(
+            f"graph is not mono-connected (counterexample: {witness.counterexample!r})"
+        )
     return sorted((JCut(bg.set_of(m)) for m in _oriented_l_cut_masks(sg, bg)), key=JCut.sort_key)
 
 
-def brute_force_l_cuts(
-    sg: ScalarGraph, cap: int = DEFAULT_ORACLE_CAP, trust_mono: bool = False
-) -> tuple[LCut, ...]:
-    """All level cuts of the graph, with gaps read off the adjacent zone values.
-
-    Pass ``trust_mono=True`` to skip the mono-connectivity scan for
-    inputs known to be mono-connected (e.g. generated grids and paths).
-    """
-    cuts = _level_cuts(sg, cap, trust_mono)
+def brute_force_l_cuts(sg: ScalarGraph, cap: int = DEFAULT_ORACLE_CAP) -> tuple[LCut, ...]:
+    """All level cuts of the graph, with gaps read off the adjacent zone values."""
+    cuts = _level_cuts(sg, cap)
     gaps = _cut_arrays(sg, cuts)[4]  # edge k of the arrays is cut k
     return tuple(map(LCut, cuts, gaps))
 
 
-def brute_force_iso_tree(
-    sg: ScalarGraph, cap: int = DEFAULT_ORACLE_CAP, trust_mono: bool = False
-) -> IsoTree:
+def brute_force_iso_tree(sg: ScalarGraph, cap: int = DEFAULT_ORACLE_CAP) -> IsoTree:
     """Iso-tree assembled from the brute-force cut set, invariants asserted."""
-    tree = IsoTree(*_cut_arrays(sg, _level_cuts(sg, cap, trust_mono)))
+    tree = IsoTree(*_cut_arrays(sg, _level_cuts(sg, cap)))
     check_iso_tree(sg, tree)
     return tree

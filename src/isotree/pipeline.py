@@ -26,20 +26,6 @@ from .graph import Graph, ScalarGraph, SiteId
 from .tree import IsoTree
 
 
-class RankPerturbation(NamedTuple):
-    """Order-preserving bijection of sites onto ranks 0..n-1.
-
-    Ranks follow (value, site id) lexicographically, so equal values are
-    broken by site order and strict value order is preserved exactly.
-    ``order`` lists the site numbers by rank; ``ranks()`` gives each site's rank.
-    """
-
-    order: Sequence[int]
-
-    def ranks(self) -> list[int]:
-        return sorted(range(len(self.order)), key=self.order.__getitem__)
-
-
 class MergeTree(NamedTuple):
     """Parent of each site number from one union-find sweep (``n`` for the root).
 
@@ -66,9 +52,18 @@ def _ranked(sg: ScalarGraph) -> tuple[list[float], list[int]]:
     return value, sorted(range(len(value)), key=value.__getitem__)
 
 
-def perturb_rank(sg: ScalarGraph) -> RankPerturbation:
-    """Rank sites by (value, site id); injective and order-preserving."""
-    return RankPerturbation(_ranked(sg)[1])
+def perturb_rank(sg: ScalarGraph) -> list[int]:
+    """The site numbers in rank order: by (value, site id), injective and order-preserving.
+
+    Equal values are broken by site order, and strict value order is
+    preserved exactly.
+    """
+    return _ranked(sg)[1]
+
+
+def ranks(order: Sequence[int]) -> list[int]:
+    """Each site's rank, by site number, from the site numbers in rank ``order``."""
+    return sorted(range(len(order)), key=order.__getitem__)
 
 
 def _sweep(g: Graph, order: Sequence[int]) -> list[int]:
@@ -94,14 +89,14 @@ def _sweep(g: Graph, order: Sequence[int]) -> list[int]:
     return parent
 
 
-def sublevel_merge_tree(sg: ScalarGraph, rp: RankPerturbation) -> MergeTree:
+def sublevel_merge_tree(sg: ScalarGraph, order: Sequence[int]) -> MergeTree:
     """Track components of the growing sublevel sets; edges point up-rank."""
-    return MergeTree("sublevel", _sweep(sg.graph, rp.order), sg.graph.site_list)
+    return MergeTree("sublevel", _sweep(sg.graph, order), sg.graph.site_list)
 
 
-def superlevel_merge_tree(sg: ScalarGraph, rp: RankPerturbation) -> MergeTree:
+def superlevel_merge_tree(sg: ScalarGraph, order: Sequence[int]) -> MergeTree:
     """Track components of the growing superlevel sets; edges point down-rank."""
-    return MergeTree("superlevel", _sweep(sg.graph, rp.order[::-1]), sg.graph.site_list)
+    return MergeTree("superlevel", _sweep(sg.graph, order[::-1]), sg.graph.site_list)
 
 
 def merge_to_augmented_ct(jt: MergeTree, st: MergeTree) -> AugmentedContourTree:
@@ -167,9 +162,9 @@ def _merge(p_sub: list[int], p_sup: list[int], ids: Sequence[SiteId]) -> list[tu
     return edges
 
 
-def ct_to_iso_tree(sg: ScalarGraph, rp: RankPerturbation, ct: AugmentedContourTree) -> IsoTree:
+def ct_to_iso_tree(sg: ScalarGraph, order: Sequence[int], ct: AugmentedContourTree) -> IsoTree:
     """Iso-tree of the rank-valued graph: singleton zones, rank gaps."""
-    rank = rp.ranks()
+    rank = ranks(order)
     return _checked_tree(sg, rank, ct.edges, range(len(rank)), rank)
 
 
@@ -182,7 +177,7 @@ def build_iso_tree(sg: ScalarGraph, reduce: bool = True) -> IsoTree:
     g = sg.graph
     value, order = _ranked(sg)
     edges = _merge(_sweep(g, order), _sweep(g, order[::-1]), g.site_list)
-    return _tree(sg, edges, value if reduce else RankPerturbation(order).ranks())
+    return _tree(sg, edges, value if reduce else ranks(order))
 
 
 def reduce_by_f(sg: ScalarGraph, tree_h: IsoTree) -> IsoTree:
@@ -195,7 +190,7 @@ def reduce_by_f(sg: ScalarGraph, tree_h: IsoTree) -> IsoTree:
     """
     value, order = _ranked(sg)
     edges = [(lo, hi) for lo, hi, _ in tree_h.edge_rows()]
-    return _checked_tree(sg, RankPerturbation(order).ranks(), edges, sg.graph._number, value)
+    return _checked_tree(sg, ranks(order), edges, sg.graph._number, value)
 
 
 def _checked_tree(sg: ScalarGraph, rank: Sequence[int], edges, number, value) -> IsoTree:
@@ -252,9 +247,8 @@ def _tree(sg: ScalarGraph, edges: Sequence[tuple[int, int]], value: Sequence[flo
             zones[i] = [p]
         else:
             zones[r].append(p)
-    reference = sg.reference_site()
     return IsoTree(
         list(zones.values()), [value[r] for r in zones], [ids[parent[i]] for i, _ in kept],
         [ids[parent[j]] for _, j in kept], [value[j] - value[i] for i, j in kept],
-        reference, value[sg.graph._number[reference]],
+        sg.reference_site(),
     )

@@ -141,7 +141,9 @@ class IsoTree:
       ``_start[z]:_end[z]`` of its own sites and the end ``_stop[z]`` of
       its subtree's slice;
     - per edge: ``_low``, ``_up`` (zone numbers) and ``_gap``;
-    - ``_zone``: the zone number of every site, for ``zone_of``.
+    - ``_zone``: the zone number of every site, for ``zone_of``;
+    - ``_reference``: the reference site, whose zone's value is the
+      reference value.
 
     An edge's low side is the subtree slice of its child end, or that
     slice's complement, so no cut is stored.  ``zones`` and ``edges``
@@ -158,8 +160,7 @@ class IsoTree:
 
     __slots__ = (
         "_sites", "_zone", "_reps", "_values", "_start", "_end", "_stop",
-        "_low", "_up", "_gap", "_reference", "_reference_value",
-        "_zone_objs", "_edge_objs",
+        "_low", "_up", "_gap", "_reference", "_zone_objs", "_edge_objs",
     )
 
     def __init__(
@@ -170,7 +171,6 @@ class IsoTree:
         ups: list[SiteId],
         gaps: list[float],
         reference: SiteId,
-        reference_value: float,
     ):
         n = len(zone_sites)
         reps = [sites[0] for sites in zone_sites]
@@ -180,7 +180,6 @@ class IsoTree:
             reps = [reps[z] for z in by_rep]
             values = [values[z] for z in by_rep]
         self._reference = reference
-        self._reference_value = reference_value
 
         def numbered(zone_sites):
             numbers = chain.from_iterable(map(repeat, range(n), map(len, zone_sites)))
@@ -282,7 +281,11 @@ class IsoTree:
 
     @property
     def reference_value(self) -> float:
-        return self._reference_value
+        """The value of the reference's zone, from which reconstruction starts."""
+        z = self._zone.get(self._reference)
+        if z is None:
+            raise MissingReferenceError(f"reference {self._reference!r} is not in any zone")
+        return self._values[z]
 
     def zone_rows(self) -> Iterator[tuple[SiteId, tuple[SiteId, ...], float]]:
         """Each zone as (representative, sites ascending, value), in representative order."""
@@ -317,7 +320,6 @@ class IsoTree:
             and self._end == other._end
             and self._sites == other._sites
             and self._reference == other._reference
-            and self._reference_value == other._reference_value
         )
 
     def __repr__(self) -> str:
@@ -452,10 +454,9 @@ def _cut_arrays(sg: ScalarGraph, cuts: list[JCut], gaps: list[float] | None = No
     if gaps is None:
         gaps = [values[b] - values[a] for a, b in zip(lows, ups)]
     zone_sites = list(classes.values())
-    reference = sg.reference_site()
     return (
         zone_sites, values, [zone_sites[a][0] for a in lows], [zone_sites[b][0] for b in ups],
-        gaps, reference, sg.value_of(reference),
+        gaps, sg.reference_site(),
     )
 
 
@@ -534,7 +535,7 @@ def division_to_tree(
         raise NotATreeError("division does not connect all zones")
     return IsoTree(
         zone_sites, values, [zone_sites[a][0] for a in lows], [zone_sites[b][0] for b in ups],
-        gaps, reference, reference_value,
+        gaps, reference,
     )
 
 
@@ -568,15 +569,13 @@ def reconstruct_rt(g: Graph, tree: IsoTree) -> ScalarGraph:
     signed gap sum along the unique path from the reference zone, where
     following an edge low-to-up adds its gap and up-to-low subtracts it.
     """
+    ref_value = tree.reference_value  # raises when no zone holds the reference
     zone = tree._zone
-    ref = zone.get(tree.reference)
-    if ref is None:
-        raise MissingReferenceError(f"reference {tree.reference!r} is not in any zone")
     if zone.keys() != g.sites:
         raise NotATreeError("tree zones do not partition the graph's sites")
 
     zone_value = _signed_gap_walk(
-        len(tree._reps), tree._low, tree._up, tree._gap, ref, tree.reference_value
+        len(tree._reps), tree._low, tree._up, tree._gap, zone[tree.reference], ref_value
     )
     values = dict(zip(zone, map(zone_value.__getitem__, zone.values())))
     return ScalarGraph(g, values, reference=tree.reference)

@@ -28,6 +28,7 @@ from isotree import (
     is_mono_connected,
     merge_to_augmented_ct,
     perturb_rank,
+    ranks,
     reconstruct_rt,
     sublevel_merge_tree,
     superlevel_merge_tree,
@@ -53,7 +54,7 @@ def pipeline_trees(corpus):
 def oracle_trees(corpus):
     # Generated grids and paths are mono-connected by construction
     # (criterion 7 spot-checks the same families explicitly).
-    return [brute_force_iso_tree(sg, cap=16, trust_mono=True) for sg in corpus]
+    return [brute_force_iso_tree(sg, cap=16) for sg in corpus]
 
 
 def _report(criterion: int, text: str) -> None:
@@ -130,7 +131,7 @@ def test_criterion_5_contour_tree_isomorphism():
         assert {z.rep for z in tree.zones} == sg.graph.sites
         # Values are a permutation of 0..n-1, so ranks coincide with the
         # input and the rank tree must equal the oracle tree outright.
-        assert tree == brute_force_iso_tree(sg, trust_mono=True)
+        assert tree == brute_force_iso_tree(sg)
     _report(5, "singleton zones and exact oracle match on 50 injective graphs")
 
 
@@ -148,9 +149,9 @@ def test_criterion_6_reduction_clauses():
         sg = _tied_graph(i)
         rp = perturb_rank(sg)
         tree_h = build_iso_tree(sg, reduce=False)
-        ranked = ScalarGraph(sg.graph, dict(zip(sg.graph.site_list, rp.ranks())))
-        cuts_h = {e.cut for e in brute_force_iso_tree(ranked, trust_mono=True).edges}
-        oracle_f = brute_force_iso_tree(sg, trust_mono=True)
+        ranked = ScalarGraph(sg.graph, dict(zip(sg.graph.site_list, ranks(rp))))
+        cuts_h = {e.cut for e in brute_force_iso_tree(ranked).edges}
+        oracle_f = brute_force_iso_tree(sg)
         cuts_f = {e.cut for e in oracle_f.edges}
 
         tied_edges = [

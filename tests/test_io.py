@@ -280,6 +280,16 @@ class TestTreeJson:
         with pytest.raises(ValidationError, match=r"edges\[0\]\.gap: expected a finite number"):
             parse_tree_json(json.dumps(doc))
 
+    @pytest.mark.parametrize(
+        "values, gaps", [([0.0, math.inf], [math.inf]), ([-math.inf], []), ([math.nan], [])]
+    )
+    def test_writer_refuses_non_finite_values(self, values, gaps):
+        # The reader rejects such a document, so the writer must not write it.
+        zone_sites = [["a"], ["b"]][: len(values)]
+        tree = IsoTree(zone_sites, values, ["a"] * len(gaps), ["b"] * len(gaps), gaps, "a")
+        with pytest.raises(ValueError, match="^Out of range float values are not JSON compliant"):
+            tree_to_json(tree)
+
     def test_integral_floats_written_as_ints(self, peak):
         text = tree_to_json(brute_force_iso_tree(peak))
         assert '"value": 1' in text and '"value": 1.0' not in text
@@ -371,7 +381,7 @@ class TestTreeJsonBytes:
         ]
         lows, ups, gaps = map(list, zip(*edges))
         zone_sites = [[rep, rep + "2"] for rep in values]
-        tree = IsoTree(zone_sites, list(values.values()), lows, ups, gaps, "f2", -2.5)
+        tree = IsoTree(zone_sites, list(values.values()), lows, ups, gaps, "f2")
         text = tree_to_json(tree)
         assert text == reference_tree_json(tree)
         assert "1e-07" in text and "10000000000000000" in text and "\\u00e9" in text

@@ -52,16 +52,13 @@ class TestBruteForceLCuts:
         sg = ScalarGraph(g, {p: 0 for p in g.sites})
         with pytest.raises(PreconditionError):
             brute_force_l_cuts(sg)
-        # The trusted flag skips the check; the scan itself still runs.
-        assert brute_force_l_cuts(sg, trust_mono=True) == ()
 
-    @pytest.mark.parametrize("trust_mono", [False, True])
     @pytest.mark.parametrize("oracle", [brute_force_l_cuts, brute_force_iso_tree])
-    def test_disconnected_rejected(self, oracle, trust_mono):
-        # a-b plus an isolated c: the trusted flag must not let it reach the scan.
+    def test_disconnected_rejected(self, oracle):
+        # a-b plus an isolated c: it must not reach the scan.
         sg = ScalarGraph(Graph("abc", [("a", "b")]), {"a": 0, "b": 1, "c": 2})
         with pytest.raises(PreconditionError, match="connected graph"):
-            oracle(sg, trust_mono=trust_mono)
+            oracle(sg)
 
 
 class TestBruteForceIsoTree:
@@ -135,7 +132,6 @@ EXHAUSTIVE = {
     "mono": lambda sg: is_mono_connected(sg.graph),
     "j-cuts": lambda sg: enumerate_j_cuts(sg.graph),
     "oracle": brute_force_iso_tree,
-    "trusted": lambda sg: brute_force_iso_tree(sg, trust_mono=True),
 }
 
 

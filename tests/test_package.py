@@ -30,7 +30,10 @@ def test_imports_only_the_standard_library(path):
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
     # -S keeps out the modules that site .pth files import.
-    code = "import sys, isotree.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    code = (
+        "import sys, isotree.cli; "
+        "print(sorted({'dataclasses', 'inspect', 'pathlib'} & set(sys.modules)))"
+    )
     env = {**os.environ, "PYTHONPATH": str(Path(isotree.__file__).parents[1])}
     out = subprocess.run(
         [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True

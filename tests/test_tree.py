@@ -176,11 +176,11 @@ class TestValueTypes:
 class TestIsoTreeStructure:
     def test_overlapping_zones_rejected(self):
         with pytest.raises(NotATreeError, match="site 'b' belongs to more than one zone"):
-            IsoTree([["a", "b"], ["b"]], [0, 1], ["a"], ["b"], [1], "a", 0)
+            IsoTree([["a", "b"], ["b"]], [0, 1], ["a"], ["b"], [1], "a")
 
     def test_duplicate_representative_rejected(self):
         with pytest.raises(NotATreeError, match="duplicate zone representative 'a'"):
-            IsoTree([["a", "b"], ["a", "c"]], [0, 1], [], [], [], "a", 0)
+            IsoTree([["a", "b"], ["a", "c"]], [0, 1], [], [], [], "a")
 
     def test_overlap_in_the_last_of_many_zones_is_named(self):
         # Zone k holds a<k> and b<k>; the last zone takes b0005 instead of
@@ -191,19 +191,19 @@ class TestIsoTreeStructure:
         lows = [f"a{k:04d}" for k in range(n - 1)]
         ups = [f"a{k + 1:04d}" for k in range(n - 1)]
         with pytest.raises(NotATreeError, match="^site 'b0005' belongs to more than one zone$"):
-            IsoTree(zone_sites, list(range(n)), lows, ups, [1] * (n - 1), "a0000", 0)
+            IsoTree(zone_sites, list(range(n)), lows, ups, [1] * (n - 1), "a0000")
 
     def test_edge_count_must_match(self):
         with pytest.raises(NotATreeError):
-            IsoTree([["a"], ["b"]], [0, 1], [], [], [], "a", 0)
+            IsoTree([["a"], ["b"]], [0, 1], [], [], [], "a")
 
     def test_gap_must_bridge_values(self):
         with pytest.raises(NotATreeError):
-            IsoTree([["a"], ["b"]], [0, 5], ["a"], ["b"], [1], "a", 0)
+            IsoTree([["a"], ["b"]], [0, 5], ["a"], ["b"], [1], "a")
 
     def test_non_positive_gap_rejected(self):
         with pytest.raises(NotATreeError):
-            IsoTree([["a"], ["b"]], [0, 0], ["a"], ["b"], [0], "a", 0)
+            IsoTree([["a"], ["b"]], [0, 0], ["a"], ["b"], [0], "a")
 
     def test_empty_zone_rejected(self):
         with pytest.raises(ValueError):
@@ -226,7 +226,7 @@ class TestIsoTreeStructure:
     def test_constructor_names_the_fault(self, values, edges, message):
         lows, ups, gaps = map(list, zip(*edges))
         with pytest.raises(NotATreeError) as info:
-            IsoTree([[rep] for rep in values], list(values.values()), lows, ups, gaps, "a", 0)
+            IsoTree([[rep] for rep in values], list(values.values()), lows, ups, gaps, "a")
         assert str(info.value) == message
 
 
@@ -299,12 +299,12 @@ class TestReconstruct:
         assert recovered.values == sg.values
 
     def test_missing_reference(self):
-        tree = IsoTree([["a"]], [0], [], [], [], "z", 0)
+        tree = IsoTree([["a"]], [0], [], [], [], "z")
         with pytest.raises(MissingReferenceError):
             reconstruct_rt(Graph("a"), tree)
 
     def test_zone_cover_mismatch(self):
-        tree = IsoTree([["a"]], [0], [], [], [], "a", 0)
+        tree = IsoTree([["a"]], [0], [], [], [], "a")
         with pytest.raises(NotATreeError):
             reconstruct_rt(Graph("ab", [("a", "b")]), tree)
 
@@ -401,13 +401,13 @@ class TestDivisionToTree:
         import random
 
         sg = random_mono_scalar_graph(seed, max_sites=8)
-        base = ValuedJDivision.of_tree(brute_force_iso_tree(sg, trust_mono=True))
+        base = ValuedJDivision.of_tree(brute_force_iso_tree(sg))
         rng = random.Random(seed)
         division = ValuedJDivision(LCut(lc.cut, rng.randint(1, 5)) for lc in base.cuts)
         assert validate_regular_division(sg.graph, division).valid
         tree = division_to_tree(sg.graph, division)
         recovered = reconstruct_rt(sg.graph, tree)
-        assert set(brute_force_l_cuts(recovered, trust_mono=True)) == set(division.cuts)
+        assert set(brute_force_l_cuts(recovered)) == set(division.cuts)
 
     def test_conflicting_gaps_rejected(self):
         with pytest.raises(ValueError):
@@ -417,7 +417,7 @@ class TestDivisionToTree:
 @settings(max_examples=60, deadline=None)
 @given(sg=mono_scalar_graphs)
 def test_oracle_trees_satisfy_every_invariant(sg):
-    tree = brute_force_iso_tree(sg, trust_mono=True)
+    tree = brute_force_iso_tree(sg)
     check_iso_tree(sg, tree)
     assert validate_regular_division(sg.graph, ValuedJDivision.of_tree(tree)).valid
     assert reconstruct_rt(sg.graph, tree).values == sg.values
@@ -428,9 +428,9 @@ def test_oracle_trees_satisfy_every_invariant(sg):
 def test_cut_sets_and_trees_map_both_ways(sg):
     # Trees assembled from a cut set are handed no cut to check, so each
     # edge's split must come out as the very cut the edge was made from.
-    tree = brute_force_iso_tree(sg, trust_mono=True)
+    tree = brute_force_iso_tree(sg)
     division = ValuedJDivision.of_tree(tree)
-    assert division.cuts == brute_force_l_cuts(sg, trust_mono=True)
+    assert division.cuts == brute_force_l_cuts(sg)
     assert build_iso_tree_from_cuts(sg, division) == tree
     assert division_to_tree(sg.graph, division, tree.reference, tree.reference_value) == tree
 
@@ -441,7 +441,7 @@ def test_gap_equals_interior_value_difference(sg):
     # Conjectured equivalence: the gap read from the zone pair matches
     # min over the up-side interior minus max over the low-side interior.
     g = sg.graph
-    for lc in brute_force_l_cuts(sg, trust_mono=True):
+    for lc in brute_force_l_cuts(sg):
         low_ii = immediate_interior(g, lc.cut.low)
         up_ii = immediate_interior(g, g.sites - lc.cut.low)
         expected = min(sg.value_of(p) for p in up_ii) - max(sg.value_of(p) for p in low_ii)
@@ -453,7 +453,7 @@ def test_gap_equals_interior_value_difference(sg):
 def test_at_most_one_orientation_wins(sg):
     g = sg.graph
     seen: set[frozenset[frozenset[str]]] = set()
-    for lc in brute_force_l_cuts(sg, trust_mono=True):
+    for lc in brute_force_l_cuts(sg):
         key = frozenset((lc.cut.low, g.sites - lc.cut.low))
         assert key not in seen
         seen.add(key)
