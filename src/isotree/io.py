@@ -17,12 +17,13 @@ import math
 import re
 from itertools import chain
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from typing import Any
 
 from .errors import NotATreeError, ParseError, ValidationError
 from .graph import Graph, JCut, ScalarGraph
 from .mono import gen_tri_grid
-from .tree import IsoTree, LCut, ValuedJDivision
+from .tree import IsoTree, LCut, ValuedJDivision, _check_edges
 
 _MAX_PGM_VALUE = 65535
 
@@ -242,7 +243,16 @@ def _tree_of(doc: Any) -> IsoTree:
 
     reference = _require_str(doc.get("reference"), "reference")
     reference_value = _require_number(doc.get("referenceValue"), "referenceValue")
-    tree = IsoTree(zone_sites, values, lows, ups, gaps, reference)
+    # The sites are numbered in id order; a site's root is its zone's id.
+    owner = {p: sites[0] for sites in zone_sites for p in sites}
+    ids = tuple(sorted(owner))
+    rep_number = {p: i for i, p in enumerate(ids) if owner[p] == p}
+    root = [rep_number[owner[p]] for p in ids]
+    zone_values = [v for _, v in sorted(zip((sites[0] for sites in zone_sites), values))]
+    low, up = list(map(rep_number.get, lows)), list(map(rep_number.get, ups))
+    if len(owner) != sum(map(len, zone_sites)) or None in low or None in up:
+        _check_zones_and_ends(zone_sites, zone_values, lows, ups, gaps)
+    tree = IsoTree(ids, root, zone_values, low, up, gaps, reference)
     if sides:
         for e in tree.edges:
             side = sides.get((e.low, e.up))
@@ -253,15 +263,39 @@ def _tree_of(doc: Any) -> IsoTree:
     # The tree reconstructs values from the reference's zone, so a
     # reference outside every zone, or a value that is not its zone's,
     # would give back another function.
-    ref_zone = tree.zone_of(reference)
-    if ref_zone is None:
+    if reference not in owner:
         raise ValidationError(f"reference: unknown id {reference!r}")
-    if ref_zone.value != reference_value:
+    if tree.reference_value != reference_value:
         raise ValidationError(
-            f"referenceValue: {reference_value!r} is not the value {ref_zone.value!r} "
-            f"of the reference's zone {ref_zone.rep!r}"
+            f"referenceValue: {reference_value!r} is not the value {tree.reference_value!r} "
+            f"of the reference's zone {owner[reference]!r}"
         )
     return tree
+
+
+def _check_zones_and_ends(zone_sites, values, lows, ups, gaps) -> None:
+    """Raise on a fault that only a document can have: in its zones, then in its edge ends.
+
+    Zones go in id order, a zone's repeats counting once, and edges in (low, up) order; an
+    edge ahead of the first unknown end gets the tree's edge checks, so it raises first.
+    ``values`` holds the zone values in id order.
+    """
+    seen: set[str] = set()
+    reps: list[str] = []
+    for sites in sorted(zone_sites, key=itemgetter(0)):
+        if reps and sites[0] == reps[-1]:
+            raise NotATreeError(f"duplicate zone representative {reps[-1]!r}")
+        shared = seen.intersection(sites)
+        if shared:
+            raise NotATreeError(f"site {min(shared)!r} belongs to more than one zone")
+        seen.update(sites)
+        reps.append(sites[0])
+    zone = dict(zip(reps, range(len(reps))))
+    for k in sorted(range(len(lows)), key=lambda k: (lows[k], ups[k])):
+        a, b = zone.get(lows[k]), zone.get(ups[k])
+        if a is None or b is None:
+            raise NotATreeError(f"edge {lows[k]!r}->{ups[k]!r} references an unknown zone")
+        _check_edges(values, [a], [b], [gaps[k]], reps.__getitem__)
 
 
 # ---------------------------------------------------------------------------

@@ -65,7 +65,7 @@ def _level_cuts(sg: ScalarGraph, cap: int) -> list[JCut]:
 def brute_force_l_cuts(sg: ScalarGraph, cap: int = DEFAULT_ORACLE_CAP) -> tuple[LCut, ...]:
     """All level cuts of the graph, with gaps read off the adjacent zone values."""
     cuts = _level_cuts(sg, cap)
-    gaps = _cut_arrays(sg, cuts)[4]  # edge k of the arrays is cut k
+    gaps = _cut_arrays(sg, cuts)[5]  # edge k of the arrays is cut k
     return tuple(map(LCut, cuts, gaps))
 
 

@@ -1,19 +1,20 @@
 """Efficient iso-tree construction via sublevel/superlevel merge trees.
 
-Every step runs on site numbers (see ``Graph``); ids appear only in the
-zone lists and in error messages.  Ties are broken symbolically: sites
-are ranked by (value, site id), so the ranked graph has a unique value
-per site.  Two union-find sweeps over the graph's rows build the
-sublevel and superlevel merge trees; a sweep that ends with more than
-one root rejects the graph as disconnected.  A leaf-pruning merge, on
-one parent pointer and one child count per site in each tree, combines
-them into the augmented contour tree (one node per site).  One tie
-contraction then builds both trees: with the input values it joins the
-sites of every equal-value edge into one zone (the iso-tree, gaps in
-input units); with the ranks as values nothing ties, and it gives the
-ranked iso-tree (singleton zones, rank gaps), which is built only on
-request (``--no-reduce``, ``--show-intermediate``).  The public stage
-functions are the same steps, and they check the inputs they are given.
+Every step runs on site numbers (see ``Graph``), and so does the tree
+it ends with, which shares the graph's id tuple; ids appear only in
+error messages.  Ties are broken symbolically: sites are ranked by
+(value, site id), so the ranked graph has a unique value per site.  Two
+union-find sweeps over the graph's rows build the sublevel and
+superlevel merge trees; a sweep that ends with more than one root
+rejects the graph as disconnected.  A leaf-pruning merge, on one parent
+pointer and one child count per site in each tree, combines them into
+the augmented contour tree (one node per site).  One tie contraction
+then builds both trees: with the input values it joins the sites of
+every equal-value edge into one zone (the iso-tree, gaps in input
+units); with the ranks as values nothing ties, and it gives the ranked
+iso-tree (singleton zones, rank gaps), which is built only on request
+(``--no-reduce``, ``--show-intermediate``).  The public stage functions
+are the same steps, and they check the inputs they are given.
 """
 
 from __future__ import annotations
@@ -223,10 +224,11 @@ def _tree(sg: ScalarGraph, edges: Sequence[tuple[int, int]], value: Sequence[flo
     ids = sg.graph.site_list
     # Union-find over the tie edges; each root is the least site of its set.
     parent = list(range(len(ids)))
-    kept = []
+    lows, ups = [], []
     for i, j in edges:
         if value[i] != value[j]:
-            kept.append((i, j))
+            lows.append(i)
+            ups.append(j)
             continue
         ri, rj = i, j
         while parent[ri] != ri:
@@ -237,18 +239,10 @@ def _tree(sg: ScalarGraph, edges: Sequence[tuple[int, int]], value: Sequence[flo
             raise InternalInconsistencyError(f"tie edge {ids[i]!r}->{ids[j]!r} closes a cycle")
         parent[max(ri, rj)] = min(ri, rj)
 
-    # Zones by their root, the least site, which represents them; sites
-    # join them ascending.
-    zones: dict[int, list[SiteId]] = {}
-    for i, p in enumerate(ids):
-        # Parents point to smaller sites, whose parent is by now their root.
-        r = parent[i] = parent[parent[i]]
-        if r == i:
-            zones[i] = [p]
-        else:
-            zones[r].append(p)
+    # Parents point to smaller sites, whose parent is by now their root.
+    for i in range(len(ids)):
+        parent[i] = parent[parent[i]]
     return IsoTree(
-        list(zones.values()), [value[r] for r in zones], [ids[parent[i]] for i, _ in kept],
-        [ids[parent[j]] for _, j in kept], [value[j] - value[i] for i, j in kept],
-        sg.reference_site(),
+        ids, parent, [value[i] for i, r in enumerate(parent) if i == r], lows, ups,
+        [value[j] - value[i] for i, j in zip(lows, ups)], sg.reference_site(),
     )

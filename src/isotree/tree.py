@@ -10,16 +10,20 @@ transform recovers every site value by signed gap sums along tree paths.
 
 Two axioms (nesting and tangency) characterize exactly the valued cut
 sets that arise this way; ``validate_regular_division`` checks them.
-Every tree made from a cut set is assembled one way: one signature pass
-groups the sites, and the ``IsoTree`` constructor joins each cut's pair.
+An ``IsoTree`` is held on the graph's site numbers, as the pipeline's
+stages are.  Every tree made from a cut set is assembled one way: one
+signature pass gives each site its zone's least site, and the
+``IsoTree`` constructor joins each cut's pair.
 """
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_left
 from collections import namedtuple
-from itertools import chain, islice, repeat
-from operator import gt
-from typing import Iterable, Iterator, NamedTuple
+from itertools import accumulate, chain
+from operator import eq, itemgetter
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
     InconsistentZoneError,
@@ -106,172 +110,147 @@ class TreeEdge:
         return f"TreeEdge(low={self.low!r}, up={self.up!r}, gap={self.gap!r})"
 
 
-def _disjoint(reps: list[SiteId], zone_sites: list[list[SiteId]]) -> list[list[SiteId]]:
-    """The zones' site lists with repeats inside a zone dropped.
+def _check_edges(values, low, up, gap, name) -> None:
+    """Raise on the first edge, in the order given, that cannot join its two zones.
 
-    Raises on a representative that two zones share, or else names the
-    least shared site of the first zone, in representative order, that
-    repeats a site of an earlier zone.
+    ``low`` and ``up`` hold zone numbers, and ``name(z)`` is zone
+    ``z``'s representative, for the messages.
     """
-    seen: set[SiteId] = set()
-    unique = []
-    for z, sites in enumerate(zone_sites):
-        if z and reps[z] == reps[z - 1]:
-            raise NotATreeError(f"duplicate zone representative {reps[z]!r}")
-        own = sorted(set(sites))
-        for p in own:
-            if p in seen:
-                raise NotATreeError(f"site {p!r} belongs to more than one zone")
-        seen.update(own)
-        unique.append(own)
-    return unique
+    for a, b, g in zip(low, up, gap):
+        if a == b:
+            raise NotATreeError(f"self-edge on zone {name(a)!r}")
+        if not g > 0:
+            raise NotATreeError(f"edge {name(a)!r}->{name(b)!r} has non-positive gap {g!r}")
+        if values[a] + g != values[b]:
+            raise NotATreeError(
+                f"edge {name(a)!r}->{name(b)!r}: gap {g!r} does not bridge zone values "
+                f"{values[a]!r} and {values[b]!r}"
+            )
 
 
 class IsoTree:
-    """Free tree of iso-zones connected by L-cut edges, held in flat arrays.
+    """Free tree of iso-zones connected by L-cut edges, held on site numbers.
 
-    Zones are numbered in the order of their representatives (each
-    zone's least site), and edges are kept in (low, up) representative
-    order.  The tree stores:
+    Site ``i`` is the i-th id of the ascending id tuple ``_ids``, which
+    the tree shares with the graph the pipeline built it from.  Zones
+    are numbered in the order of their least site, which represents
+    them.  The tree stores each site's zone number (``_zone``), each
+    zone's value (``_values``), each edge's low and up zone number and
+    gap (``_low``, ``_up``, ``_gap``, in (low, up) order) and the
+    reference site, whose zone's value is the reference value.
 
-    - ``_sites``: every site, zone after zone in the depth-first preorder
-      of the zones from zone 0, each zone's sites ascending, so that every
-      zone and every subtree is one contiguous slice;
-    - per zone ``z``: ``_reps[z]``, ``_values[z]``, the slice
-      ``_start[z]:_end[z]`` of its own sites and the end ``_stop[z]`` of
-      its subtree's slice;
-    - per edge: ``_low``, ``_up`` (zone numbers) and ``_gap``;
-    - ``_zone``: the zone number of every site, for ``zone_of``;
-    - ``_reference``: the reference site, whose zone's value is the
-      reference value.
+    Each zone's sites (one pass deals the sites out by zone number) and
+    the representatives are derived when read.  So is the depth-first
+    preorder of the zones, when ``edges`` is first read: an edge's low
+    side is the subtree slice of its child end in the preorder's site
+    tuple, or that slice's complement, so no cut is stored.  ``zones``
+    and ``edges`` keep the objects they build; equality compares the
+    stored arrays.
 
-    An edge's low side is the subtree slice of its child end, or that
-    slice's complement, so no cut is stored.  ``zones`` and ``edges``
-    build their :class:`IsoZone` and :class:`TreeEdge` objects the first
-    time they are read and keep them; equality compares the arrays.
-
-    The constructor takes zones as ascending site lists and edges by
-    their ends' representatives, both in any order; a site repeated
-    within one zone counts once.  It checks the structural invariants:
-    zones are disjoint, every edge joins two distinct zones with a
-    positive gap equal to their value difference, and the zones and
-    edges form a connected tree (``|edges| = |zones| - 1``).
+    The constructor takes each site's ``root``, the number of its zone's
+    least site; the zone values in zone order; and each edge's ends as
+    the numbers of any site of its low and up zone, in any edge order.
+    It checks that every edge joins two distinct zones with a positive
+    gap equal to their value difference, and that the zones and edges
+    form a connected tree (``|edges| = |zones| - 1``).
     """
 
     __slots__ = (
-        "_sites", "_zone", "_reps", "_values", "_start", "_end", "_stop",
-        "_low", "_up", "_gap", "_reference", "_zone_objs", "_edge_objs",
+        "_ids", "_zone", "_values", "_low", "_up", "_gap", "_reference", "_zone_objs",
+        "_edge_objs",
     )
 
     def __init__(
         self,
-        zone_sites: list[list[SiteId]],
-        values: list[float],
-        lows: list[SiteId],
-        ups: list[SiteId],
-        gaps: list[float],
+        ids: tuple[SiteId, ...],
+        root: Sequence[int],
+        values: Sequence[float],
+        lows: Sequence[int],
+        ups: Sequence[int],
+        gaps: Sequence[float],
         reference: SiteId,
     ):
-        n = len(zone_sites)
-        reps = [sites[0] for sites in zone_sites]
-        if any(map(gt, reps, islice(reps, 1, None))):
-            by_rep = sorted(range(n), key=reps.__getitem__)
-            zone_sites = [zone_sites[z] for z in by_rep]
-            reps = [reps[z] for z in by_rep]
-            values = [values[z] for z in by_rep]
-        self._reference = reference
-
-        def numbered(zone_sites):
-            numbers = chain.from_iterable(map(repeat, range(n), map(len, zone_sites)))
-            return dict(zip(chain.from_iterable(zone_sites), numbers))
-
-        zone = numbered(zone_sites)
-        if len(zone) != sum(map(len, zone_sites)):
-            zone_sites = _disjoint(reps, zone_sites)
-            zone = numbered(zone_sites)
-
-        # Edges in (low, up) order; zone numbers follow representative order.
-        number = dict(zip(reps, range(n)))
-        low, up = list(map(number.get, lows)), list(map(number.get, ups))
-        if None in low or None in up:
-            order = sorted(range(len(low)), key=lambda k: (lows[k], ups[k]))
-        else:
-            order = sorted(range(len(low)), key=[a * n + b for a, b in zip(low, up)].__getitem__)
-        low, up = [low[k] for k in order], [up[k] for k in order]
-        gap = [gaps[k] for k in order]
-        for k, (a, b, g) in enumerate(zip(low, up, gap)):
-            if a is None or b is None:
-                raise NotATreeError(
-                    f"edge {lows[order[k]]!r}->{ups[order[k]]!r} references an unknown zone"
-                )
-            if a == b:
-                raise NotATreeError(f"self-edge on zone {reps[a]!r}")
-            if not g > 0:
-                raise NotATreeError(f"edge {reps[a]!r}->{reps[b]!r} has non-positive gap {g!r}")
-            if values[a] + g != values[b]:
-                raise NotATreeError(
-                    f"edge {reps[a]!r}->{reps[b]!r}: gap {g!r} does not bridge zone values "
-                    f"{values[a]!r} and {values[b]!r}"
-                )
+        # A site's zone number is the count of roots up to its own, less one.
+        roots = list(accumulate(map(eq, root, range(len(root)))))
+        zone = array("i", [roots[r] - 1 for r in root])
+        values, n = tuple(values), len(values)
+        low, up = array("i", map(zone.__getitem__, lows)), array("i", map(zone.__getitem__, ups))
+        order = sorted(range(len(low)), key=[a * n + b for a, b in zip(low, up)].__getitem__)
+        low, up = array("i", map(low.__getitem__, order)), array("i", map(up.__getitem__, order))
+        gap = tuple(map(gaps.__getitem__, order))
+        _check_edges(values, low, up, gap, lambda z: ids[sorted(set(root))[z]])
         if len(low) != n - 1:
             raise NotATreeError(f"{len(low)} edges over {n} zones is not a free tree")
-
-        # Depth-first preorder of the zones from zone 0; each zone's own
-        # sites take the next slice of the site tuple as it is reached.
-        neighbors: list[list[int]] = [[] for _ in range(n)]
+        # n - 1 edges make one tree of n zones exactly when none closes a cycle.
+        parent = list(range(n))
         for a, b in zip(low, up):
-            neighbors[a].append(b)
-            neighbors[b].append(a)
-        parent = [-1] * n
-        parent[0] = 0
-        start, end = [0] * n, [0] * n
-        preorder = []
-        offset = 0
-        stack = [0]
-        while stack:
-            z = stack.pop()
-            preorder.append(z)
-            start[z] = offset
-            offset += len(zone_sites[z])
-            end[z] = offset
-            for other in neighbors[z]:
-                if parent[other] < 0:
-                    parent[other] = z
-                    stack.append(other)
-        if len(preorder) != n:
-            raise NotATreeError("zone graph is not connected")
-        stop = end[:]
-        for z in reversed(preorder):
-            if stop[z] > stop[parent[z]]:
-                stop[parent[z]] = stop[z]
+            while parent[a] != a:
+                parent[a] = a = parent[parent[a]]
+            while parent[b] != b:
+                parent[b] = b = parent[parent[b]]
+            if a == b:
+                raise NotATreeError("zone graph is not connected")
+            parent[b] = a
 
-        self._sites = tuple(chain.from_iterable(map(zone_sites.__getitem__, preorder)))
-        self._zone = zone
-        self._reps, self._values = tuple(reps), tuple(values)
-        self._start, self._end, self._stop = tuple(start), tuple(end), tuple(stop)
-        self._low, self._up, self._gap = tuple(low), tuple(up), tuple(gap)
+        self._ids, self._zone, self._values = ids, zone, values
+        self._low, self._up, self._gap = low, up, gap
+        self._reference = reference
         self._zone_objs = self._edge_objs = None
+
+    def _number(self, site: SiteId) -> int | None:
+        """The site's number, or None when the tree does not hold it."""
+        i = bisect_left(self._ids, site)
+        return i if i < len(self._ids) and self._ids[i] == site else None
+
+    def _grouped(self) -> list[list[SiteId]]:
+        """Each zone's sites, ascending, in zone order: one pass over the sites."""
+        groups: list[list[SiteId]] = [[] for _ in self._values]
+        for p, z in zip(self._ids, self._zone):
+            groups[z].append(p)
+        return groups
 
     @property
     def zones(self) -> tuple[IsoZone, ...]:
         if self._zone_objs is None:
-            sites = self._sites
-            self._zone_objs = tuple(
-                IsoZone(frozenset(sites[s:e]), v)
-                for s, e, v in zip(self._start, self._end, self._values)
-            )
+            rows = self.zone_rows()
+            self._zone_objs = tuple(IsoZone(frozenset(sites), v) for _, sites, v in rows)
         return self._zone_objs
 
     @property
     def edges(self) -> tuple[TreeEdge, ...]:
         if self._edge_objs is None:
-            reps, sites, start, stop = self._reps, self._sites, self._start, self._stop
+            groups = self._grouped()
+            n = len(self._values)
+            # Depth-first preorder of the zones from zone 0; each zone's own
+            # sites take the next slice of the site tuple as it is reached.
+            neighbors: list[list[int]] = [[] for _ in range(n)]
+            for a, b in zip(self._low, self._up):
+                neighbors[a].append(b)
+                neighbors[b].append(a)
+            parent = [-1] * n
+            parent[0] = 0
+            first, stop = [0] * n, [0] * n
+            preorder, offset, stack = [], 0, [0]
+            while stack:
+                z = stack.pop()
+                preorder.append(z)
+                first[z] = offset
+                offset += len(groups[z])
+                stop[z] = offset
+                for other in neighbors[z]:
+                    if parent[other] < 0:
+                        parent[other] = z
+                        stack.append(other)
+            for z in reversed(preorder):
+                if stop[z] > stop[parent[z]]:
+                    stop[parent[z]] = stop[z]
+            sites = tuple(chain.from_iterable(map(groups.__getitem__, preorder)))
             edges = []
             for a, b, gap in zip(self._low, self._up, self._gap):
                 # The low side is the child end's subtree slice, or the rest.
-                child = b if start[a] <= start[b] < stop[a] else a
-                span = (sites, start[child], stop[child], child == a)
-                edges.append(TreeEdge(reps[a], reps[b], gap, span))
+                child = b if first[a] <= first[b] < stop[a] else a
+                span = (sites, first[child], stop[child], child == a)
+                edges.append(TreeEdge(groups[a][0], groups[b][0], gap, span))
             self._edge_objs = tuple(edges)
         return self._edge_objs
 
@@ -282,48 +261,40 @@ class IsoTree:
     @property
     def reference_value(self) -> float:
         """The value of the reference's zone, from which reconstruction starts."""
-        z = self._zone.get(self._reference)
-        if z is None:
+        i = self._number(self._reference)
+        if i is None:
             raise MissingReferenceError(f"reference {self._reference!r} is not in any zone")
-        return self._values[z]
+        return self._values[self._zone[i]]
 
-    def zone_rows(self) -> Iterator[tuple[SiteId, tuple[SiteId, ...], float]]:
+    def zone_rows(self) -> Iterator[tuple[SiteId, list[SiteId], float]]:
         """Each zone as (representative, sites ascending, value), in representative order."""
-        sites = self._sites
-        slices = map(slice, self._start, self._end)
-        return zip(self._reps, map(sites.__getitem__, slices), self._values)
+        groups = self._grouped()
+        return zip(map(itemgetter(0), groups), groups, self._values)
 
     def edge_rows(self) -> Iterator[tuple[SiteId, SiteId, float]]:
         """Each edge as (low representative, up representative, gap), in (low, up) order."""
-        rep = self._reps.__getitem__
+        rep = list(map(itemgetter(0), self._grouped())).__getitem__
         return zip(map(rep, self._low), map(rep, self._up), self._gap)
 
     def zone_of(self, site: SiteId) -> IsoZone | None:
-        z = self._zone.get(site)
-        if z is None:
-            return None
-        if self._zone_objs is not None:
-            return self._zone_objs[z]
-        return IsoZone(frozenset(self._sites[self._start[z] : self._end[z]]), self._values[z])
+        i = self._number(site)
+        return None if i is None else self.zones[self._zone[i]]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, IsoTree):
             return NotImplemented
-        # Equal representatives and edges give the same preorder, and then
-        # equal zone ends and site tuples give the same zones.
         return (
-            self._reps == other._reps
+            self._ids == other._ids
+            and self._zone == other._zone
             and self._values == other._values
             and self._low == other._low
             and self._up == other._up
             and self._gap == other._gap
-            and self._end == other._end
-            and self._sites == other._sites
             and self._reference == other._reference
         )
 
     def __repr__(self) -> str:
-        return f"IsoTree({len(self._reps)} zones, {len(self._low)} edges)"
+        return f"IsoTree({len(self._values)} zones, {len(self._low)} edges)"
 
 
 class ValuedJDivision:
@@ -395,39 +366,41 @@ def is_l_cut(sg: ScalarGraph, c: JCut) -> bool:
     return bounds is not None and bounds[0] < bounds[1]
 
 
-def _signature_partition(g: Graph, cuts: list[JCut]) -> dict[int, list[SiteId]]:
-    """Group sites by which side of each cut they lie on.
+def _signature_partition(g: Graph, cuts: list[JCut]) -> tuple[list[int], dict[int, int]]:
+    """Group the site numbers by which side of each cut they lie on.
 
     Bit ``i`` of a site's signature is set when the site lies on the low
-    side of ``cuts[i]``.  The classes are keyed by signature, each lists
-    its sites ascending, and they come in order of their least site.  A
+    side of ``cuts[i]``.  Returns each site's root, the least site with
+    its signature, and each signature's root, in order of the roots.  A
     cut site outside the graph raises :class:`InvalidRegionError`.
     """
-    sig = dict.fromkeys(g.site_list, 0)
+    number = g._number
+    sig = [0] * len(g)
     for i, c in enumerate(cuts):
         bit = 1 << i
         for p in _check_region(g, c.low):
-            sig[p] |= bit
-    classes: dict[int, list[SiteId]] = {}
-    for p in g.site_list:
-        classes.setdefault(sig[p], []).append(p)
-    return classes
+            sig[number[p]] |= bit
+    roots: dict[int, int] = {}
+    return [roots.setdefault(s, i) for i, s in enumerate(sig)], roots
 
 
-def _class_values(sg: ScalarGraph, classes: dict[int, list[SiteId]]) -> list[float]:
-    """The one value of each signature class, in class order."""
+def _class_values(sg: ScalarGraph, root: list[int]) -> tuple[list[list[SiteId]], list[float]]:
+    """Each signature class's sites, ascending, and its one value, in class order."""
+    members: dict[int, list[SiteId]] = {}
+    for p, r in zip(sg.graph.site_list, root):
+        members.setdefault(r, []).append(p)
     values = []
-    for sites in classes.values():
+    for sites in members.values():
         found = {sg.value_of(p) for p in sites}
         if len(found) != 1:
             raise InconsistentZoneError(f"zone {sites} carries several values {sorted(found)}")
         values.append(found.pop())
-    return values
+    return list(members.values()), values
 
 
-def _zone_pairs(cuts: list[JCut], classes: dict) -> tuple[list[int], list[int]]:
+def _zone_pairs(cuts: list[JCut], roots: dict[int, int]) -> tuple[list[int], list[int]]:
     """Each cut's (low, up) zone numbers: the classes whose signatures differ only in its bit."""
-    zone = {sig: z for z, sig in enumerate(classes)}
+    zone = {sig: z for z, sig in enumerate(roots)}
     lows, ups = [], []
     for i, c in enumerate(cuts):
         bit = 1 << i
@@ -448,16 +421,14 @@ def _cut_arrays(sg: ScalarGraph, cuts: list[JCut], gaps: list[float] | None = No
     exactly the split its edge makes, because along any other edge only
     that edge's own signature bit flips.
     """
-    classes = _signature_partition(sg.graph, cuts)
-    values = _class_values(sg, classes)
-    lows, ups = _zone_pairs(cuts, classes)
+    root, roots = _signature_partition(sg.graph, cuts)
+    values = _class_values(sg, root)[1]
+    lows, ups = _zone_pairs(cuts, roots)
     if gaps is None:
         gaps = [values[b] - values[a] for a, b in zip(lows, ups)]
-    zone_sites = list(classes.values())
-    return (
-        zone_sites, values, [zone_sites[a][0] for a in lows], [zone_sites[b][0] for b in ups],
-        gaps, sg.reference_site(),
-    )
+    reps = list(roots.values())
+    lows, ups = [reps[a] for a in lows], [reps[b] for b in ups]
+    return sg.graph.site_list, root, values, lows, ups, gaps, sg.reference_site()
 
 
 def zones_from_cuts(sg: ScalarGraph, cuts: Iterable[JCut]) -> tuple[IsoZone, ...]:
@@ -466,8 +437,9 @@ def zones_from_cuts(sg: ScalarGraph, cuts: Iterable[JCut]) -> tuple[IsoZone, ...
     The scalar function must be constant on every class; a non-constant
     class signals that the cuts are not the full L-cut set of the graph.
     """
-    classes = _signature_partition(sg.graph, sorted(set(cuts), key=JCut.sort_key))
-    return tuple(map(IsoZone, map(frozenset, classes.values()), _class_values(sg, classes)))
+    root = _signature_partition(sg.graph, sorted(set(cuts), key=JCut.sort_key))[0]
+    members, values = _class_values(sg, root)
+    return tuple(map(IsoZone, map(frozenset, members), values))
 
 
 def build_iso_tree_from_cuts(sg: ScalarGraph, cuts: Iterable[LCut]) -> IsoTree:
@@ -522,21 +494,19 @@ def division_to_tree(
     """
     cuts = [lc.cut for lc in division]
     gaps = [lc.gap for lc in division]
-    classes = _signature_partition(g, cuts)
-    lows, ups = _zone_pairs(cuts, classes)
-    zone_sites = list(classes.values())
+    root, roots = _signature_partition(g, cuts)
+    lows, ups = _zone_pairs(cuts, roots)
     if reference is None:
         reference = g.least_site()
-    ref = next((z for z, sites in enumerate(zone_sites) if reference in sites), None)
-    if ref is None:
+    if reference not in g._number:
         raise MissingReferenceError(f"reference {reference!r} not covered by any zone")
-    values = _signed_gap_walk(len(zone_sites), lows, ups, gaps, ref, reference_value)
+    reps = list(roots.values())
+    ref = reps.index(root[g._number[reference]])
+    values = _signed_gap_walk(len(reps), lows, ups, gaps, ref, reference_value)
     if None in values:
         raise NotATreeError("division does not connect all zones")
-    return IsoTree(
-        zone_sites, values, [zone_sites[a][0] for a in lows], [zone_sites[b][0] for b in ups],
-        gaps, reference,
-    )
+    lows, ups = [reps[a] for a in lows], [reps[b] for b in ups]
+    return IsoTree(g.site_list, root, values, lows, ups, gaps, reference)
 
 
 def validate_regular_division(g: Graph, division: ValuedJDivision) -> AxiomReport:
@@ -570,14 +540,11 @@ def reconstruct_rt(g: Graph, tree: IsoTree) -> ScalarGraph:
     following an edge low-to-up adds its gap and up-to-low subtracts it.
     """
     ref_value = tree.reference_value  # raises when no zone holds the reference
-    zone = tree._zone
-    if zone.keys() != g.sites:
+    if tree._ids != g.site_list:
         raise NotATreeError("tree zones do not partition the graph's sites")
-
-    zone_value = _signed_gap_walk(
-        len(tree._reps), tree._low, tree._up, tree._gap, zone[tree.reference], ref_value
-    )
-    values = dict(zip(zone, map(zone_value.__getitem__, zone.values())))
+    ref = tree._zone[tree._number(tree.reference)]
+    zone_value = _signed_gap_walk(len(tree._values), tree._low, tree._up, tree._gap, ref, ref_value)
+    values = dict(zip(tree._ids, map(zone_value.__getitem__, tree._zone)))
     return ScalarGraph(g, values, reference=tree.reference)
 
 
@@ -600,10 +567,11 @@ def check_iso_tree(sg: ScalarGraph, tree: IsoTree) -> None:
     """
     g = sg.graph
     reconstruct_rt(g, tree)
-    held = {p: tree._values[z] for p, z in tree._zone.items()}
-    if held != sg.values:
-        p = min(p for p in g.sites if held[p] != sg.values[p])
-        raise InvariantViolationError(f"site {p!r} has value {sg.values[p]!r}, its zone {held[p]!r}")
+    for p, z in zip(g.site_list, tree._zone):
+        if tree._values[z] != sg.value_of(p):
+            raise InvariantViolationError(
+                f"site {p!r} has value {sg.value_of(p)!r}, its zone {tree._values[z]!r}"
+            )
     for e in tree.edges:
         cut = e.cut
         if not is_j_cut(g, cut.low):

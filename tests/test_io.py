@@ -285,8 +285,8 @@ class TestTreeJson:
     )
     def test_writer_refuses_non_finite_values(self, values, gaps):
         # The reader rejects such a document, so the writer must not write it.
-        zone_sites = [["a"], ["b"]][: len(values)]
-        tree = IsoTree(zone_sites, values, ["a"] * len(gaps), ["b"] * len(gaps), gaps, "a")
+        ids = ("a", "b")[: len(values)]
+        tree = IsoTree(ids, range(len(ids)), values, [0] * len(gaps), [1] * len(gaps), gaps, "a")
         with pytest.raises(ValueError, match="^Out of range float values are not JSON compliant"):
             tree_to_json(tree)
 
@@ -380,8 +380,11 @@ class TestTreeJsonBytes:
             ("f", "e\\s", 2.25),
         ]
         lows, ups, gaps = map(list, zip(*edges))
-        zone_sites = [[rep, rep + "2"] for rep in values]
-        tree = IsoTree(zone_sites, list(values.values()), lows, ups, gaps, "f2")
+        # Zone rep holds rep and rep + "2".
+        ids = tuple(sorted(p for rep in values for p in (rep, rep + "2")))
+        root = [ids.index(p if p in values else p[:-1]) for p in ids]
+        lows, ups = list(map(ids.index, lows)), list(map(ids.index, ups))
+        tree = IsoTree(ids, root, list(values.values()), lows, ups, gaps, "f2")
         text = tree_to_json(tree)
         assert text == reference_tree_json(tree)
         assert "1e-07" in text and "10000000000000000" in text and "\\u00e9" in text

@@ -588,6 +588,20 @@ class TestMetamorphicSmoothImages:
         transposed = gen_tri_grid(s, s, [values[c * s + r] for r in range(s) for c in range(s)])
         assert tree_shape(build_iso_tree(transposed), flip.__getitem__) == shape
 
+    def test_relabelling_against_the_pixel_order(self, smooth):
+        # The new ids sort in reverse pixel order, so site numbers run
+        # against the grid, and the graph is built from its pairs.
+        values, shape = smooth
+        s = SMOOTH_SIDE
+        pixels = [grid_site_id(r, c) for r in range(s) for c in range(s)]
+        renamed = [f"p{s * s - 1 - k:05d}" for k in range(s * s)]
+        to = dict(zip(pixels, renamed))
+        sg = gen_tri_grid(s, s, values)
+        g = Graph(renamed, [(to[p], to[q]) for p, q in sg.graph.pairs])
+        relabelled = ScalarGraph(g, dict(zip(renamed, values)), reference=to[sg.reference_site()])
+        back = dict(zip(renamed, pixels))
+        assert tree_shape(build_iso_tree(relabelled), back.__getitem__) == shape
+
 
 class TestRankedTreeAtScale:
     """Beyond the oracle cap, the ranked tree's edges are still the literal L-cuts."""
@@ -621,3 +635,8 @@ class TestMemory:
             tracemalloc.stop()
         assert len(tree.zones) == 48 * 48
         assert peak < 40e6
+
+    def test_tree_shares_the_graphs_id_tuple(self):
+        sg = gen_tri_grid(5, 4, [v % 3 for v in range(20)])
+        assert build_iso_tree(sg)._ids is sg.graph.site_list
+        assert build_iso_tree(sg, reduce=False)._ids is sg.graph.site_list

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import pytest
 from hypothesis import given, settings
 
@@ -32,6 +34,7 @@ from isotree import (
     zones_from_cuts,
 )
 from isotree import tree as itree
+from isotree.io import parse_tree_json
 from isotree.oracle import brute_force_iso_tree, brute_force_l_cuts
 
 from conftest import CORPUS_SIZE, corpus_graph, mono_scalar_graphs, random_mono_scalar_graph
@@ -173,37 +176,58 @@ class TestValueTypes:
         assert not itree.AxiomReport((itree.AxiomViolation("nesting", cut("a"), cut("b")),)).valid
 
 
+def tree_document(zones, edges, reference="a", reference_value=0):
+    """A tree document: zones as (id, sites, value), edges as (low, up, gap)."""
+    return json.dumps(
+        {
+            "zones": [{"id": rep, "sites": sites, "value": v} for rep, sites, v in zones],
+            "edges": [{"low": lo, "up": up, "gap": gap} for lo, up, gap in edges],
+            "reference": reference,
+            "referenceValue": reference_value,
+        }
+    )
+
+
 class TestIsoTreeStructure:
+    """The constructor's checks on site numbers, and the reader's on ids.
+
+    Overlapping zones, a shared representative and an edge end that
+    names no zone can only come from a document, so the reader checks
+    them.
+    """
+
     def test_overlapping_zones_rejected(self):
+        doc = tree_document([("a", ["a", "b"], 0), ("b", ["b"], 1)], [("a", "b", 1)])
         with pytest.raises(NotATreeError, match="site 'b' belongs to more than one zone"):
-            IsoTree([["a", "b"], ["b"]], [0, 1], ["a"], ["b"], [1], "a")
+            parse_tree_json(doc)
 
     def test_duplicate_representative_rejected(self):
+        doc = tree_document([("a", ["a", "b"], 0), ("a", ["a", "c"], 1)], [])
         with pytest.raises(NotATreeError, match="duplicate zone representative 'a'"):
-            IsoTree([["a", "b"], ["a", "c"]], [0, 1], [], [], [], "a")
+            parse_tree_json(doc)
 
     def test_overlap_in_the_last_of_many_zones_is_named(self):
         # Zone k holds a<k> and b<k>; the last zone takes b0005 instead of
         # its own b, so only the zone-by-zone scan can say which site.
         n = 2000
-        zone_sites = [[f"a{k:04d}", f"b{k:04d}"] for k in range(n - 1)]
-        zone_sites.append([f"a{n - 1:04d}", "b0005"])
-        lows = [f"a{k:04d}" for k in range(n - 1)]
-        ups = [f"a{k + 1:04d}" for k in range(n - 1)]
+        zones = [(f"a{k:04d}", [f"a{k:04d}", f"b{k:04d}"], k) for k in range(n - 1)]
+        zones.append((f"a{n - 1:04d}", [f"a{n - 1:04d}", "b0005"], n - 1))
+        edges = [(f"a{k:04d}", f"a{k + 1:04d}", 1) for k in range(n - 1)]
+        doc = tree_document(zones, edges, "a0000")
         with pytest.raises(NotATreeError, match="^site 'b0005' belongs to more than one zone$"):
-            IsoTree(zone_sites, list(range(n)), lows, ups, [1] * (n - 1), "a0000")
+            parse_tree_json(doc)
 
     def test_edge_count_must_match(self):
         with pytest.raises(NotATreeError):
-            IsoTree([["a"], ["b"]], [0, 1], [], [], [], "a")
+            IsoTree(("a", "b"), [0, 1], [0, 1], [], [], [], "a")
 
     def test_gap_must_bridge_values(self):
         with pytest.raises(NotATreeError):
-            IsoTree([["a"], ["b"]], [0, 5], ["a"], ["b"], [1], "a")
+            IsoTree(("a", "b"), [0, 1], [0, 5], [0], [1], [1], "a")
 
     def test_non_positive_gap_rejected(self):
         with pytest.raises(NotATreeError):
-            IsoTree([["a"], ["b"]], [0, 0], ["a"], ["b"], [0], "a")
+            IsoTree(("a", "b"), [0, 1], [0, 0], [0], [1], [0], "a")
 
     def test_empty_zone_rejected(self):
         with pytest.raises(ValueError):
@@ -224,10 +248,78 @@ class TestIsoTreeStructure:
         ],
     )
     def test_constructor_names_the_fault(self, values, edges, message):
-        lows, ups, gaps = map(list, zip(*edges))
+        # Through the reader, which numbers the ids and checks the ends.
+        doc = tree_document([(rep, [rep], v) for rep, v in values.items()], edges)
         with pytest.raises(NotATreeError) as info:
-            IsoTree([[rep] for rep in values], list(values.values()), lows, ups, gaps, "a")
+            parse_tree_json(doc)
         assert str(info.value) == message
+
+    def test_sites_of_a_zone_in_any_order(self):
+        # Zone a holds a and c, zone b holds b and d; an edge may name any site of its ends.
+        tree = IsoTree(("a", "b", "c", "d"), [0, 1, 0, 1], [0, 2], [2], [3], [2], "d")
+        assert [(z.rep, sorted(z.sites), z.value) for z in tree.zones] == [
+            ("a", ["a", "c"], 0),
+            ("b", ["b", "d"], 2),
+        ]
+        assert list(tree.edge_rows()) == [("a", "b", 2)]
+        assert tree.reference_value == 2
+
+    @pytest.mark.parametrize(
+        "edges, message",
+        [
+            ([("a", "z", 1)], "edge 'a'->'z' references an unknown zone"),
+            # "b" is a site, but not a zone's id.
+            ([("b", "c", 1)], "edge 'b'->'c' references an unknown zone"),
+            # The edges are checked in (low, up) order, whatever their faults.
+            ([("a", "z", 1), ("a", "a", 1)], "self-edge on zone 'a'"),
+            ([("c", "a", 1), ("a", "c", 0)], "edge 'a'->'c' has non-positive gap 0"),
+            ([("c", "c", 1), ("a", "z", 1)], "edge 'a'->'z' references an unknown zone"),
+            (
+                [("a", "c", 2), ("c", "z", 1)],
+                "edge 'a'->'c': gap 2 does not bridge zone values 0 and 1",
+            ),
+        ],
+    )
+    def test_reader_names_the_first_faulty_edge(self, edges, message):
+        doc = tree_document([("a", ["a", "b"], 0), ("c", ["c"], 1)], edges)
+        with pytest.raises(NotATreeError) as info:
+            parse_tree_json(doc)
+        assert str(info.value) == message
+
+
+class TestIsoTreeEquality:
+    """Trees read from documents differ when any part of the tree does."""
+
+    ZONES = [("a", ["a", "d"], 0), ("c", ["c", "e"], 1)]
+
+    def tree(self, zones=ZONES, edges=(("a", "c", 1),), reference="a", reference_value=0):
+        return parse_tree_json(tree_document(zones, edges, reference, reference_value))
+
+    def test_equal_documents_give_equal_trees(self):
+        assert self.tree() == self.tree()
+        assert not self.tree() != self.tree()
+
+    def test_a_site_moved_between_zones(self):
+        # Same representatives, values and edges; e has moved from c to a.
+        moved = self.tree(zones=[("a", ["a", "d", "e"], 0), ("c", ["c"], 1)])
+        assert self.tree() != moved
+
+    def test_only_the_reference_differs(self):
+        assert self.tree() != self.tree(reference="d")
+
+    def test_only_one_gap_differs(self):
+        # Near 2**53 floats are 2 apart, so gaps 2 and 1.5 both bridge the values.
+        big = float(2**53)
+        zones = [("a", ["a", "d"], big), ("c", ["c", "e"], big + 2)]
+        one = self.tree(zones=zones, edges=[("a", "c", 2.0)], reference_value=big)
+        other = self.tree(zones=zones, edges=[("a", "c", 1.5)], reference_value=big)
+        assert [z.value for z in one.zones] == [z.value for z in other.zones]
+        assert one != other
+
+    def test_one_tree_has_an_extra_site(self):
+        extra = self.tree(zones=[("a", ["a", "d"], 0), ("c", ["c", "e", "f"], 1)])
+        assert self.tree() != extra
+        assert extra != self.tree()
 
 
 class TestValidateRegularDivision:
@@ -299,12 +391,22 @@ class TestReconstruct:
         assert recovered.values == sg.values
 
     def test_missing_reference(self):
-        tree = IsoTree([["a"]], [0], [], [], [], "z")
+        tree = IsoTree(("a",), [0], [0], [], [], [], "z")
         with pytest.raises(MissingReferenceError):
             reconstruct_rt(Graph("a"), tree)
 
+    @pytest.mark.parametrize("absent", ["0", "b", "z"], ids=["before", "between", "after"])
+    def test_absent_sites_have_no_zone(self, absent):
+        # Ids that sort before, between and after the tree's own a and c.
+        tree = IsoTree(("a", "c"), [0, 1], [0, 1], [0], [1], [1], absent)
+        assert tree.zone_of(absent) is None
+        assert tree.zone_of("c") == IsoZone(frozenset("c"), 1)
+        message = f"^reference '{absent}' is not in any zone$"
+        with pytest.raises(MissingReferenceError, match=message):
+            tree.reference_value
+
     def test_zone_cover_mismatch(self):
-        tree = IsoTree([["a"]], [0], [], [], [], "a")
+        tree = IsoTree(("a",), [0], [0], [], [], [], "a")
         with pytest.raises(NotATreeError):
             reconstruct_rt(Graph("ab", [("a", "b")]), tree)
 
