@@ -247,11 +247,12 @@ def _tree_of(doc: Any) -> IsoTree:
     owner = {p: sites[0] for sites in zone_sites for p in sites}
     ids = tuple(sorted(owner))
     rep_number = {p: i for i, p in enumerate(ids) if owner[p] == p}
-    root = [rep_number[owner[p]] for p in ids]
     zone_values = [v for _, v in sorted(zip((sites[0] for sites in zone_sites), values))]
     low, up = list(map(rep_number.get, lows)), list(map(rep_number.get, ups))
     if len(owner) != sum(map(len, zone_sites)) or None in low or None in up:
         _check_zones_and_ends(zone_sites, zone_values, lows, ups, gaps)
+    # Past the checks each zone holds its own id, so every owner has a number.
+    root = [rep_number[owner[p]] for p in ids]
     tree = IsoTree(ids, root, zone_values, low, up, gaps, reference)
     if sides:
         for e in tree.edges:

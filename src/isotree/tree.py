@@ -21,8 +21,8 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left
 from collections import namedtuple
-from itertools import accumulate, chain
-from operator import eq, itemgetter
+from itertools import accumulate, chain, compress
+from operator import eq, gt, itemgetter
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
@@ -147,12 +147,12 @@ class IsoTree:
     and ``edges`` keep the objects they build; equality compares the
     stored arrays.
 
-    The constructor takes each site's ``root``, the number of its zone's
-    least site; the zone values in zone order; and each edge's ends as
-    the numbers of any site of its low and up zone, in any edge order.
-    It checks that every edge joins two distinct zones with a positive
-    gap equal to their value difference, and that the zones and edges
-    form a connected tree (``|edges| = |zones| - 1``).
+    The constructor takes, unchecked, the ascending ``ids``; each site's
+    ``root``, the number of its zone's least site; one value per zone, in
+    zone order; and each edge's ends, numbers of any sites of its low and
+    up zones, in any edge order.  It checks that every edge joins two
+    distinct zones with a positive gap equal to their value difference,
+    and that the zones and edges form one tree (|edges| = |zones| - 1).
     """
 
     __slots__ = (
@@ -273,7 +273,9 @@ class IsoTree:
 
     def edge_rows(self) -> Iterator[tuple[SiteId, SiteId, float]]:
         """Each edge as (low representative, up representative, gap), in (low, up) order."""
-        rep = list(map(itemgetter(0), self._grouped())).__getitem__
+        # A zone's representative is the site where its number first appears.
+        firsts = map(gt, self._zone, accumulate(self._zone, max, initial=-1))
+        rep = list(compress(self._ids, firsts)).__getitem__
         return zip(map(rep, self._low), map(rep, self._up), self._gap)
 
     def zone_of(self, site: SiteId) -> IsoZone | None:

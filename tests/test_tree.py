@@ -201,6 +201,18 @@ class TestIsoTreeStructure:
         with pytest.raises(NotATreeError, match="site 'b' belongs to more than one zone"):
             parse_tree_json(doc)
 
+    def test_overlap_on_a_later_zones_id_rejected(self):
+        # Zone b comes first; zone a, with a smaller id, also lists b,
+        # so b's own zone has lost its id before c is numbered.
+        doc = tree_document([("b", ["b", "c"], 1), ("a", ["a", "b"], 0)], [("a", "b", 1)])
+        with pytest.raises(NotATreeError) as info:
+            parse_tree_json(doc)
+        assert str(info.value) == "site 'b' belongs to more than one zone"
+
+    def test_site_repeated_within_a_zone_counts_once(self):
+        doc = tree_document([("b", ["b", "c", "b"], 1), ("a", ["a", "a"], 0)], [("a", "b", 1)])
+        assert [sorted(z.sites) for z in parse_tree_json(doc).zones] == [["a"], ["b", "c"]]
+
     def test_duplicate_representative_rejected(self):
         doc = tree_document([("a", ["a", "b"], 0), ("a", ["a", "c"], 1)], [])
         with pytest.raises(NotATreeError, match="duplicate zone representative 'a'"):
