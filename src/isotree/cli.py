@@ -109,8 +109,7 @@ def _cmd_roundtrip(args: argparse.Namespace) -> int:
     else:
         tree = build_iso_tree(sg)
     recovered = reconstruct_rt(sg.graph, tree)
-    for p in sg.graph.site_list:
-        got, want = recovered.value_of(p), sg.value_of(p)
+    for p, got, want in zip(sg.graph.site_list, recovered._value, sg._value):
         if got != want:
             print(f"FAIL: RT∘ITT differs at {p}: {got!r} != {want!r}")
             return 1

@@ -2,13 +2,13 @@
 
 A graph is a finite set of sites with an undirected adjacency relation,
 held as compressed sparse rows over site numbers (each site's place in
-the ascending id tuple), so that the pipeline and the bit view run on
-ints; ``neighbors`` gives a site's row as ids.  Every unordered adjacent
-pair induces two oriented surfels.  A region is any subset of the site
-set (plain ``frozenset`` in this package); a Jordan cut (J-cut) is an
-oriented bipartition whose two sides are both non-empty and connected.
-All objects are immutable after construction and safe to share between
-threads; the operations below are pure.
+the ascending id tuple), and a scalar graph's values as one tuple by site
+number, so the pipeline and the bit view run on ints; ``neighbors``
+gives a site's row as ids.  Every adjacent pair induces two oriented
+surfels.  A region is any subset of the site set (a ``frozenset``); a
+Jordan cut (J-cut) is an oriented bipartition whose two sides are both
+non-empty and connected.  All objects are immutable after construction
+and safe to share between threads; the operations below are pure.
 """
 
 from __future__ import annotations
@@ -39,12 +39,12 @@ class Graph:
     reference unknown sites are rejected; duplicate pairs collapse.
     Connectedness is a queryable property, not a construction invariant.
     Site ``i`` (the i-th id, ascending) has the neighbours
-    ``_targets[_offsets[i]:_offsets[i + 1]]``, ascending.  The site set,
-    the pairs, the rows as ids and the bit view (``_bitgraph.bit_view``)
-    are derived on first use and kept; filling a slot is idempotent.
+    ``_targets[_offsets[i]:_offsets[i + 1]]``, ascending.  The id-to-number
+    dict, the site set, the pairs, the rows as ids and the bit view
+    (``_bitgraph.bit_view``) are derived on first use and kept, idempotently.
     """
 
-    __slots__ = ("_ids", "_number", "_offsets", "_targets", "_sites", "_pairs", "_near", "_bits")
+    __slots__ = ("_ids", "_numbers", "_offsets", "_targets", "_sites", "_pairs", "_near", "_bits")
 
     def __init__(self, sites: Iterable[SiteId], adjacency: Iterable[tuple[SiteId, SiteId]] = ()):
         ids = tuple(sorted(set(sites)))
@@ -60,20 +60,27 @@ class Graph:
                 raise ValueError(f"adjacency pair ({p!r}, {q!r}) references an unknown site")
             rows[i].add(j)
             rows[j].add(i)
-        self._fill(ids, number, rows)
+        self._fill(ids, rows)
 
     @classmethod
-    def _from_rows(cls, ids: tuple[SiteId, ...], number: dict[SiteId, int], rows: list) -> Graph:
+    def _from_rows(cls, ids: tuple[SiteId, ...], rows: list) -> Graph:
         graph = cls.__new__(cls)  # over rows that the caller has checked
-        graph._fill(ids, number, rows)
+        graph._fill(ids, rows)
         return graph
 
-    def _fill(self, ids: tuple[SiteId, ...], number: dict[SiteId, int], rows: list) -> None:
+    def _fill(self, ids: tuple[SiteId, ...], rows: list) -> None:
         """Take ``rows``: row ``i`` holds site ``i``'s distinct neighbour numbers, in any order."""
-        self._ids, self._number = ids, number
+        self._ids = ids
         self._targets = array("i", chain.from_iterable(map(sorted, rows)))  # each row ascending
         self._offsets = array("i", accumulate(map(len, rows), initial=0))
-        self._sites = self._pairs = self._near = self._bits = None  # derived on first use
+        self._numbers = self._sites = self._pairs = self._near = self._bits = None  # on first use
+
+    @property
+    def _number(self) -> dict[SiteId, int]:
+        """Each site's number, by id; the default build of a grid or a document never reads it."""
+        if self._numbers is None:
+            self._numbers = dict(zip(self._ids, range(len(self._ids))))
+        return self._numbers
 
     @property
     def sites(self) -> frozenset[SiteId]:
@@ -128,9 +135,9 @@ class Graph:
 
 
 class ScalarGraph:
-    """A graph together with a real value per site and an optional reference site."""
+    """A graph with a real value per site, one tuple by site number, and an optional reference."""
 
-    __slots__ = ("_graph", "_values", "_reference")
+    __slots__ = ("_graph", "_value", "_reference")
 
     def __init__(self, graph: Graph, values: Mapping[SiteId, float], reference: SiteId | None = None):
         sites = graph._number.keys()
@@ -142,8 +149,14 @@ class ScalarGraph:
         if reference is not None and reference not in sites:
             raise ValueError(f"reference {reference!r} is not a site")
         self._graph = graph
-        self._values = dict(values)
+        self._value = tuple(map(values.__getitem__, graph.site_list))
         self._reference = reference
+
+    @classmethod
+    def _by_number(cls, graph: Graph, value: tuple, reference: SiteId | None = None) -> ScalarGraph:
+        sg = cls.__new__(cls)  # over one value per site, in site order, that the caller built
+        sg._graph, sg._value, sg._reference = graph, value, reference
+        return sg
 
     @property
     def graph(self) -> Graph:
@@ -151,14 +164,14 @@ class ScalarGraph:
 
     @property
     def values(self) -> dict[SiteId, float]:
-        return dict(self._values)
+        return dict(zip(self._graph.site_list, self._value))
 
     @property
     def reference(self) -> SiteId | None:
         return self._reference
 
     def value_of(self, p: SiteId) -> float:
-        return self._values[p]
+        return self._value[self._graph._number[p]]
 
     def reference_site(self) -> SiteId:
         """The explicit reference site, defaulting to the least site."""
@@ -169,7 +182,7 @@ class ScalarGraph:
             return NotImplemented
         return (
             self._graph == other._graph
-            and self._values == other._values
+            and self._value == other._value
             and self._reference == other._reference
         )
 

@@ -99,7 +99,7 @@ def _graph_of(doc: Any) -> ScalarGraph:
     if not isinstance(adjacency, list):
         raise ValidationError("adjacency: expected an array")
     ids = tuple(sorted(values))
-    number = dict(zip(ids, range(len(ids))))
+    number = dict(zip(ids, range(len(ids))))  # for the pairs only; the graph derives its own
     n, rows, seen = len(ids), [[] for _ in ids], set()
     for k, pair in enumerate(adjacency):
         if type(pair) is not list or len(pair) != 2:
@@ -124,12 +124,13 @@ def _graph_of(doc: Any) -> ScalarGraph:
         reference = _require_str(reference, "reference")
         if reference not in values:
             raise ValidationError(f"reference: unknown id {reference!r}")
-    return ScalarGraph(Graph._from_rows(ids, number, rows), values, reference=reference)
+    value = tuple(map(values.__getitem__, ids))
+    return ScalarGraph._by_number(Graph._from_rows(ids, rows), value, reference)
 
 
 def _graph_doc(sg: ScalarGraph) -> dict[str, Any]:
     doc: dict[str, Any] = {
-        "sites": [{"id": p, "value": _num(sg.value_of(p))} for p in sg.graph.site_list],
+        "sites": [{"id": p, "value": _num(v)} for p, v in zip(sg.graph.site_list, sg._value)],
         "adjacency": [list(pair) for pair in sg.graph.pairs],
     }
     if sg.reference is not None:

@@ -60,8 +60,8 @@ def seeded_random(seed: int, low: int = 0, high: int = 5) -> ValuePolicy:
     return draw
 
 
-def _resolve_values(values: ValuePolicy | Sequence[float], n: int) -> list[float]:
-    out = list(values(n)) if callable(values) else list(values)
+def _resolve_values(values: ValuePolicy | Sequence[float], n: int) -> tuple[float, ...]:
+    out = tuple(values(n)) if callable(values) else tuple(values)
     if len(out) != n:
         raise ValueError(f"expected {n} values, got {len(out)}")
     return out
@@ -157,8 +157,7 @@ def gen_path(n: int, values: ValuePolicy | Sequence[float]) -> ScalarGraph:
         raise PreconditionError("a path needs at least one site")
     ids = path_site_ids(n)
     g = Graph(ids, [(ids[i], ids[i + 1]) for i in range(n - 1)])
-    vals = _resolve_values(values, n)
-    return ScalarGraph(g, dict(zip(ids, vals)))
+    return ScalarGraph._by_number(g, _resolve_values(values, n))  # path order is id order
 
 
 def grid_site_id(row: int, col: int) -> SiteId:
@@ -177,8 +176,7 @@ def gen_tri_grid(width: int, height: int, values: ValuePolicy | Sequence[float])
     ids = [grid_site_id(r, c) for r in range(height) for c in range(width)]
     order = sorted(range(n), key=ids.__getitem__)  # the pixel of each site number
     site_ids = tuple(map(ids.__getitem__, order))
-    number = dict(zip(site_ids, range(n)))
-    pixel_number = list(map(number.__getitem__, ids))
+    pixel_number = sorted(range(n), key=order.__getitem__)  # the site number of each pixel
     # Pixel k touches k ± 1, k ± width and k ± (width + 1): shifted slices of the lines of
     # site numbers, padded with None on every side.  Only border pixels have a None to drop.
     pad = [None] * (width + 2)
@@ -189,6 +187,5 @@ def gen_tri_grid(width: int, height: int, values: ValuePolicy | Sequence[float])
         for c in range(width) if r in (0, height - 1) else (0, width - 1):
             near[c] = [q for q in near[c] if q is not None]
         by_pixel += near
-    g = Graph._from_rows(site_ids, number, list(map(by_pixel.__getitem__, order)))
-    vals = _resolve_values(values, n)
-    return ScalarGraph(g, dict(zip(ids, vals)))
+    g = Graph._from_rows(site_ids, list(map(by_pixel.__getitem__, order)))
+    return ScalarGraph._by_number(g, tuple(map(_resolve_values(values, n).__getitem__, order)))

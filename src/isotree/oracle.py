@@ -28,7 +28,7 @@ DEFAULT_ORACLE_CAP = 14
 
 def _oriented_l_cut_masks(sg: ScalarGraph, bg: BitGraph) -> list[int]:
     """Low-side masks of all level cuts, found by testing every J-cut of the scan."""
-    value = [sg.value_of(p) for p in bg.sites]
+    value = sg._value  # by site number, as the bit view numbers its bits
     half, low = bg.half, bg.low_half
     # Max and min value over each half-mask (-inf and +inf for none), per
     # call: the values belong to ``sg``, not to the cached bit view.

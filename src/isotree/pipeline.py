@@ -47,9 +47,9 @@ class AugmentedContourTree(NamedTuple):
     edges: tuple[tuple[int, int], ...]
 
 
-def _ranked(sg: ScalarGraph) -> tuple[list[float], list[int]]:
+def _ranked(sg: ScalarGraph) -> tuple[tuple[float, ...], list[int]]:
     """The values in site order, and the sites in (value, site id) order: a stable sort."""
-    value = list(map(sg._values.__getitem__, sg.graph.site_list))
+    value = sg._value
     return value, sorted(range(len(value)), key=value.__getitem__)
 
 

@@ -546,8 +546,7 @@ def reconstruct_rt(g: Graph, tree: IsoTree) -> ScalarGraph:
         raise NotATreeError("tree zones do not partition the graph's sites")
     ref = tree._zone[tree._number(tree.reference)]
     zone_value = _signed_gap_walk(len(tree._values), tree._low, tree._up, tree._gap, ref, ref_value)
-    values = dict(zip(tree._ids, map(zone_value.__getitem__, tree._zone)))
-    return ScalarGraph(g, values, reference=tree.reference)
+    return ScalarGraph._by_number(g, tuple(map(zone_value.__getitem__, tree._zone)), tree.reference)
 
 
 def value_gap_of(sg: ScalarGraph, c: JCut) -> float:
@@ -569,10 +568,10 @@ def check_iso_tree(sg: ScalarGraph, tree: IsoTree) -> None:
     """
     g = sg.graph
     reconstruct_rt(g, tree)
-    for p, z in zip(g.site_list, tree._zone):
-        if tree._values[z] != sg.value_of(p):
+    for p, z, v in zip(g.site_list, tree._zone, sg._value):
+        if tree._values[z] != v:
             raise InvariantViolationError(
-                f"site {p!r} has value {sg.value_of(p)!r}, its zone {tree._values[z]!r}"
+                f"site {p!r} has value {v!r}, its zone {tree._values[z]!r}"
             )
     for e in tree.edges:
         cut = e.cut

@@ -91,6 +91,17 @@ class TestSiteNumbers:
         if w * h > 1:
             assert g != Graph(g.site_list, self.grid_pairs(w, h)[1:])
 
+    @pytest.mark.parametrize("w,h", SHAPES, ids=[f"{w}x{h}" for w, h in SHAPES])
+    def test_grid_values_land_on_their_pixels(self, w, h):
+        # gen_tri_grid hands its values over by site number, in id order.
+        values = list(range(w * h))
+        random.Random(w * 100 + h).shuffle(values)
+        sg = gen_tri_grid(w, h, values)
+        pixels = [grid_site_id(r, c) for r in range(h) for c in range(w)]
+        assert [sg.value_of(p) for p in pixels] == values
+        assert sg.values == dict(zip(pixels, values))
+        assert tuple(sg.values) == sg.graph.site_list
+
     def test_pairs_and_neighbors(self):
         g = gen_tri_grid(self.W, self.H, [0] * (self.W * self.H)).graph
         pairs = self.grid_pairs(self.W, self.H)

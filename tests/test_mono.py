@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from isotree import (
@@ -213,6 +215,18 @@ class TestGenerators:
     def test_path_ramp_values(self):
         sg = gen_path(3, ramp())
         assert [sg.value_of(p) for p in sg.graph.site_list] == [0, 1, 2]
+
+    @pytest.mark.parametrize("n", [26, 27, 100, 101])
+    def test_path_values_follow_the_path(self, n):
+        # Letter ids up to 26 sites, then s-ids that widen at 101: gen_path
+        # hands its values over by site number, so path order is id order.
+        values = list(range(n))
+        random.Random(n).shuffle(values)
+        sg = gen_path(n, values)
+        ids = mono.path_site_ids(n)
+        assert [sg.value_of(p) for p in ids] == values
+        assert sg.values == dict(zip(ids, values))
+        assert [sg.graph.neighbors(p) for p in ids[1:-1]] == list(zip(ids, ids[2:]))
 
     def test_path_single_site(self):
         sg = gen_path(1, constant(5))

@@ -3,6 +3,7 @@ from __future__ import annotations
 import math
 import random
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -28,6 +29,7 @@ from isotree import (
     sublevel_merge_tree,
     superlevel_merge_tree,
 )
+from isotree.io import graph_to_json, load_graph_json, load_pgm_tri_grid, tree_to_json
 from isotree.mono import grid_site_id
 from isotree.oracle import brute_force_iso_tree
 from isotree.pipeline import AugmentedContourTree, MergeTree, _tree
@@ -416,6 +418,23 @@ class TestPipelineAgainstOracle:
         )
         assert build_iso_tree(sg, reduce=False) == brute_force_iso_tree(ranked)
 
+    SHAPES = [(3, 4), (2, 7), (8, 8), (12, 9)]
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("w,h", SHAPES, ids=[f"{w}x{h}" for w, h in SHAPES])
+    def test_fraction_values_stay_exact(self, w, h, seed):
+        # The value store keeps each value as given, so decimal steps held
+        # as fractions come back exactly through the gap sums.
+        rng = random.Random(seed)
+        sg = gen_tri_grid(w, h, [Fraction(rng.randint(-1000, 1000), 100) for _ in range(w * h)])
+        tree = build_iso_tree(sg)
+        recovered = reconstruct_rt(sg.graph, tree).values
+        assert recovered == sg.values
+        assert all(type(v) is Fraction for v in recovered.values())
+        assert all(type(z.value) is Fraction for z in tree.zones)
+        if w * h <= 14:
+            assert tree == brute_force_iso_tree(sg)
+
 
 class TestTiesReduction:
     @settings(max_examples=40, deadline=None)
@@ -635,6 +654,29 @@ class TestMemory:
             tracemalloc.stop()
         assert len(tree.zones) == 48 * 48
         assert peak < 40e6
+
+    def test_grid_keeps_one_value_store(self):
+        # One value tuple by site number, no value dict and no id-to-number
+        # dict: 6.8 MB at 256x256 (Python 3.11), 12.2 MB with the dicts.
+        values = [v % 7 for v in range(256 * 256)]
+        tracemalloc.start()
+        try:
+            sg = gen_tri_grid(256, 256, values)
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(sg.graph) == 256 * 256
+        assert kept < 9e6
+
+    def test_builds_derive_no_id_to_number_dict(self):
+        pgm = b"P5\n7 6\n255\n" + bytes(v * 37 % 5 * 60 for v in range(7 * 6))
+        doc = graph_to_json(load_pgm_tri_grid(pgm))
+        for sg in (load_pgm_tri_grid(pgm), load_graph_json(doc)):
+            for reduce in (True, False):
+                tree_to_json(build_iso_tree(sg, reduce=reduce))
+            assert sg.graph._numbers is None
+        assert sg.value_of("r1c0") == sg.values["r1c0"]  # reading by id derives the dict
+        assert sg.graph._numbers is not None
 
     def test_tree_shares_the_graphs_id_tuple(self):
         sg = gen_tri_grid(5, 4, [v % 3 for v in range(20)])
