@@ -2,12 +2,12 @@
 
 Sites map to bit positions in ascending site order, so ascending masks
 visit subsets in a stable order.  Only the enumeration-heavy modules
-(mono-connectivity, oracle) use this; it is not part of the public API.
+(mono-connectivity, oracle) use this; it is not part of the public API,
+except ``MonoWitness``, which :mod:`isotree.mono` exports.
 
-A graph keeps its bit view, and the view keeps the results of the scans
-over it (the J-cut masks and the mono witness), so each graph's
-bipartitions are scanned at most once.  Filling either slot is
-idempotent: two threads racing to fill one store equal values.
+A graph keeps its bit view (``Graph._bits``), and the view keeps the
+J-cut masks and the mono witness as cached properties, so each graph's
+bipartitions are scanned at most once; racing threads derive equal values.
 
 Connectivity is read from a table of 2^n bytes, built with the view:
 byte m is 1 iff the sites of mask m induce a connected subgraph (the
@@ -22,14 +22,29 @@ interior's extreme values from max and min folds of the site values.
 
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, cached_property
 from operator import or_
+from typing import NamedTuple
 
-from .graph import Graph, SiteId
+from .graph import Graph, JCut, SiteId
+
+
+class MonoWitness(NamedTuple):
+    """Outcome of a mono-connectivity check.
+
+    On a connected graph a false verdict always carries the first failing
+    J-cut in canonical enumeration order and the side (low/up) whose
+    immediate interior is disconnected.  A disconnected input yields a
+    false verdict with no counterexample cut.
+    """
+
+    verdict: bool
+    counterexample: JCut | None = None
+    failing_side: str | None = None
 
 
 class BitGraph:
-    __slots__ = ("sites", "full", "half", "low_half", "lo", "hi", "cut_masks", "witness", "connected")
+    __slots__ = ("sites", "full", "half", "low_half", "lo", "hi", "connected", "__dict__")
 
     def __init__(self, g: Graph):
         self.sites: tuple[SiteId, ...] = g.site_list
@@ -42,9 +57,21 @@ class BitGraph:
         # Neighbour unions over the low and the high half of the sites.
         self.half, self.low_half = n // 2, (1 << n // 2) - 1
         self.lo, self.hi = _fold(adj[: self.half], or_, 0), _fold(adj[self.half :], or_, 0)
-        # Filled by the mono module on first use.
-        self.cut_masks: tuple[int, ...] | None = None
-        self.witness = None
+
+    @cached_property
+    def cut_masks(self) -> tuple[int, ...]:
+        """The J-cut masks in scan order: the one scan of this graph's bipartitions."""
+        return _enumerate_cut_masks(self)
+
+    @cached_property
+    def witness(self) -> MonoWitness:
+        """A connected graph's verdict: false at the first J-cut with a disconnected interior."""
+        for mask in self.cut_masks:
+            if not self.is_connected(self.interior(mask)):
+                return MonoWitness(False, JCut(self.set_of(mask)), "low")
+            if not self.is_connected(self.interior(self.full & ~mask)):
+                return MonoWitness(False, JCut(self.set_of(mask)), "up")
+        return MonoWitness(verdict=True)
 
     def set_of(self, mask: int) -> frozenset[SiteId]:
         return frozenset(p for i, p in enumerate(self.sites) if mask >> i & 1)
@@ -115,9 +142,20 @@ def _connected_table(adj: list[int]) -> bytearray:
     return bytearray(digits, "ascii").translate(bytes.maketrans(b"01", b"\0\1"))
 
 
-def bit_view(g: Graph) -> BitGraph:
-    """The bit view of ``g``, built on first use and kept on the graph."""
-    bg = g._bits
-    if bg is None:
-        bg = g._bits = BitGraph(g)
-    return bg
+def _enumerate_cut_masks(bg: BitGraph) -> tuple[int, ...]:
+    # Fixing the least site's bit halves the scan and makes the listed
+    # side the canonical (least-site-containing) one.  Every bipartition
+    # is still tested, in bulk: byte i of ``row`` says whether the odd
+    # mask 2i+1 is connected, byte i of ``comp`` whether its complement
+    # full-(2i+1) is, and the full mask itself falls off the end.  A
+    # single site leaves both rows empty.
+    full = bg.full
+    table = bg.connected
+    row = int.from_bytes(table[1:full:2], "little")
+    comp = int.from_bytes(table[full - 1 : 0 : -2], "little")
+    both = (row & comp).to_bytes(full >> 1, "little")
+    masks, i = [], both.find(1)
+    while i >= 0:
+        masks.append(2 * i + 1)
+        i = both.find(1, i + 1)
+    return tuple(masks)

@@ -61,6 +61,9 @@ def _emit(text: str, output: str | None) -> None:
 
 
 def _cmd_build(args: argparse.Namespace) -> int:
+    if args.engine == "oracle" and (args.show_intermediate or not args.reduce):
+        flag = "--show-intermediate" if args.show_intermediate else "--no-reduce"
+        raise ValidationError(f"--engine oracle does not take {flag}")
     sg = _load_scalar_graph(args.input, args.format)
     if args.engine == "oracle":
         tree = brute_force_iso_tree(sg, cap=args.max_sites)

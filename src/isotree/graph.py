@@ -14,10 +14,14 @@ and safe to share between threads; the operations below are pure.
 from __future__ import annotations
 
 from array import array
+from functools import cached_property
 from itertools import accumulate, chain
-from typing import Iterable, Mapping, NamedTuple
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple
 
 from .errors import InvalidRegionError
+
+if TYPE_CHECKING:
+    from ._bitgraph import BitGraph
 
 SiteId = str
 
@@ -40,11 +44,11 @@ class Graph:
     Connectedness is a queryable property, not a construction invariant.
     Site ``i`` (the i-th id, ascending) has the neighbours
     ``_targets[_offsets[i]:_offsets[i + 1]]``, ascending.  The id-to-number
-    dict, the site set, the pairs, the rows as ids and the bit view
-    (``_bitgraph.bit_view``) are derived on first use and kept, idempotently.
+    dict, the site set, the pairs, the rows as ids and the bit view are
+    cached properties, kept on first read; racing threads derive equal values.
     """
 
-    __slots__ = ("_ids", "_numbers", "_offsets", "_targets", "_sites", "_pairs", "_near", "_bits")
+    __slots__ = ("_ids", "_offsets", "_targets", "__dict__")
 
     def __init__(self, sites: Iterable[SiteId], adjacency: Iterable[tuple[SiteId, SiteId]] = ()):
         ids = tuple(sorted(set(sites)))
@@ -73,43 +77,44 @@ class Graph:
         self._ids = ids
         self._targets = array("i", chain.from_iterable(map(sorted, rows)))  # each row ascending
         self._offsets = array("i", accumulate(map(len, rows), initial=0))
-        self._numbers = self._sites = self._pairs = self._near = self._bits = None  # on first use
 
-    @property
+    @cached_property
     def _number(self) -> dict[SiteId, int]:
         """Each site's number, by id; the default build of a grid or a document never reads it."""
-        if self._numbers is None:
-            self._numbers = dict(zip(self._ids, range(len(self._ids))))
-        return self._numbers
+        return dict(zip(self._ids, range(len(self._ids))))
 
-    @property
+    @cached_property
     def sites(self) -> frozenset[SiteId]:
-        if self._sites is None:
-            self._sites = frozenset(self._ids)
-        return self._sites
+        return frozenset(self._ids)
 
     @property
     def site_list(self) -> tuple[SiteId, ...]:
         """All sites in ascending order (the deterministic iteration order)."""
         return self._ids
 
-    @property
+    @cached_property
     def pairs(self) -> tuple[tuple[SiteId, SiteId], ...]:
         """Unordered adjacency pairs, each sorted, in ascending order."""
-        if self._pairs is None:
-            ids, o, t = self._ids, self._offsets, self._targets
-            self._pairs = tuple(
-                (ids[i], ids[j]) for i in range(len(ids)) for j in t[o[i] : o[i + 1]] if i < j
-            )
-        return self._pairs
+        ids, o, t = self._ids, self._offsets, self._targets
+        return tuple((ids[i], ids[j]) for i in range(len(ids)) for j in t[o[i] : o[i + 1]] if i < j)
+
+    @cached_property
+    def _near(self) -> tuple[SiteId, ...]:
+        """Every row as ids, in one flat tuple."""
+        return tuple(map(self._ids.__getitem__, self._targets))
+
+    @cached_property
+    def _bits(self) -> BitGraph:
+        """The bit view that the exhaustive scans read."""
+        from ._bitgraph import BitGraph  # here, as _bitgraph imports this module
+
+        return BitGraph(self)
 
     def neighbors(self, p: SiteId) -> tuple[SiteId, ...]:
         """The neighbours of ``p``, ascending."""
         i = self._number.get(p)
         if i is None:
             raise InvalidRegionError(f"unknown site {p!r}")
-        if self._near is None:  # every row as ids, in one flat tuple
-            self._near = tuple(map(self._ids.__getitem__, self._targets))
         return self._near[self._offsets[i] : self._offsets[i + 1]]
 
     def least_site(self) -> SiteId:
@@ -140,17 +145,16 @@ class ScalarGraph:
     __slots__ = ("_graph", "_value", "_reference")
 
     def __init__(self, graph: Graph, values: Mapping[SiteId, float], reference: SiteId | None = None):
-        sites = graph._number.keys()
-        if values.keys() != sites:
-            missing = sites - values.keys()
-            if missing:
-                raise ValueError(f"values missing for sites {sorted(missing)}")
-            raise ValueError(f"values given for unknown sites {sorted(values.keys() - sites)}")
-        if reference is not None and reference not in sites:
+        ids = graph.site_list
+        missing = [p for p in ids if p not in values]
+        if missing:
+            raise ValueError(f"values missing for sites {missing}")
+        if len(values) != len(ids):  # every site has a value, so some key is not a site
+            raise ValueError(f"values given for unknown sites {sorted(values.keys() - ids)}")
+        if reference is not None and reference not in values:
             raise ValueError(f"reference {reference!r} is not a site")
-        self._graph = graph
-        self._value = tuple(map(values.__getitem__, graph.site_list))
-        self._reference = reference
+        self._graph, self._reference = graph, reference
+        self._value = tuple(map(values.__getitem__, ids))
 
     @classmethod
     def _by_number(cls, graph: Graph, value: tuple, reference: SiteId | None = None) -> ScalarGraph:

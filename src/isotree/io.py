@@ -374,10 +374,9 @@ class _PgmScanner:
     def int_token(self, what: str) -> int:
         start_pos = self.pos
         tok = self.token(what)
-        try:
-            return int(tok)
-        except ValueError:
-            raise ParseError(f"bad PGM {what} {tok!r} at byte {start_pos}") from None
+        if not tok.isdigit():  # ASCII digits only: int() would also take a sign or "_"
+            raise ParseError(f"bad PGM {what} {tok!r} at byte {start_pos}")
+        return int(tok)
 
 
 def parse_pgm(data: bytes) -> tuple[int, int, list[int]]:

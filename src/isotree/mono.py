@@ -5,8 +5,8 @@ immediate interiors of both sides are connected.  The check here is an
 exhaustive scan of all bipartitions and is therefore capped by site
 count; it is meant as a desk-scale oracle, not a decision procedure.
 
-Exhaustive operations scan all bipartitions once per graph: the J-cut
-masks and the mono witness are kept on the graph's bit view, and the
+Exhaustive operations scan all bipartitions once per graph: the graph's
+bit view derives and keeps the J-cut masks and the mono witness, and the
 mono check, ``enumerate_j_cuts`` and the oracle all read that one scan.
 The cap and the connectivity precondition are checked on every call.
 
@@ -25,9 +25,9 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
-from ._bitgraph import BitGraph, bit_view
+from ._bitgraph import MonoWitness
 from .errors import PreconditionError, SizeLimitError
 from .graph import Graph, JCut, ScalarGraph, SiteId
 
@@ -67,46 +67,6 @@ def _resolve_values(values: ValuePolicy | Sequence[float], n: int) -> tuple[floa
     return out
 
 
-class MonoWitness(NamedTuple):
-    """Outcome of a mono-connectivity check.
-
-    On a connected graph a false verdict always carries the first failing
-    J-cut in canonical enumeration order and the side (low/up) whose
-    immediate interior is disconnected.  A disconnected input yields a
-    false verdict with no counterexample cut.
-    """
-
-    verdict: bool
-    counterexample: JCut | None = None
-    failing_side: str | None = None
-
-
-def _enumerate_cut_masks(bg: BitGraph) -> tuple[int, ...]:
-    # Fixing the least site's bit halves the scan and makes the listed
-    # side the canonical (least-site-containing) one.  Every bipartition
-    # is still tested, in bulk: byte i of ``row`` says whether the odd
-    # mask 2i+1 is connected, byte i of ``comp`` whether its complement
-    # full-(2i+1) is, and the full mask itself falls off the end.  A
-    # single site leaves both rows empty.
-    full = bg.full
-    table = bg.connected
-    row = int.from_bytes(table[1:full:2], "little")
-    comp = int.from_bytes(table[full - 1 : 0 : -2], "little")
-    both = (row & comp).to_bytes(full >> 1, "little")
-    masks, i = [], both.find(1)
-    while i >= 0:
-        masks.append(2 * i + 1)
-        i = both.find(1, i + 1)
-    return tuple(masks)
-
-
-def _cut_masks(bg: BitGraph) -> tuple[int, ...]:
-    """The J-cut masks of ``bg`` in scan order, scanned on first use only."""
-    if bg.cut_masks is None:
-        bg.cut_masks = _enumerate_cut_masks(bg)
-    return bg.cut_masks
-
-
 def enumerate_j_cuts(g: Graph, cap: int = DEFAULT_ENUMERATION_CAP) -> list[JCut]:
     """All unordered bipartitions with both sides non-empty and connected.
 
@@ -115,31 +75,19 @@ def enumerate_j_cuts(g: Graph, cap: int = DEFAULT_ENUMERATION_CAP) -> list[JCut]
     """
     if len(g) > cap:
         raise SizeLimitError(f"{len(g)} sites exceeds the enumeration cap of {cap}")
-    bg = bit_view(g)
+    bg = g._bits
     if not bg.is_connected(bg.full):
         raise PreconditionError("J-cut enumeration requires a connected graph")
-    return [JCut(bg.set_of(mask)) for mask in _cut_masks(bg)]
-
-
-def _scan_witness(bg: BitGraph) -> MonoWitness:
-    # The first J-cut, in scan order, with a disconnected immediate interior.
-    for mask in _cut_masks(bg):
-        if not bg.is_connected(bg.interior(mask)):
-            return MonoWitness(False, JCut(bg.set_of(mask)), "low")
-        if not bg.is_connected(bg.interior(bg.full & ~mask)):
-            return MonoWitness(False, JCut(bg.set_of(mask)), "up")
-    return MonoWitness(verdict=True)
+    return [JCut(bg.set_of(mask)) for mask in bg.cut_masks]
 
 
 def is_mono_connected(g: Graph, cap: int = DEFAULT_ENUMERATION_CAP) -> MonoWitness:
     """Exhaustively decide mono-connectivity, producing a witness on failure."""
     if len(g) > cap:
         raise SizeLimitError(f"{len(g)} sites exceeds the enumeration cap of {cap}")
-    bg = bit_view(g)
+    bg = g._bits
     if not bg.is_connected(bg.full):
         return MonoWitness(verdict=False)
-    if bg.witness is None:
-        bg.witness = _scan_witness(bg)
     return bg.witness
 
 

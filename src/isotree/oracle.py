@@ -7,8 +7,8 @@ module is fidelity, not speed, so it is capped at desk scale.
 
 Exhaustive operations scan all bipartitions once per graph: the L-cut
 test and the mono-connectivity precondition read the J-cut masks and
-the witness that the graph's bit view keeps (see :mod:`isotree.mono`),
-so a graph already checked by ``is_mono_connected`` is not scanned again.
+the witness that the graph's bit view derives and keeps (see
+:mod:`isotree._bitgraph`), so a checked graph is not scanned again.
 Each side's max or min is two lookups in ``_bitgraph._fold`` tables of
 the site values over the low and the high half of the sites.
 """
@@ -17,10 +17,10 @@ from __future__ import annotations
 
 from math import inf
 
-from ._bitgraph import BitGraph, _fold, bit_view
+from ._bitgraph import BitGraph, _fold
 from .errors import PreconditionError, SizeLimitError
 from .graph import JCut, ScalarGraph
-from .mono import _cut_masks, is_mono_connected
+from .mono import is_mono_connected
 from .tree import IsoTree, LCut, _cut_arrays, check_iso_tree
 
 DEFAULT_ORACLE_CAP = 14
@@ -35,7 +35,7 @@ def _oriented_l_cut_masks(sg: ScalarGraph, bg: BitGraph) -> list[int]:
     lo_max, hi_max = _fold(value[:half], max, -inf), _fold(value[half:], max, -inf)
     lo_min, hi_min = _fold(value[:half], min, inf), _fold(value[half:], min, inf)
     winners: list[int] = []
-    for mask in _cut_masks(bg):
+    for mask in bg.cut_masks:
         comp = bg.full & ~mask
         x, c = bg.interior(mask), bg.interior(comp)
         # max(II(x)) < min(II(c)); strictness means at most one orientation can win.
@@ -51,7 +51,7 @@ def _level_cuts(sg: ScalarGraph, cap: int) -> list[JCut]:
     n = len(sg.graph)
     if n > cap:
         raise SizeLimitError(f"{n} sites exceeds the oracle cap of {cap}")
-    bg = bit_view(sg.graph)
+    bg = sg.graph._bits
     if not bg.is_connected(bg.full):
         raise PreconditionError("the oracle requires a connected graph")
     witness = is_mono_connected(sg.graph, cap=cap)

@@ -21,6 +21,7 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left
 from collections import namedtuple
+from functools import cached_property
 from itertools import accumulate, chain, compress
 from operator import eq, gt, itemgetter
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -144,8 +145,9 @@ class IsoTree:
     preorder of the zones, when ``edges`` is first read: an edge's low
     side is the subtree slice of its child end in the preorder's site
     tuple, or that slice's complement, so no cut is stored.  ``zones``
-    and ``edges`` keep the objects they build; equality compares the
-    stored arrays.
+    and ``edges`` are cached properties: they keep the objects they build
+    in the instance dict, and two threads racing on a first read build
+    equal objects.  Equality compares the stored arrays.
 
     The constructor takes, unchecked, the ascending ``ids``; each site's
     ``root``, the number of its zone's least site; one value per zone, in
@@ -155,10 +157,7 @@ class IsoTree:
     and that the zones and edges form one tree (|edges| = |zones| - 1).
     """
 
-    __slots__ = (
-        "_ids", "_zone", "_values", "_low", "_up", "_gap", "_reference", "_zone_objs",
-        "_edge_objs",
-    )
+    __slots__ = ("_ids", "_zone", "_values", "_low", "_up", "_gap", "_reference", "__dict__")
 
     def __init__(
         self,
@@ -195,7 +194,6 @@ class IsoTree:
         self._ids, self._zone, self._values = ids, zone, values
         self._low, self._up, self._gap = low, up, gap
         self._reference = reference
-        self._zone_objs = self._edge_objs = None
 
     def _number(self, site: SiteId) -> int | None:
         """The site's number, or None when the tree does not hold it."""
@@ -209,50 +207,45 @@ class IsoTree:
             groups[z].append(p)
         return groups
 
-    @property
+    @cached_property
     def zones(self) -> tuple[IsoZone, ...]:
-        if self._zone_objs is None:
-            rows = self.zone_rows()
-            self._zone_objs = tuple(IsoZone(frozenset(sites), v) for _, sites, v in rows)
-        return self._zone_objs
+        return tuple(IsoZone(frozenset(sites), v) for _, sites, v in self.zone_rows())
 
-    @property
+    @cached_property
     def edges(self) -> tuple[TreeEdge, ...]:
-        if self._edge_objs is None:
-            groups = self._grouped()
-            n = len(self._values)
-            # Depth-first preorder of the zones from zone 0; each zone's own
-            # sites take the next slice of the site tuple as it is reached.
-            neighbors: list[list[int]] = [[] for _ in range(n)]
-            for a, b in zip(self._low, self._up):
-                neighbors[a].append(b)
-                neighbors[b].append(a)
-            parent = [-1] * n
-            parent[0] = 0
-            first, stop = [0] * n, [0] * n
-            preorder, offset, stack = [], 0, [0]
-            while stack:
-                z = stack.pop()
-                preorder.append(z)
-                first[z] = offset
-                offset += len(groups[z])
-                stop[z] = offset
-                for other in neighbors[z]:
-                    if parent[other] < 0:
-                        parent[other] = z
-                        stack.append(other)
-            for z in reversed(preorder):
-                if stop[z] > stop[parent[z]]:
-                    stop[parent[z]] = stop[z]
-            sites = tuple(chain.from_iterable(map(groups.__getitem__, preorder)))
-            edges = []
-            for a, b, gap in zip(self._low, self._up, self._gap):
-                # The low side is the child end's subtree slice, or the rest.
-                child = b if first[a] <= first[b] < stop[a] else a
-                span = (sites, first[child], stop[child], child == a)
-                edges.append(TreeEdge(groups[a][0], groups[b][0], gap, span))
-            self._edge_objs = tuple(edges)
-        return self._edge_objs
+        groups = self._grouped()
+        n = len(self._values)
+        # Depth-first preorder of the zones from zone 0; each zone's own
+        # sites take the next slice of the site tuple as it is reached.
+        neighbors: list[list[int]] = [[] for _ in range(n)]
+        for a, b in zip(self._low, self._up):
+            neighbors[a].append(b)
+            neighbors[b].append(a)
+        parent = [-1] * n
+        parent[0] = 0
+        first, stop = [0] * n, [0] * n
+        preorder, offset, stack = [], 0, [0]
+        while stack:
+            z = stack.pop()
+            preorder.append(z)
+            first[z] = offset
+            offset += len(groups[z])
+            stop[z] = offset
+            for other in neighbors[z]:
+                if parent[other] < 0:
+                    parent[other] = z
+                    stack.append(other)
+        for z in reversed(preorder):
+            if stop[z] > stop[parent[z]]:
+                stop[parent[z]] = stop[z]
+        sites = tuple(chain.from_iterable(map(groups.__getitem__, preorder)))
+        edges = []
+        for a, b, gap in zip(self._low, self._up, self._gap):
+            # The low side is the child end's subtree slice, or the rest.
+            child = b if first[a] <= first[b] < stop[a] else a
+            span = (sites, first[child], stop[child], child == a)
+            edges.append(TreeEdge(groups[a][0], groups[b][0], gap, span))
+        return tuple(edges)
 
     @property
     def reference(self) -> SiteId:

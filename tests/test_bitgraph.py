@@ -13,8 +13,7 @@ from math import inf
 import pytest
 
 from isotree import Graph, JCut, constant, gen_path, gen_tri_grid, is_mono_connected
-from isotree import mono
-from isotree._bitgraph import _fold, bit_view
+from isotree._bitgraph import _enumerate_cut_masks, _fold
 from isotree.graph import immediate_interior, is_region_connected
 from isotree.mono import MonoWitness, path_site_ids
 
@@ -99,7 +98,7 @@ def _literal_witness(g: Graph) -> MonoWitness:
 @graphs
 def test_table_matches_region_connectivity(make):
     g = make()
-    bg = bit_view(g)
+    bg = g._bits
     assert len(bg.connected) == 1 << len(g)
     for m in range(1 << len(g)):
         assert bg.is_connected(m) == is_region_connected(g, _region(g, m)), bin(m)
@@ -121,7 +120,7 @@ def _seeded_masks(n: int, count: int):
 )
 def test_table_matches_region_connectivity_at_16_sites(make):
     g = make()
-    bg = bit_view(g)
+    bg = g._bits
     for m in _seeded_masks(16, 4096):
         assert bg.is_connected(m) == is_region_connected(g, _region(g, m)), bin(m)
 
@@ -129,7 +128,7 @@ def test_table_matches_region_connectivity_at_16_sites(make):
 @graphs
 def test_interior_matches_immediate_interior(make):
     g = make()
-    bg = bit_view(g)
+    bg = g._bits
     for m in range(1 << len(g)):
         assert _region(g, bg.interior(m)) == immediate_interior(g, _region(g, m)), bin(m)
 
@@ -137,7 +136,7 @@ def test_interior_matches_immediate_interior(make):
 @graphs
 def test_cut_masks_match_the_literal_scan(make):
     g = make()
-    assert list(mono._enumerate_cut_masks(bit_view(g))) == _literal_cut_masks(g)
+    assert list(_enumerate_cut_masks(g._bits)) == _literal_cut_masks(g)
 
 
 @graphs
@@ -159,7 +158,7 @@ def _check_half_tables(g: Graph, masks) -> None:
     An empty interior (a disconnected graph, or the empty or full mask)
     reads the sentinels, so they meet every value type a graph can hold.
     """
-    bg = bit_view(g)
+    bg = g._bits
     half, low = bg.half, bg.low_half
     rng = random.Random(len(g))
     tables = {}

@@ -126,6 +126,17 @@ class TestBuild:
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--no-reduce"], ["--show-intermediate"], ["--show-intermediate", "--no-reduce"]],
+        ids=["no-reduce", "show-intermediate", "both"],
+    )
+    def test_oracle_engine_rejects_pipeline_only_flags(self, tmp_path, capsys, flags):
+        # The input does not exist: the flags are rejected before it is read.
+        argv = ["build", "--input", str(tmp_path / "absent.json"), "--engine", "oracle", *flags]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == f"error: --engine oracle does not take {flags[0]}\n"
+
     def test_oracle_cap_exceeded_is_exit_3(self, tmp_path):
         p = tmp_path / "big.json"
         p.write_text(graph_to_json(gen_tri_grid(4, 4, [0] * 16)))

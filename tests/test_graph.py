@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import random
+import sys
+import threading
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -10,8 +13,10 @@ from isotree import (
     Graph,
     InvalidRegionError,
     JCut,
+    ScalarGraph,
     Surfel,
     boundary_surfels,
+    build_iso_tree,
     complement,
     components_of,
     immediate_interior,
@@ -19,9 +24,9 @@ from isotree import (
     is_j_cut,
 )
 from isotree.graph import is_region_connected
-from isotree.mono import gen_tri_grid, grid_site_id
+from isotree.mono import gen_tri_grid, grid_site_id, seeded_random
 
-from conftest import mono_scalar_graphs
+from conftest import cycle_graph, mono_scalar_graphs
 
 
 def path3() -> Graph:
@@ -51,6 +56,87 @@ class TestConstruction:
 
     def test_single_site_is_connected(self):
         assert Graph("a").is_connected()
+
+
+class TestScalarGraphChecks:
+    """Missing sites are reported first, then unknown sites, then the reference."""
+
+    def test_missing_sites_come_first(self):
+        with pytest.raises(ValueError, match=r"^values missing for sites \['b', 'c'\]$"):
+            ScalarGraph(path3(), {"a": 0, "z": 1}, reference="y")
+
+    def test_unknown_sites_come_before_the_reference(self):
+        values = {"z": 3, "c": 2, "b": 1, "a": 0, "y": 4}
+        with pytest.raises(ValueError, match=r"^values given for unknown sites \['y', 'z'\]$"):
+            ScalarGraph(path3(), values, reference="x")
+
+    def test_reference_must_be_a_site(self):
+        with pytest.raises(ValueError, match=r"^reference 'z' is not a site$"):
+            ScalarGraph(path3(), {"a": 0, "b": 1, "c": 2}, reference="z")
+
+    def test_constructor_keeps_only_the_value_tuple(self):
+        # The value tuple of 65,536 sites is about 0.5 MB; an id-to-number
+        # dict kept on the graph would be about 4 MB more.
+        g = gen_tri_grid(256, 256, [0] * (256 * 256)).graph
+        values = {p: i % 7 for i, p in enumerate(g.site_list)}
+        tracemalloc.start()
+        try:
+            sg = ScalarGraph(g, values)
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert sg._value[:3] == (0, 1, 2)
+        assert kept < 1e6
+        assert "_number" not in vars(g)
+
+
+class TestDerivedViews:
+    """Each view derived on first read is equal in every thread that races to read it."""
+
+    def _race(self, view):
+        got, barrier = [None] * 4, threading.Barrier(4)
+
+        def read(k):
+            barrier.wait()
+            got[k] = view()
+
+        threads = [threading.Thread(target=read, args=(k,)) for k in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got[0] is not None and got.count(got[0]) == 4
+        return got[0]
+
+    VIEWS = {
+        "_number": lambda g: g._number,
+        "sites": lambda g: g.sites,
+        "pairs": lambda g: g.pairs,
+        "neighbors": lambda g: [g.neighbors(p) for p in g.site_list],
+        "cut_masks": lambda g: g._bits.cut_masks,
+        "witness": lambda g: g._bits.witness,
+    }
+
+    @pytest.mark.parametrize("name", VIEWS)
+    def test_graph_views(self, name):
+        read = self.VIEWS[name]
+        for fresh in (lambda: gen_tri_grid(4, 3, seeded_random(5)).graph, lambda: cycle_graph(6)):
+            g = fresh()
+            assert self._race(lambda: read(g)) == read(fresh())
+
+    def test_tree_views(self):
+        sg = gen_tri_grid(5, 4, seeded_random(7, high=3))
+        tree = build_iso_tree(sg)
+        assert self._race(lambda: tree.zones) == build_iso_tree(sg).zones
+        tree = build_iso_tree(sg)
+        edges = self._race(lambda: [(e, e.cut) for e in tree.edges])
+        assert edges == [(e, e.cut) for e in build_iso_tree(sg).edges]
 
 
 class TestSiteNumbers:

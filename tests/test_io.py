@@ -5,6 +5,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 
@@ -663,6 +664,24 @@ class TestPgm:
     def test_pixel_above_maxval(self):
         with pytest.raises(ParseError, match="exceeds maxval"):
             parse_pgm(b"P2\n1 1\n10\n11\n")
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (b"P2\n+2 0_1\n2_55\n7 8\n", "bad PGM width b'+2' at byte 2"),
+            (b"P2\n2 0_1\n255\n7\n", "bad PGM height b'0_1' at byte 4"),
+            (b"P2\n2 1\n2_55\n7 8\n", "bad PGM maxval b'2_55' at byte 6"),
+            (b"P2\n2 1\n255\n1_0 8\n", "bad PGM pixel b'1_0' at byte 10"),
+            (b"P2\n2 1\n255\n-1 8\n", "bad PGM pixel b'-1' at byte 10"),
+            # UTF-8 for the Arabic-Indic digit one, which int() takes once decoded.
+            (b"P5\n2 1\n255\xd9\xa1\n\x00\x00", "bad PGM maxval b'255\\xd9\\xa1' at byte 6"),
+        ],
+        ids=["signed-width", "underscore-height", "underscore-maxval", "underscore-pixel",
+             "negative-pixel", "non-ascii-digit"],
+    )
+    def test_integer_tokens_are_ascii_digits(self, data, message):
+        with pytest.raises(ParseError, match=re.escape(message)):
+            parse_pgm(data)
 
     def test_constant_image_yields_single_zone(self):
         sg = load_pgm_tri_grid(b"P2\n3 2\n9\n4 4 4 4 4 4\n")

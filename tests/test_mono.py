@@ -19,7 +19,7 @@ from isotree import (
     seeded_random,
 )
 from isotree import mono
-from isotree._bitgraph import bit_view
+from isotree import _bitgraph
 from isotree.oracle import brute_force_iso_tree
 
 from conftest import cycle_graph
@@ -135,13 +135,13 @@ class TestSharedScan:
     @pytest.fixture
     def scans(self, monkeypatch):
         calls = []
-        scan = mono._enumerate_cut_masks
+        scan = _bitgraph._enumerate_cut_masks
 
         def counted(bg):
             calls.append(bg)
             return scan(bg)
 
-        monkeypatch.setattr(mono, "_enumerate_cut_masks", counted)
+        monkeypatch.setattr(_bitgraph, "_enumerate_cut_masks", counted)
         return calls
 
     def test_mono_check_and_oracle_share_one_scan(self, scans):
@@ -174,7 +174,7 @@ class TestSharedScan:
     def test_warm_disconnected_graph_is_still_rejected(self, scans):
         g = Graph("abc", [("a", "b")])
         # Fill the table of the disconnected graph as a trusted oracle call would.
-        assert mono._cut_masks(bit_view(g)) == (0b011,)
+        assert g._bits.cut_masks == (0b011,)
         assert len(scans) == 1
         with pytest.raises(PreconditionError):
             enumerate_j_cuts(g)

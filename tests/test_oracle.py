@@ -20,7 +20,6 @@ from isotree import (
     validate_regular_division,
 )
 from isotree import tree as itree
-from isotree._bitgraph import bit_view
 from isotree.mono import path_site_ids
 from isotree.oracle import _oriented_l_cut_masks, brute_force_iso_tree, brute_force_l_cuts
 
@@ -163,7 +162,7 @@ def test_table_scan_finds_the_literal_l_cuts(sg, kind):
     """The half-table scan keeps exactly the J-cuts whose string-level L-cut test holds."""
     sg = ScalarGraph(sg.graph, {p: kind(v) for p, v in sg.values.items()}, sg.reference)
     g = sg.graph
-    bg = bit_view(g)
+    bg = g._bits
     scanned = {bg.set_of(m) for m in _oriented_l_cut_masks(sg, bg)}
     literal = set()
     for c in enumerate_j_cuts(g):

@@ -674,9 +674,9 @@ class TestMemory:
         for sg in (load_pgm_tri_grid(pgm), load_graph_json(doc)):
             for reduce in (True, False):
                 tree_to_json(build_iso_tree(sg, reduce=reduce))
-            assert sg.graph._numbers is None
+            assert "_number" not in vars(sg.graph)
         assert sg.value_of("r1c0") == sg.values["r1c0"]  # reading by id derives the dict
-        assert sg.graph._numbers is not None
+        assert "_number" in vars(sg.graph)
 
     def test_tree_shares_the_graphs_id_tuple(self):
         sg = gen_tri_grid(5, 4, [v % 3 for v in range(20)])
