@@ -61,7 +61,7 @@ def _require_strs(items: Any, where: str) -> frozenset[str]:
 def _loads(data: bytes | str, what: str) -> Any:
     try:
         return json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # ValueError covers bad UTF-8 and JSON
         raise ParseError(f"malformed {what} document: {exc}") from None
 
 
@@ -374,9 +374,12 @@ class _PgmScanner:
     def int_token(self, what: str) -> int:
         start_pos = self.pos
         tok = self.token(what)
-        if not tok.isdigit():  # ASCII digits only: int() would also take a sign or "_"
-            raise ParseError(f"bad PGM {what} {tok!r} at byte {start_pos}")
-        return int(tok)
+        if tok.isdigit():  # ASCII digits only: int() would also take a sign or "_"
+            try:
+                return int(tok)
+            except ValueError:  # more digits than int() converts
+                pass
+        raise ParseError(f"bad PGM {what} {tok[:20]!r} at byte {start_pos}")
 
 
 def parse_pgm(data: bytes) -> tuple[int, int, list[int]]:

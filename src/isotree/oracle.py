@@ -20,7 +20,6 @@ from math import inf
 from ._bitgraph import BitGraph, _fold
 from .errors import PreconditionError, SizeLimitError
 from .graph import JCut, ScalarGraph
-from .mono import is_mono_connected
 from .tree import IsoTree, LCut, _cut_arrays, check_iso_tree
 
 DEFAULT_ORACLE_CAP = 14
@@ -54,7 +53,7 @@ def _level_cuts(sg: ScalarGraph, cap: int) -> list[JCut]:
     bg = sg.graph._bits
     if not bg.is_connected(bg.full):
         raise PreconditionError("the oracle requires a connected graph")
-    witness = is_mono_connected(sg.graph, cap=cap)
+    witness = bg.witness
     if not witness.verdict:
         raise PreconditionError(
             f"graph is not mono-connected (counterexample: {witness.counterexample!r})"

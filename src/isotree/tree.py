@@ -73,42 +73,22 @@ class IsoZone(namedtuple("IsoZone", "sites value")):
         return min(self.sites)
 
 
-class TreeEdge:
+class TreeEdge(namedtuple("TreeEdge", "low up gap")):
     """Directed tree edge from the low zone to the up zone of one L-cut.
 
     The cut is the split the tree makes when the edge is removed, so it
-    is derived, not stored: an edge holds its low side as one slice of
-    its tree's preorder site tuple, or as that slice's complement, and
-    builds the site set only when ``cut`` is read.  Only
-    :attr:`IsoTree.edges` makes edges.  Edges compare by zones and gap
-    only.
+    is derived, not stored: :attr:`IsoTree.edges`, which makes every
+    edge, sets ``_span`` in the edge's instance dict, and ``cut`` builds
+    the site set when read.  ``_span`` is (sites in zone preorder, start,
+    stop, inside): the low side is ``sites[start:stop]`` when inside, and
+    every other site if not.  As a tuple, an edge compares, hashes and
+    prints by zones and gap only.
     """
-
-    __slots__ = ("low", "up", "gap", "_span")
-
-    def __init__(self, low: SiteId, up: SiteId, gap: float, span: tuple):
-        self.low = low
-        self.up = up
-        self.gap = gap
-        # (sites in zone preorder, start, stop, inside): the low side is
-        # sites[start:stop] when inside, every other site if not.
-        self._span = span
 
     @property
     def cut(self) -> JCut:
         sites, start, stop, inside = self._span
         return JCut(frozenset(sites[start:stop] if inside else sites[:start] + sites[stop:]))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TreeEdge):
-            return NotImplemented
-        return (self.low, self.up, self.gap) == (other.low, other.up, other.gap)
-
-    def __hash__(self) -> int:
-        return hash((self.low, self.up, self.gap))
-
-    def __repr__(self) -> str:
-        return f"TreeEdge(low={self.low!r}, up={self.up!r}, gap={self.gap!r})"
 
 
 def _check_edges(values, low, up, gap, name) -> None:
@@ -243,8 +223,9 @@ class IsoTree:
         for a, b, gap in zip(self._low, self._up, self._gap):
             # The low side is the child end's subtree slice, or the rest.
             child = b if first[a] <= first[b] < stop[a] else a
-            span = (sites, first[child], stop[child], child == a)
-            edges.append(TreeEdge(groups[a][0], groups[b][0], gap, span))
+            edge = TreeEdge(groups[a][0], groups[b][0], gap)
+            edge._span = (sites, first[child], stop[child], child == a)
+            edges.append(edge)
         return tuple(edges)
 
     @property
@@ -292,42 +273,32 @@ class IsoTree:
         return f"IsoTree({len(self._values)} zones, {len(self._low)} edges)"
 
 
-class ValuedJDivision:
+class ValuedJDivision(tuple):
     """A set of Jordan cuts, each assigned one positive value gap.
 
-    Whether the division is regular (satisfies the nesting and tangent
-    axioms) is decided by :func:`validate_regular_division`, not here.
+    The division is the tuple of its ``LCut``s in cut order.  Whether it
+    is regular (satisfies the nesting and tangent axioms) is decided by
+    :func:`validate_regular_division`, not here.
     """
 
-    __slots__ = ("_cuts",)
+    __slots__ = ()
 
-    def __init__(self, cuts: Iterable[LCut]):
+    def __new__(cls, cuts: Iterable[LCut]) -> ValuedJDivision:
         gap_by_cut: dict[JCut, float] = {}
         for lc in cuts:
             if lc.cut in gap_by_cut and gap_by_cut[lc.cut] != lc.gap:
                 raise ValueError(f"conflicting gaps for cut {lc.cut!r}")
             gap_by_cut[lc.cut] = lc.gap
-        self._cuts = tuple(
-            LCut(cut, gap_by_cut[cut]) for cut in sorted(gap_by_cut, key=JCut.sort_key)
+        return super().__new__(
+            cls, (LCut(cut, gap_by_cut[cut]) for cut in sorted(gap_by_cut, key=JCut.sort_key))
         )
 
     @property
     def cuts(self) -> tuple[LCut, ...]:
-        return self._cuts
-
-    def __iter__(self) -> Iterator[LCut]:
-        return iter(self._cuts)
-
-    def __len__(self) -> int:
-        return len(self._cuts)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ValuedJDivision):
-            return NotImplemented
-        return self._cuts == other._cuts
+        return self
 
     @classmethod
-    def of_tree(cls, tree: IsoTree) -> "ValuedJDivision":
+    def of_tree(cls, tree: IsoTree) -> ValuedJDivision:
         return cls(LCut(e.cut, e.gap) for e in tree.edges)
 
 

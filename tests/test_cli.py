@@ -391,6 +391,33 @@ class TestErrorPaths:
         assert cli.main([command, "--input", str(p)]) == 2
         assert "codec can't decode" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["build", "validate"])
+    @pytest.mark.parametrize(
+        "text, reason",
+        [
+            ("[" * 200_000, "maximum recursion depth exceeded"),
+            (
+                '{"sites": [{"id": "a", "value": %s}], "adjacency": []}' % ("1" * 5001),
+                "Exceeds the limit (4300 digits) for integer string conversion",
+            ),
+        ],
+        ids=["deep-nesting", "long-integer"],
+    )
+    def test_json_the_reader_cannot_decode_is_exit_2(self, tmp_path, capsys, command, text, reason):
+        p = tmp_path / "g.json"
+        p.write_text(text)
+        assert cli.main([command, "--input", str(p)]) == 2
+        err = capsys.readouterr().err
+        what = "graph" if command == "build" else "input"
+        assert err.startswith(f"error: malformed {what} document: ")
+        assert reason in err and "Traceback" not in err
+
+    def test_pgm_integer_too_long_for_int_is_exit_2(self, tmp_path, capsys):
+        p = tmp_path / "g.pgm"
+        p.write_bytes(b"P2\n" + b"1" * 5001 + b" 1\n255\n0\n")
+        assert cli.main(["build", "--format", "pgm", "--input", str(p)]) == 2
+        assert capsys.readouterr().err == f"error: bad PGM width {b'1' * 20!r} at byte 2\n"
+
     def test_unknown_flag_is_exit_2(self, ramp_file):
         res = run_cli("build", "--input", str(ramp_file), "--bogus")
         assert res.returncode == 2

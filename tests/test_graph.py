@@ -50,6 +50,10 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Graph([])
 
+    def test_neighbors_of_an_unknown_site_rejected(self):
+        with pytest.raises(InvalidRegionError, match=r"^unknown site 'zz'$"):
+            path3().neighbors("zz")
+
     def test_duplicate_pairs_collapse(self):
         g = Graph("ab", [("a", "b"), ("b", "a")])
         assert g.pairs == (("a", "b"),)

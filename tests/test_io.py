@@ -49,6 +49,10 @@ class TestGraphJson:
         sg = load_graph_json(json.dumps(doc))
         assert sg == gen_path(3, [0, 1, 2])
 
+    def test_document_must_be_an_object(self):
+        with pytest.raises(ValidationError, match=r"^graph document must be a JSON object$"):
+            load_graph_json("[]")
+
     def test_roundtrip(self, peak, ramp3, plateau, disconnected_zone_grid):
         for sg in (peak, ramp3, plateau, disconnected_zone_grid):
             assert load_graph_json(graph_to_json(sg)) == sg
@@ -180,6 +184,10 @@ class TestTreeJson:
         assert len(doc["edges"]) == 2
         assert doc["reference"] == "a"
         assert doc["referenceValue"] == 1
+
+    def test_document_must_be_an_object(self):
+        with pytest.raises(ValidationError, match=r"^tree document must be a JSON object$"):
+            parse_tree_json("[]")
 
     def test_single_zone_document(self):
         doc = json.loads(tree_to_json(brute_force_iso_tree(gen_path(2, [4, 4]))))
@@ -654,6 +662,31 @@ class TestPgm:
     def test_truncated_ascii(self):
         with pytest.raises(ParseError, match="pixel"):
             parse_pgm(b"P2\n2 2\n255\n0 1\n")
+
+    def test_zero_dimension(self):
+        with pytest.raises(ParseError, match=r"^bad PGM dimensions 0x3$"):
+            parse_pgm(b"P2\n0 3\n255\n")
+
+    def test_missing_separator_after_header(self):
+        with pytest.raises(
+            ParseError, match=r"^missing separator after PGM header at byte 10$"
+        ):
+            parse_pgm(b"P5 1 1 255")
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (b"P2\n%s 1\n255\n0\n", "bad PGM width b'%s' at byte 2"),
+            (b"P2\n1 %s\n255\n0\n", "bad PGM height b'%s' at byte 4"),
+            (b"P2\n1 1\n%s\n0\n", "bad PGM maxval b'%s' at byte 6"),
+            (b"P2\n1 1\n255\n%s\n", "bad PGM pixel b'%s' at byte 10"),
+        ],
+        ids=["width", "height", "maxval", "pixel"],
+    )
+    def test_integer_token_too_long_for_int(self, data, message):
+        # int() refuses strings of more than 4,300 digits; the message shows 20.
+        with pytest.raises(ParseError, match="^" + re.escape(message % ("1" * 20)) + "$"):
+            parse_pgm(data % (b"1" * 5001))
 
     def test_maxval_out_of_range(self):
         with pytest.raises(ParseError, match="maxval"):

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import copy
 import json
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,7 @@ from isotree import (
     NotAnLCutError,
     NotATreeError,
     ScalarGraph,
+    TreeEdge,
     ValuedJDivision,
     build_iso_tree,
     build_iso_tree_from_cuts,
@@ -174,6 +177,64 @@ class TestValueTypes:
     def test_report_is_valid_without_violations(self):
         assert itree.AxiomReport(()).valid
         assert not itree.AxiomReport((itree.AxiomViolation("nesting", cut("a"), cut("b")),)).valid
+
+
+class TestEdgeValues:
+    """Tree edges are named tuples of zones and gap; the cut is derived."""
+
+    def test_repr_names_the_zones_and_gap(self):
+        (edge,) = build_iso_tree(gen_path(2, [0, 2])).edges
+        assert repr(edge) == "TreeEdge(low='a', up='b', gap=2)"
+
+    def test_compare_and_hash_by_zones_and_gap(self, peak):
+        edges = build_iso_tree(peak).edges
+        assert edges == brute_force_iso_tree(peak).edges
+        for e in edges:
+            low, up, gap = e
+            assert e == (low, up, gap) == (e.low, e.up, e.gap) == (e[0], e[1], e[2])
+            assert hash(e) == hash((e.low, e.up, e.gap))
+
+    def test_fields_are_read_only(self, peak):
+        edge = build_iso_tree(peak).edges[0]
+        with pytest.raises(AttributeError):
+            edge.low = "c"
+
+    def test_copy_and_pickle_keep_the_cut(self, ramp3):
+        for edge in build_iso_tree(ramp3).edges:
+            assert copy.copy(edge).cut == pickle.loads(pickle.dumps(edge)).cut == edge.cut
+
+    def test_a_replaced_edge_has_no_cut(self, ramp3):
+        edge = build_iso_tree(ramp3).edges[0]._replace(gap=5)
+        assert isinstance(edge, TreeEdge) and edge.gap == 5
+        with pytest.raises(AttributeError):
+            edge.cut
+
+
+class TestDivisionValues:
+    """A valued J-division is the tuple of its L-cuts in cut order."""
+
+    CUTS = [LCut(cut("a", "b"), 1), LCut(cut("a"), 2), LCut(cut("c"), 3)]
+
+    def test_equal_whatever_the_input_order(self):
+        assert ValuedJDivision(self.CUTS) == ValuedJDivision(reversed(self.CUTS))
+
+    def test_length_and_iteration_follow_cut_order(self):
+        division = ValuedJDivision(self.CUTS + self.CUTS[:1])
+        ordered = sorted(self.CUTS, key=lambda lc: JCut.sort_key(lc.cut))
+        assert len(division) == 3
+        assert list(division) == ordered
+        assert division.cuts is division
+        assert division == tuple(ordered)
+        assert repr(division) == repr(tuple(ordered))
+
+    def test_hashable(self):
+        a, b = ValuedJDivision(self.CUTS), ValuedJDivision(reversed(self.CUTS))
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+
+    def test_conflicting_gaps_name_the_cut(self):
+        with pytest.raises(ValueError, match=r"^conflicting gaps for cut JCut\(\{a\}\)$"):
+            ValuedJDivision([LCut(cut("a"), 1), LCut(cut("a"), 2)])
 
 
 def tree_document(zones, edges, reference="a", reference_value=0):
@@ -474,6 +535,26 @@ class TestCheckIsoTree:
             check_iso_tree(raised, tree)
 
 
+    def test_edge_cut_that_is_not_a_jordan_cut(self):
+        # Zone a holds both ends of the path a-b-c, so its side is disconnected.
+        sg = ScalarGraph(Graph("abc", [("a", "b"), ("b", "c")]), {"a": 0, "b": 1, "c": 0})
+        tree = IsoTree(("a", "b", "c"), [0, 1, 0], [0, 1], [0], [1], [1], "a")
+        with pytest.raises(
+            InvariantViolationError, match=r"^edge cut JCut\(\{a,c\}\) is not a Jordan cut$"
+        ):
+            check_iso_tree(sg, tree)
+
+    def test_edge_cut_that_is_not_a_level_cut(self):
+        # The star at a on the triangle a, b, c with values 0, 1, 2.
+        triangle = Graph("abc", [("a", "b"), ("b", "c"), ("a", "c")])
+        sg = ScalarGraph(triangle, {"a": 0, "b": 1, "c": 2})
+        tree = IsoTree(("a", "b", "c"), [0, 1, 2], [0, 1, 2], [0, 0], [1, 2], [1, 2], "a")
+        with pytest.raises(
+            InvariantViolationError, match=r"^edge cut JCut\(\{a,c\}\) is not a level cut$"
+        ):
+            check_iso_tree(sg, tree)
+
+
 class TestDisconnectedZone:
     def test_zone_has_two_components(self, disconnected_zone_grid):
         tree = brute_force_iso_tree(disconnected_zone_grid)
@@ -526,6 +607,26 @@ class TestDivisionToTree:
     def test_conflicting_gaps_rejected(self):
         with pytest.raises(ValueError):
             ValuedJDivision([LCut(cut("a"), 1), LCut(cut("a"), 2)])
+
+    def test_cut_that_joins_no_single_zone_pair(self):
+        division = ValuedJDivision([LCut(cut("a", "b"), 1), LCut(cut("b", "c"), 1)])
+        with pytest.raises(
+            NotATreeError, match=r"^cut JCut\(\{a,b\}\) does not join exactly one pair of zones$"
+        ):
+            division_to_tree(gen_path(5, [0] * 5).graph, division)
+
+    def test_division_that_leaves_a_zone_unreached(self):
+        division = ValuedJDivision(
+            [LCut(cut("a", "c", "d"), 3), LCut(cut("a", "b", "c"), 1), LCut(cut("c", "e"), 1)]
+        )
+        with pytest.raises(NotATreeError, match=r"^division does not connect all zones$"):
+            division_to_tree(gen_path(5, [0] * 5).graph, division)
+
+    def test_reference_outside_the_graph(self):
+        with pytest.raises(
+            MissingReferenceError, match=r"^reference 'zz' not covered by any zone$"
+        ):
+            division_to_tree(gen_path(5, [0] * 5).graph, ValuedJDivision([]), reference="zz")
 
 
 @settings(max_examples=60, deadline=None)
