@@ -1,71 +1,46 @@
-"""Discrete contour trees (iso-trees) on mono-connected scalar graphs."""
+"""Discrete contour trees (iso-trees) on mono-connected scalar graphs.
 
-from .errors import (
-    InconsistentZoneError,
-    InternalInconsistencyError,
-    InvalidRegionError,
-    InvariantViolationError,
-    IsoTreeError,
-    MissingReferenceError,
-    NotAnLCutError,
-    NotATreeError,
-    ParseError,
-    PreconditionError,
-    SizeLimitError,
-    ValidationError,
-)
-from .graph import (
-    Graph,
-    JCut,
-    ScalarGraph,
-    SiteId,
-    Surfel,
-    boundary_surfels,
-    complement,
-    components_of,
-    immediate_interior,
-    inverse_surfels,
-    is_j_cut,
-)
-from .mono import (
-    MonoWitness,
-    constant,
-    enumerate_j_cuts,
-    gen_path,
-    gen_tri_grid,
-    is_mono_connected,
-    ramp,
-    seeded_random,
-)
-from .oracle import brute_force_iso_tree, brute_force_l_cuts
-from .pipeline import (
-    AugmentedContourTree,
-    MergeTree,
-    build_iso_tree,
-    ct_to_iso_tree,
-    merge_to_augmented_ct,
-    perturb_rank,
-    ranks,
-    reduce_by_f,
-    sublevel_merge_tree,
-    superlevel_merge_tree,
-)
-from .tree import (
-    AxiomReport,
-    AxiomViolation,
-    IsoTree,
-    IsoZone,
-    LCut,
-    TreeEdge,
-    ValuedJDivision,
-    build_iso_tree_from_cuts,
-    check_iso_tree,
-    division_to_tree,
-    is_l_cut,
-    reconstruct_rt,
-    validate_regular_division,
-    value_gap_of,
-    zones_from_cuts,
-)
+The public names resolve on first access (PEP 562): ``import isotree``
+loads no submodule, and ``isotree.X`` imports the one module that
+defines ``X``.
+"""
 
+_EXPORTS = {
+    name: module
+    for module, names in {
+        "errors": """InconsistentZoneError InternalInconsistencyError InvalidRegionError
+            InvariantViolationError IsoTreeError MissingReferenceError NotAnLCutError
+            NotATreeError ParseError PreconditionError SizeLimitError ValidationError""",
+        "graph": """Graph JCut ScalarGraph SiteId Surfel boundary_surfels complement
+            components_of immediate_interior inverse_surfels is_j_cut""",
+        "_bitgraph": "MonoWitness",
+        "mono": "constant enumerate_j_cuts gen_path is_mono_connected ramp seeded_random",
+        "grid": "gen_tri_grid",
+        "oracle": "brute_force_iso_tree brute_force_l_cuts",
+        "pipeline": """AugmentedContourTree MergeTree build_iso_tree ct_to_iso_tree
+            merge_to_augmented_ct perturb_rank ranks reduce_by_f sublevel_merge_tree
+            superlevel_merge_tree""",
+        "tree": "IsoTree IsoZone TreeEdge reconstruct_rt",
+        "axioms": """AxiomReport AxiomViolation LCut ValuedJDivision build_iso_tree_from_cuts
+            check_iso_tree division_to_tree is_l_cut validate_regular_division value_gap_of
+            zones_from_cuts""",
+    }.items()
+    for name in names.split()
+}
+
+__all__ = list(_EXPORTS)
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f"{__name__}.{_EXPORTS[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS})

@@ -3,6 +3,10 @@
 Exit codes: 0 success / verdict true, 1 verdict false or validation
 failure (counterexample printed), 2 I/O or parse error, 3 precondition
 violation (size cap, disconnected graph), 4 out of memory, 5 internal error.
+
+Only what ``build`` runs is imported here: every other command, engine
+and output imports its modules where it runs, so a PGM build loads
+neither the JSON readers, the exhaustive scans nor the axiom checks.
 """
 
 from __future__ import annotations
@@ -11,9 +15,9 @@ import argparse
 import json
 import sys
 
-from . import io as tio
-from . import mono
 from .errors import (
+    DEFAULT_ENUMERATION_CAP,
+    DEFAULT_ORACLE_CAP,
     InternalInconsistencyError,
     IsoTreeError,
     PreconditionError,
@@ -21,27 +25,19 @@ from .errors import (
     ValidationError,
 )
 from .graph import Graph, JCut, ScalarGraph
-from .mono import constant, gen_path, gen_tri_grid, is_mono_connected, ramp, seeded_random
-from .oracle import DEFAULT_ORACLE_CAP, brute_force_iso_tree
-from .pipeline import (
-    build_iso_tree,
-    ct_to_iso_tree,
-    merge_to_augmented_ct,
-    perturb_rank,
-    ranks,
-    reduce_by_f,
-    sublevel_merge_tree,
-    superlevel_merge_tree,
-)
-from .tree import ValuedJDivision, reconstruct_rt, validate_regular_division
+from .grid import load_pgm_tri_grid
+from .pipeline import build_iso_tree
+from .tree import _num, reconstruct_rt, tree_to_json
 
 
 def _load_scalar_graph(path: str, fmt: str) -> ScalarGraph:
     with open(path, "rb") as f:
         data = f.read()
     if fmt == "pgm":
-        return tio.load_pgm_tri_grid(data)
-    return tio.load_graph_json(data)
+        return load_pgm_tri_grid(data)
+    from .io import load_graph_json
+
+    return load_graph_json(data)
 
 
 def _format_region(sites) -> str:
@@ -66,8 +62,20 @@ def _cmd_build(args: argparse.Namespace) -> int:
         raise ValidationError(f"--engine oracle does not take {flag}")
     sg = _load_scalar_graph(args.input, args.format)
     if args.engine == "oracle":
+        from .oracle import brute_force_iso_tree
+
         tree = brute_force_iso_tree(sg, cap=args.max_sites)
     elif args.show_intermediate:
+        from .pipeline import (
+            ct_to_iso_tree,
+            merge_to_augmented_ct,
+            perturb_rank,
+            ranks,
+            reduce_by_f,
+            sublevel_merge_tree,
+            superlevel_merge_tree,
+        )
+
         order = perturb_rank(sg)
         jt, st = sublevel_merge_tree(sg, order), superlevel_merge_tree(sg, order)
         ct = merge_to_augmented_ct(jt, st)
@@ -78,19 +86,23 @@ def _cmd_build(args: argparse.Namespace) -> int:
             "sublevel": dict(zip(ids, map(name.__getitem__, jt.parent))),
             "superlevel": dict(zip(ids, map(name.__getitem__, st.parent))),
             "contourEdges": [[ids[a], ids[b]] for a, b in ct.edges],
-            "rankedTree": json.loads(tio.tree_to_json(tree_h)),
+            "rankedTree": json.loads(tree_to_json(tree_h)),
         }, indent=2))
         tree = reduce_by_f(sg, tree_h) if args.reduce else tree_h
     else:
         tree = build_iso_tree(sg, reduce=args.reduce)
-    _emit(tio.tree_to_json(tree), args.output)
+    _emit(tree_to_json(tree), args.output)
     if args.dot:
+        from .io import export_dot
+
         with open(args.dot, "w", encoding="utf-8") as f:
-            f.write(tio.export_dot(tree))
+            f.write(export_dot(tree))
     return 0
 
 
 def _cmd_check_mono(args: argparse.Namespace) -> int:
+    from .mono import is_mono_connected
+
     sg = _load_scalar_graph(args.input, args.format)
     witness = is_mono_connected(sg.graph, cap=args.max_sites)
     if witness.verdict:
@@ -108,6 +120,8 @@ def _cmd_check_mono(args: argparse.Namespace) -> int:
 def _cmd_roundtrip(args: argparse.Namespace) -> int:
     sg = _load_scalar_graph(args.input, args.format)
     if args.engine == "oracle":
+        from .oracle import brute_force_iso_tree
+
         tree = brute_force_iso_tree(sg, cap=args.max_sites)
     else:
         tree = build_iso_tree(sg)
@@ -121,6 +135,8 @@ def _cmd_roundtrip(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle_diff(args: argparse.Namespace) -> int:
+    from .oracle import brute_force_iso_tree
+
     sg = _load_scalar_graph(args.input, args.format)
     fast = build_iso_tree(sg)
     slow = brute_force_iso_tree(sg, cap=args.max_sites)
@@ -130,25 +146,28 @@ def _cmd_oracle_diff(args: argparse.Namespace) -> int:
     print("DIVERGENCE")
     for label, tree in (("pipeline", fast), ("oracle", slow)):
         print(f"{label} zones: %s" % "; ".join(
-            f"{_format_region(z.sites)}={tio._num(z.value)}" for z in tree.zones
+            f"{_format_region(z.sites)}={_num(z.value)}" for z in tree.zones
         ))
         print(f"{label} edges: %s" % "; ".join(
-            f"{e.low}->{e.up} gap={tio._num(e.gap)} cut={_format_region(e.cut.low)}"
+            f"{e.low}->{e.up} gap={_num(e.gap)} cut={_format_region(e.cut.low)}"
             for e in tree.edges
         ))
     return 1
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
+    from .axioms import ValuedJDivision, validate_regular_division
+    from .io import _division_of, _loads, _tree_of
+
     with open(args.input, "rb") as f:
-        doc = tio._loads(f.read(), "input")
+        doc = _loads(f.read(), "input")
     if isinstance(doc, dict) and "cuts" in doc:
-        sg, division = tio._division_of(doc)
+        sg, division = _division_of(doc)
         g = sg.graph
     elif isinstance(doc, dict) and "zones" in doc:
         if not args.graph:
             raise ValidationError("validating a tree document requires --graph")
-        tree = tio._tree_of(doc)
+        tree = _tree_of(doc)
         g = _load_scalar_graph(args.graph, "json").graph
         reconstruct_rt(g, tree)  # rejects zones that do not partition g's sites
         division = ValuedJDivision.of_tree(tree)
@@ -164,6 +183,9 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
+    from .io import graph_to_json
+    from .mono import constant, gen_path, gen_tri_grid, ramp, seeded_random
+
     if args.values == "ramp":
         policy = ramp()
     elif args.values == "constant":
@@ -174,7 +196,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         sg = gen_path(args.width, policy)
     else:
         sg = gen_tri_grid(args.width, args.height, policy)
-    _emit(tio.graph_to_json(sg), args.output)
+    _emit(graph_to_json(sg), args.output)
     return 0
 
 
@@ -203,7 +225,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check-mono", help="decide mono-connectivity exhaustively")
     add_input(p)
-    p.add_argument("--max-sites", type=int, default=mono.DEFAULT_ENUMERATION_CAP,
+    p.add_argument("--max-sites", type=int, default=DEFAULT_ENUMERATION_CAP,
                    help="enumeration site cap")
     p.set_defaults(func=_cmd_check_mono)
 

@@ -1,6 +1,11 @@
-"""Exception hierarchy shared by all isotree modules."""
+"""Exception hierarchy shared by all isotree modules, and the site caps."""
 
 from __future__ import annotations
+
+# The site caps of the exhaustive scans, above which they raise
+# SizeLimitError; here so that the CLI reads them without those modules.
+DEFAULT_ENUMERATION_CAP = 16  # mono's bipartition scans
+DEFAULT_ORACLE_CAP = 14  # the brute-force oracle
 
 
 class IsoTreeError(Exception):

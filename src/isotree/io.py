@@ -1,4 +1,4 @@
-"""File formats: graph/tree/division JSON documents, PGM grids, DOT output.
+"""Documents: graph, tree and division JSON, and DOT output.
 
 JSON is the canonical interchange format.  Serialization is fully
 deterministic (sorted sites, sorted pairs, fixed key order, integral
@@ -6,33 +6,24 @@ reals written without a fraction) so serialize-parse-serialize is
 byte-identical.  The readers check the entries of each document array
 in document order, and the fields of an entry in a fixed order; the
 first fault raises a ``ValidationError`` that names it as
-``array[i].field``.  PGM images (ASCII ``P2`` and binary ``P5``) load
-as triangulated grids, one site per pixel.
+``array[i].field``.  The tree writer lives next to ``IsoTree`` and the
+PGM reader in :mod:`isotree.grid`, so that ``isotree build --format
+pgm`` does not load this module; both are re-exported here.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import re
-from itertools import chain
-from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from typing import Any
 
+from .axioms import LCut, ValuedJDivision
 from .errors import NotATreeError, ParseError, ValidationError
 from .graph import Graph, JCut, ScalarGraph
-from .mono import gen_tri_grid
-from .tree import IsoTree, LCut, ValuedJDivision, _check_edges
-
-_MAX_PGM_VALUE = 65535
-
-
-def _num(x: float) -> float:
-    """Integral reals as ints so integer fixtures round-trip byte-exactly."""
-    if isinstance(x, float) and x.is_integer():
-        return int(x)
-    return x
+from .grid import load_pgm_tri_grid, parse_pgm  # noqa: F401  (re-exported)
+from .tree import IsoTree, _check_edges, _num
+from .tree import tree_to_json  # noqa: F401  (re-exported)
 
 
 def _require_number(x: Any, where: str) -> float:
@@ -145,42 +136,6 @@ def graph_to_json(sg: ScalarGraph) -> str:
 # ---------------------------------------------------------------------------
 # Tree documents
 # ---------------------------------------------------------------------------
-
-
-def tree_to_json(tree: IsoTree) -> str:
-    """The document ``json.dumps(doc, indent=2)`` writes, byte for byte.
-
-    That encoder runs in pure Python whenever ``indent`` is set, so the
-    zone and edge records are filled into its layout here instead.
-    """
-    zones, edges = list(tree.zone_rows()), list(tree.edge_rows())
-    # The C encoder writes each number exactly as json.dumps would, and
-    # refuses non-finite ones; the reference value is a zone's value.
-    values = chain([v for _, _, v in zones], [gap for _, _, gap in edges], [tree.reference_value])
-    numbers = json.dumps(list(map(_num, values)), allow_nan=False)[1:-1].split(", ")
-    gaps = numbers[len(zones) : -1]
-    q = encode_basestring_ascii
-    site_list = ",\n        ".join
-    zone_records = ",\n".join(
-        [
-            f'    {{\n      "id": {q(rep)},\n      "sites": [\n'
-            f"        {site_list(map(q, sites))}\n"
-            f'      ],\n      "value": {value}\n    }}'
-            for (rep, sites, _), value in zip(zones, numbers)
-        ]
-    )
-    edge_records = ",\n".join(
-        [
-            f'    {{\n      "low": {q(low)},\n      "up": {q(up)},\n      "gap": {gap}\n    }}'
-            for (low, up, _), gap in zip(edges, gaps)
-        ]
-    )
-    edge_array = f"[\n{edge_records}\n  ]" if edges else "[]"
-    return (
-        f'{{\n  "zones": [\n{zone_records}\n  ],\n  "edges": {edge_array},\n'
-        f'  "reference": {q(tree.reference)},\n'
-        f'  "referenceValue": {numbers[-1]}\n}}'
-    )
 
 
 def parse_tree_json(data: bytes | str) -> IsoTree:
@@ -347,84 +302,6 @@ def division_to_json(sg: ScalarGraph, division: ValuedJDivision) -> str:
         "cuts": [{"low": sorted(lc.cut.low), "gap": _num(lc.gap)} for lc in division.cuts],
     }
     return json.dumps(doc, indent=2, allow_nan=False)
-
-
-# ---------------------------------------------------------------------------
-# PGM images
-# ---------------------------------------------------------------------------
-
-
-# Separators and "#" comments (to the end of the line) skipped, then one
-# token: the bytes up to the next separator.  It is empty only at the end.
-_PGM_TOKEN = re.compile(rb"(?:[ \t\r\n\v\f]+|#[^\n]*)*([^ \t\r\n\v\f#]*)")
-
-
-class _PgmScanner:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-
-    def token(self, what: str) -> bytes:
-        m = _PGM_TOKEN.match(self.data, self.pos)
-        if not m[1]:
-            raise ParseError(f"unexpected end of PGM data at byte {m.end()} (reading {what})")
-        self.pos = m.end()
-        return m[1]
-
-    def int_token(self, what: str) -> int:
-        start_pos = self.pos
-        tok = self.token(what)
-        if tok.isdigit():  # ASCII digits only: int() would also take a sign or "_"
-            try:
-                return int(tok)
-            except ValueError:  # more digits than int() converts
-                pass
-        raise ParseError(f"bad PGM {what} {tok[:20]!r} at byte {start_pos}")
-
-
-def parse_pgm(data: bytes) -> tuple[int, int, list[int]]:
-    """Decode a P2/P5 PGM into (width, height, row-major pixel values)."""
-    scan = _PgmScanner(data)
-    magic = scan.token("magic number")
-    if magic not in (b"P2", b"P5"):
-        raise ParseError(f"unsupported PGM magic {magic!r} at byte 0")
-    width = scan.int_token("width")
-    height = scan.int_token("height")
-    maxval = scan.int_token("maxval")
-    if width < 1 or height < 1:
-        raise ParseError(f"bad PGM dimensions {width}x{height}")
-    if not 0 < maxval <= _MAX_PGM_VALUE:
-        raise ParseError(f"PGM maxval {maxval} out of range 1..{_MAX_PGM_VALUE}")
-    count = width * height
-    pixels: list[int]
-    if magic == b"P2":
-        pixels = [scan.int_token("pixel") for _ in range(count)]
-    else:
-        # Exactly one whitespace byte separates the header from the payload.
-        if scan.pos >= len(data) or data[scan.pos] not in b" \t\r\n\v\f":
-            raise ParseError(f"missing separator after PGM header at byte {scan.pos}")
-        pos = scan.pos + 1
-        step = 2 if maxval > 255 else 1
-        need = count * step
-        if len(data) - pos < need:
-            raise ParseError(
-                f"truncated PGM payload at byte {len(data)}: need {need} bytes from {pos}"
-            )
-        raw = data[pos : pos + need]
-        if step == 1:
-            pixels = list(raw)
-        else:
-            pixels = [(raw[2 * i] << 8) | raw[2 * i + 1] for i in range(count)]
-    for i, v in enumerate(pixels):
-        if not 0 <= v <= maxval:
-            raise ParseError(f"pixel {i} value {v} exceeds maxval {maxval}")
-    return width, height, pixels
-
-
-def load_pgm_tri_grid(data: bytes) -> ScalarGraph:
-    """One site per pixel on a triangulated grid; value = pixel intensity."""
-    width, height, pixels = parse_pgm(data)
-    return gen_tri_grid(width, height, pixels)
 
 
 # ---------------------------------------------------------------------------

@@ -17,23 +17,22 @@ and 0.23 MB, the table's bit-sliced build included (a 4×4 tri-grid on
 a 2-core VM, Python 3.11).
 
 The generators produce families that are mono-connected by construction:
-paths, and rectangular grids triangulated with a fixed NW-SE diagonal
-per unit square (a triangulation of a topological disk).
+paths here, and the triangulated grids of :mod:`isotree.grid`, whose
+``gen_tri_grid`` and ``grid_site_id`` this module re-exports.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from typing import Callable, Sequence
+from typing import Sequence
 
 from ._bitgraph import MonoWitness
-from .errors import PreconditionError, SizeLimitError
+from .errors import DEFAULT_ENUMERATION_CAP, PreconditionError, SizeLimitError
 from .graph import Graph, JCut, ScalarGraph, SiteId
+from .grid import ValuePolicy, _resolve_values
+from .grid import gen_tri_grid, grid_site_id  # noqa: F401  (re-exported)
 
-DEFAULT_ENUMERATION_CAP = 16
-
-ValuePolicy = Callable[[int], Sequence[float]]
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
 
@@ -58,13 +57,6 @@ def seeded_random(seed: int, low: int = 0, high: int = 5) -> ValuePolicy:
         return [rng.randint(low, high) for _ in range(n)]
 
     return draw
-
-
-def _resolve_values(values: ValuePolicy | Sequence[float], n: int) -> tuple[float, ...]:
-    out = tuple(values(n)) if callable(values) else tuple(values)
-    if len(out) != n:
-        raise ValueError(f"expected {n} values, got {len(out)}")
-    return out
 
 
 def enumerate_j_cuts(g: Graph, cap: int = DEFAULT_ENUMERATION_CAP) -> list[JCut]:
@@ -106,34 +98,3 @@ def gen_path(n: int, values: ValuePolicy | Sequence[float]) -> ScalarGraph:
     ids = path_site_ids(n)
     g = Graph(ids, [(ids[i], ids[i + 1]) for i in range(n - 1)])
     return ScalarGraph._by_number(g, _resolve_values(values, n))  # path order is id order
-
-
-def grid_site_id(row: int, col: int) -> SiteId:
-    return f"r{row}c{col}"
-
-
-def gen_tri_grid(width: int, height: int, values: ValuePolicy | Sequence[float]) -> ScalarGraph:
-    """Triangulated width x height grid, mono-connected by construction.
-
-    Adjacency is horizontal + vertical neighbors plus the NW-SE diagonal
-    of every unit square; values are assigned in row-major site order.
-    """
-    if width < 1 or height < 1:
-        raise PreconditionError("grid dimensions must be positive")
-    n = width * height
-    ids = [grid_site_id(r, c) for r in range(height) for c in range(width)]
-    order = sorted(range(n), key=ids.__getitem__)  # the pixel of each site number
-    site_ids = tuple(map(ids.__getitem__, order))
-    pixel_number = sorted(range(n), key=order.__getitem__)  # the site number of each pixel
-    # Pixel k touches k ± 1, k ± width and k ± (width + 1): shifted slices of the lines of
-    # site numbers, padded with None on every side.  Only border pixels have a None to drop.
-    pad = [None] * (width + 2)
-    lines = [pad, *([None, *pixel_number[k : k + width], None] for k in range(0, n, width)), pad]
-    by_pixel: list = []
-    for r, (up, mid, down) in enumerate(zip(lines, lines[1:], lines[2:])):
-        near = list(zip(up, up[1:], mid, mid[2:], down[1:], down[2:]))
-        for c in range(width) if r in (0, height - 1) else (0, width - 1):
-            near[c] = [q for q in near[c] if q is not None]
-        by_pixel += near
-    g = Graph._from_rows(site_ids, list(map(by_pixel.__getitem__, order)))
-    return ScalarGraph._by_number(g, tuple(map(_resolve_values(values, n).__getitem__, order)))

@@ -18,11 +18,10 @@ from __future__ import annotations
 from math import inf
 
 from ._bitgraph import BitGraph, _fold
-from .errors import PreconditionError, SizeLimitError
+from .axioms import LCut, _cut_arrays, check_iso_tree
+from .errors import DEFAULT_ORACLE_CAP, PreconditionError, SizeLimitError
 from .graph import JCut, ScalarGraph
-from .tree import IsoTree, LCut, _cut_arrays, check_iso_tree
-
-DEFAULT_ORACLE_CAP = 14
+from .tree import IsoTree
 
 
 def _oriented_l_cut_masks(sg: ScalarGraph, bg: BitGraph) -> list[int]:

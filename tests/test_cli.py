@@ -12,9 +12,9 @@ from pathlib import Path
 import pytest
 
 from isotree import ScalarGraph, build_iso_tree, cli, gen_path, gen_tri_grid
+from isotree.axioms import LCut, ValuedJDivision
 from isotree.io import division_to_json, graph_to_json, tree_to_json
 from isotree.oracle import brute_force_iso_tree
-from isotree.tree import LCut, ValuedJDivision
 from isotree.graph import JCut
 
 from conftest import cycle_graph
@@ -370,6 +370,27 @@ class TestGen:
         assert not out.exists()
         assert cli.main([*argv, f"--constant={value}"]) == 3
         assert capsys.readouterr().out == ""
+
+
+# sha256 of the --help text of isotree and of each subcommand, in this
+# order, at 80 columns.  argparse lays help out differently from one
+# Python version to the next, so the digest is pinned per version.
+HELP_COMMANDS = ([], ["build"], ["check-mono"], ["roundtrip"], ["oracle-diff"], ["validate"], ["gen"])
+HELP_SHA256 = {(3, 11): "67bbbe14c95d235a71ae07040f05d1458e9cf95dcd5839664651adc842afecb0"}
+
+
+def test_help_text_is_unchanged(monkeypatch, capsys):
+    digest = HELP_SHA256.get(sys.version_info[:2])
+    if digest is None:
+        pytest.skip(f"no help digest pinned for Python {sys.version_info[0]}.{sys.version_info[1]}")
+    monkeypatch.setenv("COLUMNS", "80")
+    text = []
+    for argv in HELP_COMMANDS:
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*argv, "--help"])
+        assert exc.value.code == 0
+        text.append(capsys.readouterr().out)
+    assert hashlib.sha256("".join(text).encode()).hexdigest() == digest
 
 
 class TestErrorPaths:

@@ -37,7 +37,8 @@ from isotree.io import (
 )
 from isotree.cli import main
 from isotree.oracle import brute_force_iso_tree
-from isotree.tree import IsoTree, ValuedJDivision
+from isotree.axioms import ValuedJDivision
+from isotree.tree import IsoTree
 
 
 class TestGraphJson:

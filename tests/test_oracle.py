@@ -19,7 +19,7 @@ from isotree import (
     is_mono_connected,
     validate_regular_division,
 )
-from isotree import tree as itree
+from isotree import axioms
 from isotree.mono import path_site_ids
 from isotree.oracle import _oriented_l_cut_masks, brute_force_iso_tree, brute_force_l_cuts
 
@@ -106,13 +106,13 @@ class TestBruteForceIsoTree:
 
     def test_zones_are_assembled_once(self, monkeypatch, disconnected_zone_grid):
         calls = []
-        partition = itree._signature_partition
+        partition = axioms._signature_partition
 
         def counted(*args):
             calls.append(args)
             return partition(*args)
 
-        monkeypatch.setattr(itree, "_signature_partition", counted)
+        monkeypatch.setattr(axioms, "_signature_partition", counted)
         tree = brute_force_iso_tree(disconnected_zone_grid)
         assert len(tree.edges) == 2
         assert len(calls) == 1

@@ -1,8 +1,10 @@
-"""The runtime imports nothing outside the standard library."""
+"""The runtime imports nothing outside the standard library, and a build loads only its path."""
 
 from __future__ import annotations
 
 import ast
+import importlib
+import json
 import os
 import subprocess
 import sys
@@ -28,14 +30,109 @@ def test_imports_only_the_standard_library(path):
     assert not outside, f"{path.name} imports {sorted(outside)}"
 
 
-def test_cli_import_loads_neither_dataclasses_nor_inspect():
-    # -S keeps out the modules that site .pth files import.
-    code = (
-        "import sys, isotree.cli; "
-        "print(sorted({'dataclasses', 'inspect', 'pathlib'} & set(sys.modules)))"
-    )
+def run_bare(code: str) -> str:
+    """Stdout of ``code`` in a fresh interpreter; -S keeps out what site .pth files import."""
     env = {**os.environ, "PYTHONPATH": str(Path(isotree.__file__).parents[1])}
     out = subprocess.run(
         [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "[]"
+    return out.stdout
+
+
+def loaded_by(code: str) -> set[str]:
+    """The package's modules that ``code`` loads in a fresh interpreter."""
+    code += "\nimport json, sys; print(json.dumps([m for m in sys.modules if m.startswith('isotree')]))"
+    return set(json.loads(run_bare(code).splitlines()[-1]))
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    code = (
+        "import sys, isotree.cli; "
+        "print(sorted({'dataclasses', 'inspect', 'pathlib'} & set(sys.modules)))"
+    )
+    assert run_bare(code).strip() == "[]"
+
+
+# What `isotree build --format pgm` runs, and so all that it loads.
+BUILD_PATH = {
+    "isotree",
+    "isotree.cli",
+    "isotree.errors",
+    "isotree.graph",
+    "isotree.grid",
+    "isotree.pipeline",
+    "isotree.tree",
+}
+
+
+def test_import_loads_no_submodule():
+    assert loaded_by("import isotree") == {"isotree"}
+
+
+def build_code(path: Path, fmt: str) -> str:
+    argv = ["build", "--input", str(path), "--format", fmt, "--output", str(path) + ".tree"]
+    return f"from isotree.cli import main\nassert main({argv!r}) == 0"
+
+
+def test_pgm_build_loads_only_the_build_path(tmp_path):
+    image = tmp_path / "two.pgm"
+    image.write_bytes(b"P2\n2 2\n255\n0 1\n2 3\n")
+    loaded = loaded_by(build_code(image, "pgm"))
+    assert loaded == BUILD_PATH
+    off_path = {"io", "mono", "oracle", "_bitgraph", "axioms"}
+    assert not loaded & {f"isotree.{name}" for name in off_path}
+
+
+def test_json_build_adds_only_the_reader(tmp_path):
+    doc = tmp_path / "two.json"
+    doc.write_text('{"sites": [{"id": "a", "value": 0}, {"id": "b", "value": 1}], '
+                   '"adjacency": [["a", "b"]]}')
+    reader = loaded_by("import isotree.io")
+    assert loaded_by(build_code(doc, "json")) == BUILD_PATH | reader
+    assert "isotree.io" in reader
+
+
+def test_every_export_is_its_defining_modules_object():
+    for name in isotree.__all__:
+        module = importlib.import_module(f"isotree.{isotree._EXPORTS[name]}")
+        obj = getattr(isotree, name)
+        assert obj is getattr(module, name), name
+        if getattr(obj, "__module__", "").startswith("isotree"):
+            assert obj.__module__ == module.__name__, name
+    assert set(isotree.__all__) <= set(dir(isotree))
+
+
+def test_unknown_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'nonesuch'"):
+        isotree.nonesuch  # noqa: B018
+    assert not hasattr(isotree, "nonesuch")
+
+
+# Import paths that callers, the bench among them, use, each with the
+# module that defines the name.
+OLD_PATHS = {
+    "io.parse_pgm": "grid",
+    "io.load_pgm_tri_grid": "grid",
+    "io.tree_to_json": "tree",
+    "io.load_graph_json": "io",
+    "io.parse_tree_json": "io",
+    "mono.gen_tri_grid": "grid",
+    "tree.reconstruct_rt": "tree",
+    "oracle.brute_force_iso_tree": "oracle",
+    **{
+        f"pipeline.{name}": "pipeline"
+        for name in (
+            "perturb_rank", "sublevel_merge_tree", "superlevel_merge_tree",
+            "merge_to_augmented_ct", "ct_to_iso_tree", "reduce_by_f", "build_iso_tree",
+        )
+    },
+}
+
+
+@pytest.mark.parametrize("path", OLD_PATHS)
+def test_old_import_path_is_the_defining_object(path):
+    module, name = path.split(".")
+    obj = getattr(importlib.import_module(f"isotree.{module}"), name)
+    home = importlib.import_module(f"isotree.{OLD_PATHS[path]}")
+    assert obj is getattr(home, name)
+    assert obj.__module__ == home.__name__

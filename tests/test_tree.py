@@ -36,7 +36,7 @@ from isotree import (
     value_gap_of,
     zones_from_cuts,
 )
-from isotree import tree as itree
+from isotree import axioms
 from isotree.io import parse_tree_json
 from isotree.oracle import brute_force_iso_tree, brute_force_l_cuts
 
@@ -136,17 +136,17 @@ class TestValueTypes:
     def test_reprs(self):
         assert repr(LCut(cut("b", "a"), 2)) == "LCut(cut=JCut({a,b}), gap=2)"
         assert repr(IsoZone(frozenset("a"), 1)) == "IsoZone(sites=frozenset({'a'}), value=1)"
-        v = itree.AxiomViolation("nesting", cut("a"), cut("b", "a"))
+        v = axioms.AxiomViolation("nesting", cut("a"), cut("b", "a"))
         assert repr(v) == "AxiomViolation(axiom='nesting', first=JCut({a}), second=JCut({a,b}))"
-        assert repr(itree.AxiomReport((v,))) == f"AxiomReport(violations=({v!r},))"
+        assert repr(axioms.AxiomReport((v,))) == f"AxiomReport(violations=({v!r},))"
 
     @pytest.mark.parametrize(
         "make",
         [
             lambda: LCut(cut("a", "b"), 1.5),
             lambda: IsoZone(frozenset("abc"), 0),
-            lambda: itree.AxiomViolation("tangent", cut("a"), cut("c")),
-            lambda: itree.AxiomReport((itree.AxiomViolation("nesting", cut("a"), cut("b")),)),
+            lambda: axioms.AxiomViolation("tangent", cut("a"), cut("c")),
+            lambda: axioms.AxiomReport((axioms.AxiomViolation("nesting", cut("a"), cut("b")),)),
         ],
         ids=["LCut", "IsoZone", "AxiomViolation", "AxiomReport"],
     )
@@ -175,8 +175,8 @@ class TestValueTypes:
         assert IsoZone(frozenset("a"), 3).rep == "a"
 
     def test_report_is_valid_without_violations(self):
-        assert itree.AxiomReport(()).valid
-        assert not itree.AxiomReport((itree.AxiomViolation("nesting", cut("a"), cut("b")),)).valid
+        assert axioms.AxiomReport(()).valid
+        assert not axioms.AxiomReport((axioms.AxiomViolation("nesting", cut("a"), cut("b")),)).valid
 
 
 class TestEdgeValues:
@@ -429,13 +429,13 @@ class TestValidateRegularDivision:
         sg = gen_tri_grid(5, 5, list(range(25)))
         tree = build_iso_tree(sg)
         calls = []
-        inverse = itree.inverse_surfels
+        inverse = axioms.inverse_surfels
 
         def counted(surfels):
             calls.append(surfels)
             return inverse(surfels)
 
-        monkeypatch.setattr(itree, "inverse_surfels", counted)
+        monkeypatch.setattr(axioms, "inverse_surfels", counted)
         assert validate_regular_division(sg.graph, ValuedJDivision.of_tree(tree)).valid
         assert len(tree.edges) == 24
         assert len(calls) == len(tree.edges)
