@@ -11,19 +11,19 @@ _EXPORTS = {
         "errors": """InconsistentZoneError InternalInconsistencyError InvalidRegionError
             InvariantViolationError IsoTreeError MissingReferenceError NotAnLCutError
             NotATreeError ParseError PreconditionError SizeLimitError ValidationError""",
-        "graph": """Graph JCut ScalarGraph SiteId Surfel boundary_surfels complement
-            components_of immediate_interior inverse_surfels is_j_cut""",
+        "graph": "Graph JCut ScalarGraph SiteId",
         "_bitgraph": "MonoWitness",
         "mono": "constant enumerate_j_cuts gen_path is_mono_connected ramp seeded_random",
         "grid": "gen_tri_grid",
         "oracle": "brute_force_iso_tree brute_force_l_cuts",
-        "pipeline": """AugmentedContourTree MergeTree build_iso_tree ct_to_iso_tree
-            merge_to_augmented_ct perturb_rank ranks reduce_by_f sublevel_merge_tree
-            superlevel_merge_tree""",
+        "pipeline": "build_iso_tree ranks",
+        "stages": """AugmentedContourTree MergeTree ct_to_iso_tree merge_to_augmented_ct
+            perturb_rank reduce_by_f sublevel_merge_tree superlevel_merge_tree""",
         "tree": "IsoTree IsoZone TreeEdge reconstruct_rt",
-        "axioms": """AxiomReport AxiomViolation LCut ValuedJDivision build_iso_tree_from_cuts
-            check_iso_tree division_to_tree is_l_cut validate_regular_division value_gap_of
-            zones_from_cuts""",
+        "axioms": """AxiomReport AxiomViolation LCut Surfel ValuedJDivision boundary_surfels
+            build_iso_tree_from_cuts check_iso_tree complement components_of division_to_tree
+            immediate_interior inverse_surfels is_j_cut is_l_cut validate_regular_division
+            value_gap_of zones_from_cuts""",
     }.items()
     for name in names.split()
 }

@@ -1,6 +1,8 @@
-"""Level cuts, valued divisions and the axioms that characterize iso-trees.
+"""Regions, level cuts, valued divisions and the axioms that characterize iso-trees.
 
-A level cut (L-cut) is a Jordan cut whose low-side immediate interior
+A region is any subset of a graph's site set (a ``frozenset``), and every
+adjacent pair induces two oriented surfels; the region operations are
+pure.  A level cut (L-cut) is a Jordan cut whose low-side immediate interior
 takes strictly smaller values than its up-side immediate interior.  Two
 axioms (nesting and tangency) characterize exactly the valued cut sets
 that arise as the edges of an iso-tree; ``validate_regular_division``
@@ -17,23 +19,92 @@ from typing import Iterable, NamedTuple
 
 from .errors import (
     InconsistentZoneError,
+    InvalidRegionError,
     InvariantViolationError,
     MissingReferenceError,
     NotAnLCutError,
     NotATreeError,
 )
-from .graph import (
-    Graph,
-    JCut,
-    ScalarGraph,
-    SiteId,
-    _check_region,
-    boundary_surfels,
-    immediate_interior,
-    inverse_surfels,
-    is_j_cut,
-)
+from .graph import Graph, JCut, ScalarGraph, SiteId
 from .tree import IsoTree, IsoZone, _signed_gap_walk, reconstruct_rt
+
+
+class Surfel(NamedTuple):
+    """Oriented face between two adjacent sites; ``(p, q)`` and ``(q, p)`` differ."""
+
+    src: SiteId
+    dst: SiteId
+
+    def inverse(self) -> "Surfel":
+        return Surfel(self.dst, self.src)
+
+
+def _check_region(g: Graph, r: Iterable[SiteId]) -> frozenset[SiteId]:
+    region = frozenset(r)
+    unknown = region - g.sites
+    if unknown:
+        raise InvalidRegionError(f"region references unknown sites {sorted(unknown)}")
+    return region
+
+
+def complement(g: Graph, r: Iterable[SiteId]) -> frozenset[SiteId]:
+    return g.sites - _check_region(g, r)
+
+
+def components_of(g: Graph, r: Iterable[SiteId]) -> tuple[frozenset[SiteId], ...]:
+    """Connected components of the subgraph induced by ``r``.
+
+    Components are pairwise disjoint, their union is ``r``, and they are
+    returned ordered by their least site.
+    """
+    region = _check_region(g, r)
+    seen: set[SiteId] = set()
+    comps: list[frozenset[SiteId]] = []
+    for start in sorted(region):
+        if start in seen:
+            continue
+        comp = {start}
+        frontier = [start]
+        while frontier:
+            p = frontier.pop()
+            for q in g.neighbors(p):
+                if q in region and q not in comp:
+                    comp.add(q)
+                    frontier.append(q)
+        seen |= comp
+        comps.append(frozenset(comp))
+    return tuple(comps)
+
+
+def is_region_connected(g: Graph, r: Iterable[SiteId]) -> bool:
+    """True for regions with at most one component (the empty region counts)."""
+    return len(components_of(g, r)) <= 1
+
+
+def immediate_interior(g: Graph, r: Iterable[SiteId]) -> frozenset[SiteId]:
+    """Sites of ``r`` having at least one neighbor outside ``r``."""
+    region = _check_region(g, r)
+    return frozenset(p for p in region if not region.issuperset(g.neighbors(p)))
+
+
+def is_j_cut(g: Graph, x: Iterable[SiteId]) -> bool:
+    """True iff ``x`` and its complement are both non-empty and connected."""
+    region = _check_region(g, x)
+    comp = g.sites - region
+    if not region or not comp:
+        return False
+    return is_region_connected(g, region) and is_region_connected(g, comp)
+
+
+def boundary_surfels(g: Graph, c: JCut) -> frozenset[Surfel]:
+    """All crossing surfels of the cut, oriented low side to up side."""
+    low = _check_region(g, c.low)
+    return frozenset(Surfel(p, q) for p in low for q in g.neighbors(p) if q not in low)
+
+
+def inverse_surfels(s: Iterable[Surfel]) -> frozenset[Surfel]:
+    """Elementwise orientation flip; applying it twice is the identity."""
+    return frozenset(e.inverse() for e in s)
 
 
 class LCut(namedtuple("LCut", "cut gap")):

@@ -4,16 +4,19 @@ Exit codes: 0 success / verdict true, 1 verdict false or validation
 failure (counterexample printed), 2 I/O or parse error, 3 precondition
 violation (size cap, disconnected graph), 4 out of memory, 5 internal error.
 
-Only what ``build`` runs is imported here: every other command, engine
-and output imports its modules where it runs, so a PGM build loads
-neither the JSON readers, the exhaustive scans nor the axiom checks.
+This module holds only what ``build`` runs, and imports only that: the
+other commands and ``--show-intermediate`` are in :mod:`isotree.commands`,
+imported when they run, and every other engine, reader and output
+imports its modules where it runs.  So a PGM build loads neither the JSON
+readers, the exhaustive scans, the staged API nor the axiom checks, and
+a JSON build loads the JSON reader in place of the PGM one.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
+from functools import partial
 
 from .errors import (
     DEFAULT_ENUMERATION_CAP,
@@ -24,28 +27,21 @@ from .errors import (
     SizeLimitError,
     ValidationError,
 )
-from .graph import Graph, JCut, ScalarGraph
-from .grid import load_pgm_tri_grid
+from .graph import ScalarGraph
 from .pipeline import build_iso_tree
-from .tree import _num, reconstruct_rt, tree_to_json
+from .tree import tree_to_json
 
 
 def _load_scalar_graph(path: str, fmt: str) -> ScalarGraph:
     with open(path, "rb") as f:
         data = f.read()
     if fmt == "pgm":
+        from .grid import load_pgm_tri_grid
+
         return load_pgm_tri_grid(data)
     from .io import load_graph_json
 
     return load_graph_json(data)
-
-
-def _format_region(sites) -> str:
-    return "{%s}" % ",".join(sorted(sites))
-
-
-def _format_cut(g: Graph, cut: JCut) -> str:
-    return "(%s, %s)" % (_format_region(cut.low), _format_region(g.sites - cut.low))
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -66,29 +62,9 @@ def _cmd_build(args: argparse.Namespace) -> int:
 
         tree = brute_force_iso_tree(sg, cap=args.max_sites)
     elif args.show_intermediate:
-        from .pipeline import (
-            ct_to_iso_tree,
-            merge_to_augmented_ct,
-            perturb_rank,
-            ranks,
-            reduce_by_f,
-            sublevel_merge_tree,
-            superlevel_merge_tree,
-        )
+        from .commands import show_intermediate
 
-        order = perturb_rank(sg)
-        jt, st = sublevel_merge_tree(sg, order), superlevel_merge_tree(sg, order)
-        ct = merge_to_augmented_ct(jt, st)
-        tree_h = ct_to_iso_tree(sg, order, ct)
-        ids, name = jt.sites, (*jt.sites, None)  # by site number; a root's parent is n
-        print(json.dumps({
-            "ranks": dict(zip(ids, ranks(order))),
-            "sublevel": dict(zip(ids, map(name.__getitem__, jt.parent))),
-            "superlevel": dict(zip(ids, map(name.__getitem__, st.parent))),
-            "contourEdges": [[ids[a], ids[b]] for a, b in ct.edges],
-            "rankedTree": json.loads(tree_to_json(tree_h)),
-        }, indent=2))
-        tree = reduce_by_f(sg, tree_h) if args.reduce else tree_h
+        tree = show_intermediate(sg, args.reduce)
     else:
         tree = build_iso_tree(sg, reduce=args.reduce)
     _emit(tree_to_json(tree), args.output)
@@ -100,104 +76,11 @@ def _cmd_build(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_check_mono(args: argparse.Namespace) -> int:
-    from .mono import is_mono_connected
+def _run(name: str, args: argparse.Namespace) -> int:
+    """Run the command :mod:`isotree.commands` defines as ``name``, importing it only now."""
+    from . import commands
 
-    sg = _load_scalar_graph(args.input, args.format)
-    witness = is_mono_connected(sg.graph, cap=args.max_sites)
-    if witness.verdict:
-        print("mono-connected")
-        return 0
-    print("not mono-connected")
-    if witness.counterexample is None:
-        print("graph is disconnected")
-    else:
-        print("counterexample: %s" % _format_cut(sg.graph, witness.counterexample))
-        print("disconnected immediate interior: %s side" % witness.failing_side)
-    return 1
-
-
-def _cmd_roundtrip(args: argparse.Namespace) -> int:
-    sg = _load_scalar_graph(args.input, args.format)
-    if args.engine == "oracle":
-        from .oracle import brute_force_iso_tree
-
-        tree = brute_force_iso_tree(sg, cap=args.max_sites)
-    else:
-        tree = build_iso_tree(sg)
-    recovered = reconstruct_rt(sg.graph, tree)
-    for p, got, want in zip(sg.graph.site_list, recovered._value, sg._value):
-        if got != want:
-            print(f"FAIL: RT∘ITT differs at {p}: {got!r} != {want!r}")
-            return 1
-    print("PASS: RT∘ITT identity")
-    return 0
-
-
-def _cmd_oracle_diff(args: argparse.Namespace) -> int:
-    from .oracle import brute_force_iso_tree
-
-    sg = _load_scalar_graph(args.input, args.format)
-    fast = build_iso_tree(sg)
-    slow = brute_force_iso_tree(sg, cap=args.max_sites)
-    if fast == slow:
-        print("identical: pipeline matches oracle")
-        return 0
-    print("DIVERGENCE")
-    for label, tree in (("pipeline", fast), ("oracle", slow)):
-        print(f"{label} zones: %s" % "; ".join(
-            f"{_format_region(z.sites)}={_num(z.value)}" for z in tree.zones
-        ))
-        print(f"{label} edges: %s" % "; ".join(
-            f"{e.low}->{e.up} gap={_num(e.gap)} cut={_format_region(e.cut.low)}"
-            for e in tree.edges
-        ))
-    return 1
-
-
-def _cmd_validate(args: argparse.Namespace) -> int:
-    from .axioms import ValuedJDivision, validate_regular_division
-    from .io import _division_of, _loads, _tree_of
-
-    with open(args.input, "rb") as f:
-        doc = _loads(f.read(), "input")
-    if isinstance(doc, dict) and "cuts" in doc:
-        sg, division = _division_of(doc)
-        g = sg.graph
-    elif isinstance(doc, dict) and "zones" in doc:
-        if not args.graph:
-            raise ValidationError("validating a tree document requires --graph")
-        tree = _tree_of(doc)
-        g = _load_scalar_graph(args.graph, "json").graph
-        reconstruct_rt(g, tree)  # rejects zones that do not partition g's sites
-        division = ValuedJDivision.of_tree(tree)
-    else:
-        raise ValidationError("input is neither a division nor a tree document")
-    report = validate_regular_division(g, division)
-    if report.valid:
-        print("valid: nesting and tangent axioms hold")
-        return 0
-    for v in report.violations:
-        print(f"{v.axiom} violation: {_format_cut(g, v.first)} vs {_format_cut(g, v.second)}")
-    return 1
-
-
-def _cmd_gen(args: argparse.Namespace) -> int:
-    from .io import graph_to_json
-    from .mono import constant, gen_path, gen_tri_grid, ramp, seeded_random
-
-    if args.values == "ramp":
-        policy = ramp()
-    elif args.values == "constant":
-        policy = constant(args.constant)
-    else:
-        policy = seeded_random(args.seed, low=args.low, high=args.high)
-    if args.kind == "path":
-        sg = gen_path(args.width, policy)
-    else:
-        sg = gen_tri_grid(args.width, args.height, policy)
-    _emit(graph_to_json(sg), args.output)
-    return 0
+    return getattr(commands, name)(args)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -227,23 +110,23 @@ def _build_parser() -> argparse.ArgumentParser:
     add_input(p)
     p.add_argument("--max-sites", type=int, default=DEFAULT_ENUMERATION_CAP,
                    help="enumeration site cap")
-    p.set_defaults(func=_cmd_check_mono)
+    p.set_defaults(func=partial(_run, "_cmd_check_mono"))
 
     p = sub.add_parser("roundtrip", help="build a tree, reconstruct, compare exactly")
     add_input(p)
     p.add_argument("--engine", choices=("pipeline", "oracle"), default="pipeline")
     p.add_argument("--max-sites", type=int, default=DEFAULT_ORACLE_CAP)
-    p.set_defaults(func=_cmd_roundtrip)
+    p.set_defaults(func=partial(_run, "_cmd_roundtrip"))
 
     p = sub.add_parser("oracle-diff", help="compare the pipeline against the brute-force oracle")
     add_input(p)
     p.add_argument("--max-sites", type=int, default=DEFAULT_ORACLE_CAP)
-    p.set_defaults(func=_cmd_oracle_diff)
+    p.set_defaults(func=partial(_run, "_cmd_oracle_diff"))
 
     p = sub.add_parser("validate", help="check a division or tree against the axioms")
     p.add_argument("--input", required=True, help="division or tree document")
     p.add_argument("--graph", help="graph document (required for tree input)")
-    p.set_defaults(func=_cmd_validate)
+    p.set_defaults(func=partial(_run, "_cmd_validate"))
 
     p = sub.add_parser("gen", help="generate a graph document")
     p.add_argument("--kind", choices=("tri-grid", "path"), default="tri-grid")
@@ -255,7 +138,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--low", type=int, default=0)
     p.add_argument("--high", type=int, default=5)
     p.add_argument("--output", help="write here instead of stdout")
-    p.set_defaults(func=_cmd_gen)
+    p.set_defaults(func=partial(_run, "_cmd_gen"))
 
     return parser
 

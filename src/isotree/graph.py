@@ -1,39 +1,28 @@
-"""Core graph machinery: sites, surfels, regions and Jordan cuts.
+"""Core graph machinery: sites, scalar graphs and Jordan cuts.
 
 A graph is a finite set of sites with an undirected adjacency relation,
 held as compressed sparse rows over site numbers (each site's place in
 the ascending id tuple), and a scalar graph's values as one tuple by site
 number, so the pipeline and the bit view run on ints; ``neighbors``
-gives a site's row as ids.  Every adjacent pair induces two oriented
-surfels.  A region is any subset of the site set (a ``frozenset``); a
-Jordan cut (J-cut) is an oriented bipartition whose two sides are both
-non-empty and connected.  All objects are immutable after construction
-and safe to share between threads; the operations below are pure.
+gives a site's row as ids.  A Jordan cut (J-cut) is an oriented
+bipartition whose two sides are both non-empty and connected.  All
+objects are immutable after construction and safe to share between
+threads.  The regions, surfels and the J-cut test are in
+:mod:`isotree.axioms`, next to the cuts that use them; ``isotree build``
+needs only this half.
 """
 
 from __future__ import annotations
 
 from array import array
+from collections import namedtuple
+from collections.abc import Iterable, Mapping
 from functools import cached_property
 from itertools import accumulate, chain
-from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple
 
 from .errors import InvalidRegionError
 
-if TYPE_CHECKING:
-    from ._bitgraph import BitGraph
-
 SiteId = str
-
-
-class Surfel(NamedTuple):
-    """Oriented face between two adjacent sites; ``(p, q)`` and ``(q, p)`` differ."""
-
-    src: SiteId
-    dst: SiteId
-
-    def inverse(self) -> "Surfel":
-        return Surfel(self.dst, self.src)
 
 
 class Graph:
@@ -121,6 +110,8 @@ class Graph:
         return self._ids[0]
 
     def is_connected(self) -> bool:
+        from .axioms import components_of  # the region half, which no build runs
+
         return len(components_of(self, self._ids)) <= 1
 
     def __len__(self) -> int:
@@ -194,89 +185,23 @@ class ScalarGraph:
         return f"ScalarGraph({len(self._graph)} sites)"
 
 
-class JCut(NamedTuple):
-    """Oriented bipartition of a graph's sites, identified by its low side.
+class JCut(namedtuple("JCut", "low")):
+    """Oriented bipartition of a graph's sites, identified by its low side (a ``frozenset``).
 
     The up side is implicitly the complement.  Instances are plain data:
     whether ``low`` and its complement are both non-empty and connected
-    is checked by :func:`is_j_cut`, not at construction.
+    is checked by :func:`isotree.axioms.is_j_cut`, not at construction.
     """
 
-    low: frozenset[SiteId]
+    __slots__ = ()
 
     def sort_key(self) -> tuple[SiteId, ...]:
         return tuple(sorted(self.low))
 
     def flipped(self, g: Graph) -> "JCut":
+        from .axioms import complement
+
         return JCut(complement(g, self.low))
 
     def __repr__(self) -> str:
         return "JCut({%s})" % ",".join(sorted(self.low))
-
-
-def _check_region(g: Graph, r: Iterable[SiteId]) -> frozenset[SiteId]:
-    region = frozenset(r)
-    unknown = region - g.sites
-    if unknown:
-        raise InvalidRegionError(f"region references unknown sites {sorted(unknown)}")
-    return region
-
-
-def complement(g: Graph, r: Iterable[SiteId]) -> frozenset[SiteId]:
-    return g.sites - _check_region(g, r)
-
-
-def components_of(g: Graph, r: Iterable[SiteId]) -> tuple[frozenset[SiteId], ...]:
-    """Connected components of the subgraph induced by ``r``.
-
-    Components are pairwise disjoint, their union is ``r``, and they are
-    returned ordered by their least site.
-    """
-    region = _check_region(g, r)
-    seen: set[SiteId] = set()
-    comps: list[frozenset[SiteId]] = []
-    for start in sorted(region):
-        if start in seen:
-            continue
-        comp = {start}
-        frontier = [start]
-        while frontier:
-            p = frontier.pop()
-            for q in g.neighbors(p):
-                if q in region and q not in comp:
-                    comp.add(q)
-                    frontier.append(q)
-        seen |= comp
-        comps.append(frozenset(comp))
-    return tuple(comps)
-
-
-def is_region_connected(g: Graph, r: Iterable[SiteId]) -> bool:
-    """True for regions with at most one component (the empty region counts)."""
-    return len(components_of(g, r)) <= 1
-
-
-def immediate_interior(g: Graph, r: Iterable[SiteId]) -> frozenset[SiteId]:
-    """Sites of ``r`` having at least one neighbor outside ``r``."""
-    region = _check_region(g, r)
-    return frozenset(p for p in region if not region.issuperset(g.neighbors(p)))
-
-
-def is_j_cut(g: Graph, x: Iterable[SiteId]) -> bool:
-    """True iff ``x`` and its complement are both non-empty and connected."""
-    region = _check_region(g, x)
-    comp = g.sites - region
-    if not region or not comp:
-        return False
-    return is_region_connected(g, region) and is_region_connected(g, comp)
-
-
-def boundary_surfels(g: Graph, c: JCut) -> frozenset[Surfel]:
-    """All crossing surfels of the cut, oriented low side to up side."""
-    low = _check_region(g, c.low)
-    return frozenset(Surfel(p, q) for p in low for q in g.neighbors(p) if q not in low)
-
-
-def inverse_surfels(s: Iterable[Surfel]) -> frozenset[Surfel]:
-    """Elementwise orientation flip; applying it twice is the identity."""
-    return frozenset(e.inverse() for e in s)

@@ -10,7 +10,7 @@ mono-connected by construction.  PGM images (ASCII ``P2`` and binary
 from __future__ import annotations
 
 import re
-from typing import Callable, Sequence
+from collections.abc import Callable, Sequence
 
 from .errors import ParseError, PreconditionError
 from .graph import Graph, ScalarGraph, SiteId

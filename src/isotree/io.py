@@ -8,7 +8,10 @@ in document order, and the fields of an entry in a fixed order; the
 first fault raises a ``ValidationError`` that names it as
 ``array[i].field``.  The tree writer lives next to ``IsoTree`` and the
 PGM reader in :mod:`isotree.grid`, so that ``isotree build --format
-pgm`` does not load this module; both are re-exported here.
+pgm`` does not load this module; both are re-exported here, the reader
+on first use.  The division reader imports the division types where it
+runs, so that a JSON build loads neither :mod:`isotree.axioms` nor
+:mod:`isotree.grid`.
 """
 
 from __future__ import annotations
@@ -18,12 +21,20 @@ import math
 from operator import itemgetter
 from typing import Any
 
-from .axioms import LCut, ValuedJDivision
 from .errors import NotATreeError, ParseError, ValidationError
 from .graph import Graph, JCut, ScalarGraph
-from .grid import load_pgm_tri_grid, parse_pgm  # noqa: F401  (re-exported)
 from .tree import IsoTree, _check_edges, _num
 from .tree import tree_to_json  # noqa: F401  (re-exported)
+
+
+def __getattr__(name: str):
+    """``parse_pgm`` and ``load_pgm_tri_grid`` on their old path, from :mod:`isotree.grid`."""
+    if name not in ("parse_pgm", "load_pgm_tri_grid"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import grid
+
+    globals()[name] = value = getattr(grid, name)
+    return value
 
 
 def _require_number(x: Any, where: str) -> float:
@@ -272,6 +283,8 @@ def parse_division_json(data: bytes | str) -> tuple[ScalarGraph, ValuedJDivision
 
 def _division_of(doc: Any) -> tuple[ScalarGraph, ValuedJDivision]:
     """The graph and division of a parsed division document."""
+    from .axioms import LCut, ValuedJDivision
+
     if not isinstance(doc, dict) or "graph" not in doc:
         raise ValidationError("division document needs a graph field")
     sg = _graph_of(doc["graph"])

@@ -13,53 +13,26 @@ then builds both trees: with the input values it joins the sites of
 every equal-value edge into one zone (the iso-tree, gaps in input
 units); with the ranks as values nothing ties, and it gives the ranked
 iso-tree (singleton zones, rank gaps), which is built only on request
-(``--no-reduce``, ``--show-intermediate``).  The public stage functions
-are the same steps, and they check the inputs they are given.
+(``--no-reduce``, ``--show-intermediate``).  This module holds what
+``build_iso_tree`` runs; the public stage functions, the same steps
+checking the inputs they are given, are in :mod:`isotree.stages` and
+resolve here too.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from heapq import heappop, heappush
-from typing import NamedTuple, Sequence
 
-from .errors import InternalInconsistencyError, PreconditionError
+from .errors import InternalInconsistencyError, NotATreeError, PreconditionError
 from .graph import Graph, ScalarGraph, SiteId
 from .tree import IsoTree
-
-
-class MergeTree(NamedTuple):
-    """Parent of each site number from one union-find sweep (``n`` for the root).
-
-    Sublevel flavor: every parent has a strictly greater rank (the root
-    is the global maximum); superlevel: strictly smaller (the minimum).
-    ``sites`` holds the graph's ids, by site number, for the messages.
-    """
-
-    flavor: str  # "sublevel" | "superlevel"
-    parent: Sequence[int]
-    sites: tuple[SiteId, ...]
-
-
-class AugmentedContourTree(NamedTuple):
-    """Free tree over site numbers; every edge is oriented (lower, higher) by rank."""
-
-    sites: range
-    edges: tuple[tuple[int, int], ...]
 
 
 def _ranked(sg: ScalarGraph) -> tuple[tuple[float, ...], list[int]]:
     """The values in site order, and the sites in (value, site id) order: a stable sort."""
     value = sg._value
     return value, sorted(range(len(value)), key=value.__getitem__)
-
-
-def perturb_rank(sg: ScalarGraph) -> list[int]:
-    """The site numbers in rank order: by (value, site id), injective and order-preserving.
-
-    Equal values are broken by site order, and strict value order is
-    preserved exactly.
-    """
-    return _ranked(sg)[1]
 
 
 def ranks(order: Sequence[int]) -> list[int]:
@@ -88,28 +61,6 @@ def _sweep(g: Graph, order: Sequence[int]) -> list[int]:
     if roots > 1:
         raise PreconditionError("merge-tree sweeps require a connected graph")
     return parent
-
-
-def sublevel_merge_tree(sg: ScalarGraph, order: Sequence[int]) -> MergeTree:
-    """Track components of the growing sublevel sets; edges point up-rank."""
-    return MergeTree("sublevel", _sweep(sg.graph, order), sg.graph.site_list)
-
-
-def superlevel_merge_tree(sg: ScalarGraph, order: Sequence[int]) -> MergeTree:
-    """Track components of the growing superlevel sets; edges point down-rank."""
-    return MergeTree("superlevel", _sweep(sg.graph, order[::-1]), sg.graph.site_list)
-
-
-def merge_to_augmented_ct(jt: MergeTree, st: MergeTree) -> AugmentedContourTree:
-    """Leaf-pruning merge (``_merge``) of the two sweep trees into the contour tree."""
-    ids, n = jt.sites, len(jt.sites)
-    if st.sites != ids or len(jt.parent) != n or len(st.parent) != n:
-        raise PreconditionError("merge trees cover different site sets")
-    bad = [(t.flavor, q) for t in (jt, st) for q in t.parent if not 0 <= q <= n]
-    if bad:
-        raise InternalInconsistencyError("%s parent %r is not a site number" % bad[0])
-    # _merge overwrites the pointers it follows; the trees stay as given.
-    return AugmentedContourTree(range(n), tuple(_merge(list(jt.parent), list(st.parent), ids)))
 
 
 def _merge(p_sub: list[int], p_sup: list[int], ids: Sequence[SiteId]) -> list[tuple[int, int]]:
@@ -163,12 +114,6 @@ def _merge(p_sub: list[int], p_sup: list[int], ids: Sequence[SiteId]) -> list[tu
     return edges
 
 
-def ct_to_iso_tree(sg: ScalarGraph, order: Sequence[int], ct: AugmentedContourTree) -> IsoTree:
-    """Iso-tree of the rank-valued graph: singleton zones, rank gaps."""
-    rank = ranks(order)
-    return _checked_tree(sg, rank, ct.edges, range(len(rank)), rank)
-
-
 def build_iso_tree(sg: ScalarGraph, reduce: bool = True) -> IsoTree:
     """Full pipeline: rank, sweep both ways, merge, contract equal values.
 
@@ -179,40 +124,6 @@ def build_iso_tree(sg: ScalarGraph, reduce: bool = True) -> IsoTree:
     value, order = _ranked(sg)
     edges = _merge(_sweep(g, order), _sweep(g, order[::-1]), g.site_list)
     return _tree(sg, edges, value if reduce else ranks(order))
-
-
-def reduce_by_f(sg: ScalarGraph, tree_h: IsoTree) -> IsoTree:
-    """Contract the equal-value edges of the ranked tree of ``sg``.
-
-    ``tree_h`` must be the ranked tree (``build_iso_tree(sg,
-    reduce=False)``): one edge per pair of sites joined in the contour
-    tree, each pointing up in rank.  Any other tree, an already reduced
-    one included, raises ``InternalInconsistencyError``.
-    """
-    value, order = _ranked(sg)
-    edges = [(lo, hi) for lo, hi, _ in tree_h.edge_rows()]
-    return _checked_tree(sg, ranks(order), edges, sg.graph._number, value)
-
-
-def _checked_tree(sg: ScalarGraph, rank: Sequence[int], edges, number, value) -> IsoTree:
-    """``_tree`` of n - 1 contour edges ``(lo, hi)``, each checked to point up in ``rank``.
-
-    ``number`` maps an end to its site number: the graph's id dict, or ``range(n)``.
-    """
-    ids, n = sg.graph.site_list, len(rank)
-    if len(edges) != n - 1:
-        raise InternalInconsistencyError(f"{len(edges)} edges over {n} nodes")
-    numbered = []
-    for lo, hi in edges:
-        if lo not in number or hi not in number:
-            raise InternalInconsistencyError(f"contour edge {lo!r}->{hi!r} names an unknown site")
-        i, j = number[lo], number[hi]
-        if not rank[i] < rank[j]:
-            raise InternalInconsistencyError(
-                f"contour edge {ids[i]!r}->{ids[j]!r} points down in rank"
-            )
-        numbered.append((i, j))
-    return _tree(sg, numbered, value)
 
 
 def _tree(sg: ScalarGraph, edges: Sequence[tuple[int, int]], value: Sequence[float]) -> IsoTree:
@@ -242,7 +153,22 @@ def _tree(sg: ScalarGraph, edges: Sequence[tuple[int, int]], value: Sequence[flo
     # Parents point to smaller sites, whose parent is by now their root.
     for i in range(len(ids)):
         parent[i] = parent[parent[i]]
-    return IsoTree(
-        ids, parent, [value[i] for i, r in enumerate(parent) if i == r], lows, ups,
-        [value[j] - value[i] for i, j in zip(lows, ups)], sg.reference_site(),
-    )
+    try:
+        return IsoTree(
+            ids, parent, [value[i] for i, r in enumerate(parent) if i == r], lows, ups,
+            [value[j] - value[i] for i, j in zip(lows, ups)], sg.reference_site(),
+        )
+    except NotATreeError as exc:  # the contour edges are the program's, not the input's
+        raise InternalInconsistencyError(str(exc)) from None
+
+
+def __getattr__(name: str):
+    """The staged API on its old path: :mod:`isotree.stages` is imported on first use."""
+    from . import _EXPORTS
+
+    if _EXPORTS.get(name) != "stages":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import stages
+
+    globals()[name] = value = getattr(stages, name)
+    return value

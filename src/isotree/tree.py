@@ -18,11 +18,11 @@ import json
 from array import array
 from bisect import bisect_left
 from collections import namedtuple
+from collections.abc import Iterator, Sequence
 from functools import cached_property
 from itertools import accumulate, chain, compress
 from json.encoder import encode_basestring_ascii
 from operator import eq, gt, itemgetter
-from typing import Iterator, Sequence
 
 from .errors import MissingReferenceError, NotATreeError
 from .graph import Graph, JCut, ScalarGraph, SiteId

@@ -14,7 +14,7 @@ import pytest
 
 from isotree import Graph, JCut, constant, gen_path, gen_tri_grid, is_mono_connected
 from isotree._bitgraph import _enumerate_cut_masks, _fold
-from isotree.graph import immediate_interior, is_region_connected
+from isotree.axioms import immediate_interior, is_region_connected
 from isotree.mono import MonoWitness, path_site_ids
 
 from conftest import cycle_graph

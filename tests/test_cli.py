@@ -484,6 +484,30 @@ class TestErrorPaths:
         assert res.returncode == 5
         assert "merge stalled" in res.stderr
 
+    # Float arithmetic cannot bridge these two values: the pipeline's own
+    # tree check fails, which is the program's fault (5), not the document's.
+    UNBRIDGED = "edge 'a'->'b': gap 6.0600000000000005 does not bridge zone values -8.08 and -2.02"
+
+    @pytest.mark.parametrize("command", ["build", "roundtrip"])
+    def test_tree_check_failing_in_the_pipeline_is_exit_5(self, tmp_path, capsys, command):
+        p = tmp_path / "g.json"
+        p.write_text('{"sites": [{"id": "a", "value": -8.08}, {"id": "b", "value": -2.02}], '
+                     '"adjacency": [["a", "b"]]}')
+        assert cli.main([command, "--input", str(p)]) == 5
+        assert capsys.readouterr() == ("", f"error: {self.UNBRIDGED}\n")
+
+    def test_the_same_fault_in_a_tree_document_is_exit_2(self, tmp_path, capsys):
+        graph, tree = tmp_path / "g.json", tmp_path / "t.json"
+        graph.write_text(graph_to_json(gen_path(2, [-8.08, -2.02])))
+        tree.write_text(json.dumps({
+            "zones": [{"id": "a", "sites": ["a"], "value": -8.08},
+                      {"id": "b", "sites": ["b"], "value": -2.02}],
+            "edges": [{"low": "a", "up": "b", "gap": -2.02 - -8.08}],
+            "reference": "a", "referenceValue": -8.08,
+        }))
+        assert cli.main(["validate", "--input", str(tree), "--graph", str(graph)]) == 2
+        assert capsys.readouterr().err == f"error: {self.UNBRIDGED}\n"
+
 
 def _smooth_pgm(width: int, height: int) -> bytes:
     """P5 image of a smooth field of hills and valleys, grey levels 1 to 23."""

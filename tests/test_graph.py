@@ -23,7 +23,7 @@ from isotree import (
     inverse_surfels,
     is_j_cut,
 )
-from isotree.graph import is_region_connected
+from isotree.axioms import is_region_connected
 from isotree.mono import gen_tri_grid, grid_site_id, seeded_random
 
 from conftest import cycle_graph, mono_scalar_graphs

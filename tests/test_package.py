@@ -39,10 +39,15 @@ def run_bare(code: str) -> str:
     return out.stdout
 
 
+def modules_after(code: str) -> set[str]:
+    """Every module loaded once ``code`` has run in a fresh interpreter."""
+    code += "\nimport json, sys; print(json.dumps(list(sys.modules)))"
+    return set(json.loads(run_bare(code).splitlines()[-1]))
+
+
 def loaded_by(code: str) -> set[str]:
     """The package's modules that ``code`` loads in a fresh interpreter."""
-    code += "\nimport json, sys; print(json.dumps([m for m in sys.modules if m.startswith('isotree')]))"
-    return set(json.loads(run_bare(code).splitlines()[-1]))
+    return {m for m in modules_after(code) if m.startswith("isotree")}
 
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
@@ -77,10 +82,12 @@ def build_code(path: Path, fmt: str) -> str:
 def test_pgm_build_loads_only_the_build_path(tmp_path):
     image = tmp_path / "two.pgm"
     image.write_bytes(b"P2\n2 2\n255\n0 1\n2 3\n")
-    loaded = loaded_by(build_code(image, "pgm"))
+    modules = modules_after(build_code(image, "pgm"))
+    loaded = {m for m in modules if m.startswith("isotree")}
     assert loaded == BUILD_PATH
-    off_path = {"io", "mono", "oracle", "_bitgraph", "axioms"}
+    off_path = {"io", "mono", "oracle", "_bitgraph", "axioms", "commands", "stages"}
     assert not loaded & {f"isotree.{name}" for name in off_path}
+    assert "typing" not in modules
 
 
 def test_json_build_adds_only_the_reader(tmp_path):
@@ -88,8 +95,8 @@ def test_json_build_adds_only_the_reader(tmp_path):
     doc.write_text('{"sites": [{"id": "a", "value": 0}, {"id": "b", "value": 1}], '
                    '"adjacency": [["a", "b"]]}')
     reader = loaded_by("import isotree.io")
-    assert loaded_by(build_code(doc, "json")) == BUILD_PATH | reader
-    assert "isotree.io" in reader
+    assert reader == {f"isotree{name}" for name in ("", ".errors", ".graph", ".io", ".tree")}
+    assert loaded_by(build_code(doc, "json")) == BUILD_PATH - {"isotree.grid"} | reader
 
 
 def test_every_export_is_its_defining_modules_object():
@@ -119,11 +126,13 @@ OLD_PATHS = {
     "mono.gen_tri_grid": "grid",
     "tree.reconstruct_rt": "tree",
     "oracle.brute_force_iso_tree": "oracle",
+    "pipeline.build_iso_tree": "pipeline",
     **{
-        f"pipeline.{name}": "pipeline"
+        f"pipeline.{name}": "stages"
         for name in (
             "perturb_rank", "sublevel_merge_tree", "superlevel_merge_tree",
-            "merge_to_augmented_ct", "ct_to_iso_tree", "reduce_by_f", "build_iso_tree",
+            "merge_to_augmented_ct", "ct_to_iso_tree", "reduce_by_f",
+            "MergeTree", "AugmentedContourTree",
         )
     },
 }
@@ -136,3 +145,35 @@ def test_old_import_path_is_the_defining_object(path):
     home = importlib.import_module(f"isotree.{OLD_PATHS[path]}")
     assert obj is getattr(home, name)
     assert obj.__module__ == home.__name__
+
+
+# The names that left the build modules, by the module that now defines them.
+MOVED = {
+    "axioms": """Surfel complement components_of is_region_connected immediate_interior
+        is_j_cut boundary_surfels inverse_surfels""",
+    "stages": """MergeTree AugmentedContourTree perturb_rank sublevel_merge_tree
+        superlevel_merge_tree merge_to_augmented_ct ct_to_iso_tree reduce_by_f""",
+}
+
+
+@pytest.mark.parametrize("module", MOVED)
+def test_moved_names_resolve_on_their_module_and_the_package(module):
+    home = importlib.import_module(f"isotree.{module}")
+    graph = importlib.import_module("isotree.graph")
+    for name in MOVED[module].split():
+        obj = getattr(home, name)
+        assert obj.__module__ == home.__name__, name
+        if name != "is_region_connected":  # not a package name
+            assert getattr(isotree, name) is obj, name
+        assert not hasattr(graph, name), name
+
+
+def test_the_shims_resolve_only_their_own_names():
+    from isotree import grid, io, pipeline, stages
+
+    assert pipeline.MergeTree is stages.MergeTree
+    assert io.parse_pgm is grid.parse_pgm
+    assert io.load_pgm_tri_grid is grid.load_pgm_tri_grid
+    for module, name in ((pipeline, "Surfel"), (pipeline, "nonesuch"), (io, "gen_tri_grid")):
+        with pytest.raises(AttributeError, match=f"no attribute '{name}'"):
+            getattr(module, name)

@@ -32,7 +32,8 @@ from isotree import (
 from isotree.io import graph_to_json, load_graph_json, load_pgm_tri_grid, tree_to_json
 from isotree.mono import grid_site_id
 from isotree.oracle import brute_force_iso_tree
-from isotree.pipeline import AugmentedContourTree, MergeTree, _tree
+from isotree.pipeline import _tree
+from isotree.stages import AugmentedContourTree, MergeTree
 
 from conftest import mono_scalar_graphs
 
@@ -393,6 +394,15 @@ class TestContractTies:
     def test_edge_count_must_make_a_tree(self):
         with pytest.raises(InternalInconsistencyError, match="1 edges over 3 nodes"):
             self.contract([0, 1, 2], [(0, 1)])
+
+    def test_a_failing_tree_check_is_an_internal_error(self):
+        # -2.02 - -8.08 is 6.0600000000000005, and -8.08 + that is not -2.02.
+        with pytest.raises(InternalInconsistencyError) as info:
+            build_iso_tree(gen_path(2, [-8.08, -2.02]))
+        assert str(info.value) == (
+            "edge 'a'->'b': gap 6.0600000000000005 does not bridge zone values -8.08 and -2.02"
+        )
+        assert info.value.__cause__ is None and info.value.__suppress_context__
 
 
 class TestPipelineAgainstOracle:
