@@ -26,6 +26,7 @@ from functools import cache, cached_property
 from operator import or_
 from typing import NamedTuple
 
+from .errors import SizeLimitError
 from .graph import Graph, JCut, SiteId
 
 
@@ -41,6 +42,13 @@ class MonoWitness(NamedTuple):
     verdict: bool
     counterexample: JCut | None = None
     failing_side: str | None = None
+
+
+def capped_bits(g: Graph, cap: int, scan: str) -> BitGraph:
+    """``g``'s bit view, once ``g`` has at most ``cap`` sites; ``scan`` names the cap."""
+    if len(g) > cap:
+        raise SizeLimitError(f"{len(g)} sites exceeds the {scan} cap of {cap}")
+    return g._bits
 
 
 class BitGraph:

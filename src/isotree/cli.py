@@ -5,11 +5,12 @@ failure (counterexample printed), 2 I/O or parse error, 3 precondition
 violation (size cap, disconnected graph), 4 out of memory, 5 internal error.
 
 This module holds only what ``build`` runs, and imports only that: the
-other commands and ``--show-intermediate`` are in :mod:`isotree.commands`,
-imported when they run, and every other engine, reader and output
-imports its modules where it runs.  So a PGM build loads neither the JSON
-readers, the exhaustive scans, the staged API nor the axiom checks, and
-a JSON build loads the JSON reader in place of the PGM one.
+other commands and the ``--show-intermediate`` printout are in
+:mod:`isotree.commands`, imported when they run, and ``_iso_tree`` (every
+command's one engine switch), each reader and each output import their
+modules where they run.  So a PGM build loads neither the JSON readers,
+the exhaustive scans, the staged API nor the axiom checks, and a JSON
+build loads the JSON reader in place of the PGM one.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .errors import (
 )
 from .graph import ScalarGraph
 from .pipeline import build_iso_tree
-from .tree import tree_to_json
+from .tree import IsoTree, tree_to_json
 
 
 def _load_scalar_graph(path: str, fmt: str) -> ScalarGraph:
@@ -52,21 +53,25 @@ def _emit(text: str, output: str | None) -> None:
         print(text)
 
 
+def _iso_tree(sg: ScalarGraph, engine: str, cap: int, reduce: bool = True) -> IsoTree:
+    """The tree of ``sg`` from ``engine``: the oracle, capped at ``cap`` sites, or the pipeline."""
+    if engine == "oracle":
+        from .oracle import brute_force_iso_tree
+
+        return brute_force_iso_tree(sg, cap=cap)
+    return build_iso_tree(sg, reduce=reduce)
+
+
 def _cmd_build(args: argparse.Namespace) -> int:
     if args.engine == "oracle" and (args.show_intermediate or not args.reduce):
         flag = "--show-intermediate" if args.show_intermediate else "--no-reduce"
         raise ValidationError(f"--engine oracle does not take {flag}")
     sg = _load_scalar_graph(args.input, args.format)
-    if args.engine == "oracle":
-        from .oracle import brute_force_iso_tree
-
-        tree = brute_force_iso_tree(sg, cap=args.max_sites)
-    elif args.show_intermediate:
+    if args.show_intermediate:
         from .commands import show_intermediate
 
-        tree = show_intermediate(sg, args.reduce)
-    else:
-        tree = build_iso_tree(sg, reduce=args.reduce)
+        show_intermediate(sg)
+    tree = _iso_tree(sg, args.engine, args.max_sites, args.reduce)
     _emit(tree_to_json(tree), args.output)
     if args.dot:
         from .io import export_dot

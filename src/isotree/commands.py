@@ -1,6 +1,8 @@
-"""The CLI's commands other than ``build``, and ``build --show-intermediate``.
+"""The CLI's commands other than ``build``, and the ``build --show-intermediate`` printout.
 
-:mod:`isotree.cli` imports this module only when one of them runs.
+:mod:`isotree.cli` imports this module only when one of them runs.  The
+printout only prints: ``build`` writes its tree, and each command here
+that builds trees takes them from the CLI's one engine switch, ``_iso_tree``.
 """
 
 from __future__ import annotations
@@ -8,38 +10,27 @@ from __future__ import annotations
 import argparse
 import json
 
-from .cli import _emit, _load_scalar_graph
+from .cli import _emit, _iso_tree, _load_scalar_graph
 from .errors import ValidationError
 from .graph import Graph, JCut, ScalarGraph
-from .pipeline import build_iso_tree
-from .tree import IsoTree, _num, reconstruct_rt, tree_to_json
+from .tree import _num, reconstruct_rt, tree_to_json
 
 
-def show_intermediate(sg: ScalarGraph, reduce: bool) -> IsoTree:
-    """Print the staged pipeline's results as JSON, and return the tree that ``build`` writes."""
-    from .stages import (
-        ct_to_iso_tree,
-        merge_to_augmented_ct,
-        perturb_rank,
-        ranks,
-        reduce_by_f,
-        sublevel_merge_tree,
-        superlevel_merge_tree,
-    )
+def show_intermediate(sg: ScalarGraph) -> None:
+    """Print the staged pipeline's results as JSON: ranks, both merge trees, the ranked tree."""
+    from . import stages
 
-    order = perturb_rank(sg)
-    jt, st = sublevel_merge_tree(sg, order), superlevel_merge_tree(sg, order)
-    ct = merge_to_augmented_ct(jt, st)
-    tree_h = ct_to_iso_tree(sg, order, ct)
+    order = stages.perturb_rank(sg)
+    jt, st = stages.sublevel_merge_tree(sg, order), stages.superlevel_merge_tree(sg, order)
+    ct = stages.merge_to_augmented_ct(jt, st)
     ids, name = jt.sites, (*jt.sites, None)  # by site number; a root's parent is n
     print(json.dumps({
-        "ranks": dict(zip(ids, ranks(order))),
+        "ranks": dict(zip(ids, stages.ranks(order))),
         "sublevel": dict(zip(ids, map(name.__getitem__, jt.parent))),
         "superlevel": dict(zip(ids, map(name.__getitem__, st.parent))),
         "contourEdges": [[ids[a], ids[b]] for a, b in ct.edges],
-        "rankedTree": json.loads(tree_to_json(tree_h)),
+        "rankedTree": json.loads(tree_to_json(stages.ct_to_iso_tree(sg, order, ct))),
     }, indent=2))
-    return reduce_by_f(sg, tree_h) if reduce else tree_h
 
 
 def _format_region(sites) -> str:
@@ -69,12 +60,7 @@ def _cmd_check_mono(args: argparse.Namespace) -> int:
 
 def _cmd_roundtrip(args: argparse.Namespace) -> int:
     sg = _load_scalar_graph(args.input, args.format)
-    if args.engine == "oracle":
-        from .oracle import brute_force_iso_tree
-
-        tree = brute_force_iso_tree(sg, cap=args.max_sites)
-    else:
-        tree = build_iso_tree(sg)
+    tree = _iso_tree(sg, args.engine, args.max_sites)
     recovered = reconstruct_rt(sg.graph, tree)
     for p, got, want in zip(sg.graph.site_list, recovered._value, sg._value):
         if got != want:
@@ -85,11 +71,8 @@ def _cmd_roundtrip(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle_diff(args: argparse.Namespace) -> int:
-    from .oracle import brute_force_iso_tree
-
     sg = _load_scalar_graph(args.input, args.format)
-    fast = build_iso_tree(sg)
-    slow = brute_force_iso_tree(sg, cap=args.max_sites)
+    fast, slow = _iso_tree(sg, "pipeline", args.max_sites), _iso_tree(sg, "oracle", args.max_sites)
     if fast == slow:
         print("identical: pipeline matches oracle")
         return 0

@@ -16,13 +16,23 @@ from __future__ import annotations
 
 from array import array
 from collections import namedtuple
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Mapping, Sequence
 from functools import cached_property
 from itertools import accumulate, chain
+from math import inf
+from operator import ne
 
 from .errors import InvalidRegionError
 
 SiteId = str
+_INFINITE = frozenset((inf, -inf))
+
+
+def _check_finite(value: tuple, kind: str, names: Sequence) -> None:
+    """Raise ``ValueError`` at the first NaN or infinite ``value[i]``, as ``kind`` ``names[i]``."""
+    if any(map(ne, value, value)) or not _INFINITE.isdisjoint(value):  # two passes in C
+        i = next(i for i, v in enumerate(value) if v != v or v in _INFINITE)
+        raise ValueError(f"{kind} {names[i]!r}: value {value[i]!r} is not finite")
 
 
 class Graph:
@@ -146,6 +156,7 @@ class ScalarGraph:
             raise ValueError(f"reference {reference!r} is not a site")
         self._graph, self._reference = graph, reference
         self._value = tuple(map(values.__getitem__, ids))
+        _check_finite(self._value, "site", ids)
 
     @classmethod
     def _by_number(cls, graph: Graph, value: tuple, reference: SiteId | None = None) -> ScalarGraph:

@@ -13,7 +13,7 @@ import re
 from collections.abc import Callable, Sequence
 
 from .errors import ParseError, PreconditionError
-from .graph import Graph, ScalarGraph, SiteId
+from .graph import Graph, ScalarGraph, SiteId, _check_finite
 
 ValuePolicy = Callable[[int], Sequence[float]]
 
@@ -22,6 +22,7 @@ def _resolve_values(values: ValuePolicy | Sequence[float], n: int) -> tuple[floa
     out = tuple(values(n)) if callable(values) else tuple(values)
     if len(out) != n:
         raise ValueError(f"expected {n} values, got {len(out)}")
+    _check_finite(out, "index", range(n))
     return out
 
 

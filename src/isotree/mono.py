@@ -27,8 +27,8 @@ import math
 import random
 from typing import Sequence
 
-from ._bitgraph import MonoWitness
-from .errors import DEFAULT_ENUMERATION_CAP, PreconditionError, SizeLimitError
+from ._bitgraph import MonoWitness, capped_bits
+from .errors import DEFAULT_ENUMERATION_CAP, PreconditionError
 from .graph import Graph, JCut, ScalarGraph, SiteId
 from .grid import ValuePolicy, _resolve_values
 from .grid import gen_tri_grid, grid_site_id  # noqa: F401  (re-exported)
@@ -65,9 +65,7 @@ def enumerate_j_cuts(g: Graph, cap: int = DEFAULT_ENUMERATION_CAP) -> list[JCut]
     Each bipartition appears once, represented by the side containing the
     least site, in ascending bitmask order over the sorted site list.
     """
-    if len(g) > cap:
-        raise SizeLimitError(f"{len(g)} sites exceeds the enumeration cap of {cap}")
-    bg = g._bits
+    bg = capped_bits(g, cap, "enumeration")
     if not bg.is_connected(bg.full):
         raise PreconditionError("J-cut enumeration requires a connected graph")
     return [JCut(bg.set_of(mask)) for mask in bg.cut_masks]
@@ -75,9 +73,7 @@ def enumerate_j_cuts(g: Graph, cap: int = DEFAULT_ENUMERATION_CAP) -> list[JCut]
 
 def is_mono_connected(g: Graph, cap: int = DEFAULT_ENUMERATION_CAP) -> MonoWitness:
     """Exhaustively decide mono-connectivity, producing a witness on failure."""
-    if len(g) > cap:
-        raise SizeLimitError(f"{len(g)} sites exceeds the enumeration cap of {cap}")
-    bg = g._bits
+    bg = capped_bits(g, cap, "enumeration")
     if not bg.is_connected(bg.full):
         return MonoWitness(verdict=False)
     return bg.witness

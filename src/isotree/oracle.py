@@ -17,9 +17,9 @@ from __future__ import annotations
 
 from math import inf
 
-from ._bitgraph import BitGraph, _fold
+from ._bitgraph import BitGraph, _fold, capped_bits
 from .axioms import LCut, _cut_arrays, check_iso_tree
-from .errors import DEFAULT_ORACLE_CAP, PreconditionError, SizeLimitError
+from .errors import DEFAULT_ORACLE_CAP, PreconditionError
 from .graph import JCut, ScalarGraph
 from .tree import IsoTree
 
@@ -46,10 +46,7 @@ def _oriented_l_cut_masks(sg: ScalarGraph, bg: BitGraph) -> list[int]:
 
 def _level_cuts(sg: ScalarGraph, cap: int) -> list[JCut]:
     """The level cuts in cut order, once the graph is small, connected and mono-connected."""
-    n = len(sg.graph)
-    if n > cap:
-        raise SizeLimitError(f"{n} sites exceeds the oracle cap of {cap}")
-    bg = sg.graph._bits
+    bg = capped_bits(sg.graph, cap, "oracle")
     if not bg.is_connected(bg.full):
         raise PreconditionError("the oracle requires a connected graph")
     witness = bg.witness

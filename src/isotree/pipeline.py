@@ -8,15 +8,16 @@ union-find sweeps over the graph's rows build the sublevel and
 superlevel merge trees; a sweep that ends with more than one root
 rejects the graph as disconnected.  A leaf-pruning merge, on one parent
 pointer and one child count per site in each tree, combines them into
-the augmented contour tree (one node per site).  One tie contraction
+the augmented contour tree (one node per site), its edges in pruning
+order: ``IsoTree`` sorts them, once per build.  One tie contraction
 then builds both trees: with the input values it joins the sites of
 every equal-value edge into one zone (the iso-tree, gaps in input
 units); with the ranks as values nothing ties, and it gives the ranked
 iso-tree (singleton zones, rank gaps), which is built only on request
-(``--no-reduce``, ``--show-intermediate``).  This module holds what
-``build_iso_tree`` runs; the public stage functions, the same steps
-checking the inputs they are given, are in :mod:`isotree.stages` and
-resolve here too.
+(``--no-reduce``, ``--show-intermediate``).  This module holds
+``build_iso_tree``, which every CLI build calls, and the steps it runs;
+the public stage functions, the same steps checking the inputs they are
+given, are in :mod:`isotree.stages` and resolve here too.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ def _sweep(g: Graph, order: Sequence[int]) -> list[int]:
 
 
 def _merge(p_sub: list[int], p_sup: list[int], ids: Sequence[SiteId]) -> list[tuple[int, int]]:
-    """Contour-tree edges (lower, higher), ascending, from the sweeps' parents (``n``: none).
+    """Contour-tree edges (lower, higher) in pruning order, from the sweeps' parents (``n``: none).
 
     A site is prunable when it has no child in one tree and exactly one
     in the other: the edge to its parent in the childless tree is a
@@ -110,7 +111,6 @@ def _merge(p_sub: list[int], p_sup: list[int], ids: Sequence[SiteId]) -> list[tu
         (n_sub if low else n_sup)[mate] -= 1
         pruned[x] = 1
         heappush(heap, mate)  # the only site whose child counts changed
-    edges.sort()
     return edges
 
 

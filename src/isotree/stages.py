@@ -2,8 +2,8 @@
 
 Each returns its intermediate result (``MergeTree``,
 ``AugmentedContourTree``, the ranked tree) and checks the inputs it is
-given; ``build --show-intermediate`` prints them, and only it imports
-this module.  :mod:`isotree.pipeline` resolves its names too.
+given; the ``build --show-intermediate`` printout shows them, and no
+build calls ``reduce_by_f``.  :mod:`isotree.pipeline` resolves its names too.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ class MergeTree(NamedTuple):
 
 
 class AugmentedContourTree(NamedTuple):
-    """Free tree over site numbers; every edge is oriented (lower, higher) by rank."""
+    """Free tree over site numbers; every edge is oriented (lower, higher) by rank, ascending."""
 
     sites: range
     edges: tuple[tuple[int, int], ...]
@@ -56,7 +56,7 @@ def superlevel_merge_tree(sg: ScalarGraph, order: Sequence[int]) -> MergeTree:
 
 
 def merge_to_augmented_ct(jt: MergeTree, st: MergeTree) -> AugmentedContourTree:
-    """Leaf-pruning merge (``_merge``) of the two sweep trees into the contour tree."""
+    """Leaf-pruning merge (``_merge``) of the two sweep trees into the contour tree, sorted."""
     ids, n = jt.sites, len(jt.sites)
     if st.sites != ids or len(jt.parent) != n or len(st.parent) != n:
         raise PreconditionError("merge trees cover different site sets")
@@ -64,7 +64,8 @@ def merge_to_augmented_ct(jt: MergeTree, st: MergeTree) -> AugmentedContourTree:
     if bad:
         raise InternalInconsistencyError("%s parent %r is not a site number" % bad[0])
     # _merge overwrites the pointers it follows; the trees stay as given.
-    return AugmentedContourTree(range(n), tuple(_merge(list(jt.parent), list(st.parent), ids)))
+    edges = _merge(list(jt.parent), list(st.parent), ids)
+    return AugmentedContourTree(range(n), tuple(sorted(edges)))
 
 
 def ct_to_iso_tree(sg: ScalarGraph, order: Sequence[int], ct: AugmentedContourTree) -> IsoTree:

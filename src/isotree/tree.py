@@ -230,15 +230,8 @@ class IsoTree:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, IsoTree):
             return NotImplemented
-        return (
-            self._ids == other._ids
-            and self._zone == other._zone
-            and self._values == other._values
-            and self._low == other._low
-            and self._up == other._up
-            and self._gap == other._gap
-            and self._reference == other._reference
-        )
+        # Every slot but the last, ``__dict__``, whose cached views follow from the rest.
+        return all(getattr(self, s) == getattr(other, s) for s in IsoTree.__slots__[:-1])
 
     def __repr__(self) -> str:
         return f"IsoTree({len(self._values)} zones, {len(self._low)} edges)"

@@ -13,7 +13,7 @@ import pytest
 
 from isotree import ScalarGraph, build_iso_tree, cli, gen_path, gen_tri_grid
 from isotree.axioms import LCut, ValuedJDivision
-from isotree.io import division_to_json, graph_to_json, tree_to_json
+from isotree.io import division_to_json, graph_to_json, load_graph_json, tree_to_json
 from isotree.oracle import brute_force_iso_tree
 from isotree.graph import JCut
 
@@ -179,6 +179,51 @@ class TestBuild:
         assert outcomes[0][:2] == (code, "")
 
 
+def _seeded_graphs() -> list:
+    """Tri-grids with many ties, and paths, from fixed seeds; at most 14 sites for the oracle."""
+    graphs = []
+    for seed, (w, h) in enumerate([(3, 4), (2, 7), (4, 3), (1, 5), (5, 2)]):
+        rng = random.Random(seed)
+        graphs.append(gen_tri_grid(w, h, [rng.randint(0, 2) for _ in range(w * h)]))
+    for seed, n in enumerate([1, 2, 6, 14]):
+        rng = random.Random(100 + seed)
+        graphs.append(gen_path(n, [rng.randint(0, 3) for _ in range(n)]))
+    return graphs
+
+
+@pytest.fixture
+def seeded_files(tmp_path: Path) -> list[str]:
+    paths = []
+    for i, sg in enumerate(_seeded_graphs()):
+        p = tmp_path / f"g{i}.json"
+        p.write_text(graph_to_json(sg))
+        paths.append(str(p))
+    return paths
+
+
+class TestShowIntermediateOnlyPrints:
+    @pytest.mark.parametrize("reduce", [[], ["--no-reduce"]], ids=["reduce", "no-reduce"])
+    def test_the_written_tree_is_the_plain_build(self, tmp_path, capsys, seeded_files, reduce):
+        plain, shown = tmp_path / "plain.json", tmp_path / "shown.json"
+        for path in seeded_files:
+            assert cli.main(["build", "--input", path, *reduce, "--output", str(plain)]) == 0
+            assert capsys.readouterr() == ("", "")
+            argv = ["build", "--input", path, *reduce, "--output", str(shown)]
+            assert cli.main([*argv, "--show-intermediate"]) == 0
+            assert shown.read_bytes() == plain.read_bytes()
+            printout = json.loads(capsys.readouterr().out)
+            edges = [tuple(e) for e in printout["contourEdges"]]
+            assert edges == sorted(edges)
+            ranked = build_iso_tree(load_graph_json(Path(path).read_text()), reduce=False)
+            assert printout["rankedTree"] == json.loads(tree_to_json(ranked))
+
+    def test_the_printout_returns_nothing(self, capsys):
+        from isotree.commands import show_intermediate
+
+        assert show_intermediate(gen_path(3, [1, 3, 0])) is None
+        assert json.loads(capsys.readouterr().out)["sublevel"] == {"a": "b", "b": None, "c": "b"}
+
+
 class TestCheckMono:
     def test_grid_passes(self, tmp_path):
         p = tmp_path / "grid.json"
@@ -217,12 +262,49 @@ class TestRoundtrip:
         res = run_cli("roundtrip", "--input", str(peak_file), "--engine", "oracle")
         assert res.returncode == 0
 
+    def test_both_engines_pass_in_process(self, capsys, seeded_files):
+        for path in seeded_files:
+            for engine in ("pipeline", "oracle"):
+                assert cli.main(["roundtrip", "--input", path, "--engine", engine]) == 0
+                assert capsys.readouterr() == ("PASS: RT∘ITT identity\n", "")
+
+    def test_oracle_engine_keeps_its_cap(self, capsys, peak_file):
+        argv = ["roundtrip", "--input", str(peak_file), "--engine", "oracle", "--max-sites", "2"]
+        assert cli.main(argv) == 3
+        assert capsys.readouterr() == ("", "error: 3 sites exceeds the oracle cap of 2\n")
+
 
 class TestOracleDiff:
     def test_identical(self, peak_file):
         res = run_cli("oracle-diff", "--input", str(peak_file))
         assert res.returncode == 0
         assert "identical" in res.stdout
+
+    def test_identical_in_process(self, capsys, seeded_files):
+        for path in seeded_files:
+            assert cli.main(["oracle-diff", "--input", path]) == 0
+            assert capsys.readouterr() == ("identical: pipeline matches oracle\n", "")
+
+    def test_the_pipeline_runs_before_the_capped_oracle(self, capsys, tmp_path, peak_file):
+        assert cli.main(["oracle-diff", "--input", str(peak_file), "--max-sites", "2"]) == 3
+        assert capsys.readouterr() == ("", "error: 3 sites exceeds the oracle cap of 2\n")
+        p = tmp_path / "disconnected.json"
+        p.write_text(json.dumps({"sites": [{"id": s, "value": 0} for s in "ab"]}))
+        assert cli.main(["oracle-diff", "--input", str(p), "--max-sites", "1"]) == 3
+        assert capsys.readouterr().err == "error: merge-tree sweeps require a connected graph\n"
+
+    def test_divergence_lists_both_trees(self, capsys, monkeypatch, peak_file):
+        monkeypatch.setattr(cli, "build_iso_tree", lambda sg, reduce: build_iso_tree(
+            gen_path(3, [0, 1, 2]), reduce
+        ))
+        assert cli.main(["oracle-diff", "--input", str(peak_file)]) == 1
+        assert capsys.readouterr().out == (
+            "DIVERGENCE\n"
+            "pipeline zones: {a}=0; {b}=1; {c}=2\n"
+            "pipeline edges: a->b gap=1 cut={a}; b->c gap=1 cut={a,b}\n"
+            "oracle zones: {a}=1; {b}=3; {c}=0\n"
+            "oracle edges: a->b gap=2 cut={a}; c->b gap=3 cut={c}\n"
+        )
 
 
 class TestValidate:

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import math
 import random
 import sys
 import threading
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -77,6 +79,20 @@ class TestScalarGraphChecks:
     def test_reference_must_be_a_site(self):
         with pytest.raises(ValueError, match=r"^reference 'z' is not a site$"):
             ScalarGraph(path3(), {"a": 0, "b": 1, "c": 2}, reference="z")
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_values_are_rejected_at_their_site(self, bad):
+        with pytest.raises(ValueError, match=rf"^site 'b': value {bad!r} is not finite$"):
+            ScalarGraph(path3(), {"a": 0, "b": bad, "c": 1})
+        # The first such site, in id order, is the one named.
+        with pytest.raises(ValueError, match=rf"^site 'a': value {bad!r} is not finite$"):
+            ScalarGraph(path3(), {"c": -bad, "b": 1, "a": bad})
+
+    def test_exact_values_of_any_size_are_finite(self):
+        values = {"a": -(10**400), "b": Fraction(1, 3), "c": 10**400}
+        sg = ScalarGraph(path3(), values)
+        assert sg.values == values
+        assert build_iso_tree(sg).zones[1].value == Fraction(1, 3)
 
     def test_constructor_keeps_only_the_value_tuple(self):
         # The value tuple of 65,536 sites is about 0.5 MB; an id-to-number

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -171,6 +172,14 @@ class TestSharedScan:
         with pytest.raises(SizeLimitError, match="oracle cap of 14"):
             brute_force_iso_tree(ScalarGraph(g, {p: 0 for p in g.sites}))
 
+    def test_each_scan_names_its_cap(self):
+        g = path_graph(3)
+        for scan in (enumerate_j_cuts, is_mono_connected):
+            with pytest.raises(SizeLimitError, match=r"^3 sites exceeds the enumeration cap of 2$"):
+                scan(g, cap=2)
+        with pytest.raises(SizeLimitError, match=r"^3 sites exceeds the oracle cap of 2$"):
+            brute_force_iso_tree(ScalarGraph(g, {p: 0 for p in g.sites}), cap=2)
+
     def test_warm_disconnected_graph_is_still_rejected(self, scans):
         g = Graph("abc", [("a", "b")])
         # Fill the table of the disconnected graph as a trusted oracle call would.
@@ -245,6 +254,16 @@ class TestGenerators:
     def test_value_length_mismatch(self):
         with pytest.raises(ValueError):
             gen_path(3, [1, 2])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_values_are_rejected_at_their_index(self, bad):
+        message = rf"^index 1: value {bad!r} is not finite$"
+        with pytest.raises(ValueError, match=message):
+            gen_path(3, [0, bad, 1])
+        with pytest.raises(ValueError, match=message):
+            gen_tri_grid(3, 1, [0, bad, 1])
+        with pytest.raises(ValueError, match=rf"^index 3: value {bad!r} is not finite$"):
+            gen_tri_grid(2, 2, lambda n: [0, 1, 2, bad])
 
     def test_seeded_random_is_reproducible(self):
         a = gen_tri_grid(3, 3, seeded_random(42))

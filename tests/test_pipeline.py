@@ -170,6 +170,24 @@ class TestMerge:
             ):
                 merge_to_augmented_ct(jt, st)
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_edges_are_ascending_and_make_the_build(self, seed):
+        # The merge hands its edges over in pruning order; the public stage sorts them.
+        rng = random.Random(seed)
+        w, h = rng.randint(1, 9), rng.randint(1, 9)
+        for sg in (
+            gen_tri_grid(w, h, [rng.randint(0, 3) for _ in range(w * h)]),
+            gen_path(w * h, [rng.randint(0, 3) for _ in range(w * h)]),
+        ):
+            order = perturb_rank(sg)
+            jt, st = sublevel_merge_tree(sg, order), superlevel_merge_tree(sg, order)
+            ct = merge_to_augmented_ct(jt, st)
+            assert list(ct.edges) == sorted(ct.edges)
+            assert len(ct.edges) == len(sg.graph) - 1
+            ranked = ct_to_iso_tree(sg, order, ct)
+            assert ranked == build_iso_tree(sg, reduce=False)
+            assert reduce_by_f(sg, ranked) == build_iso_tree(sg)
+
     def test_merge_leaves_its_inputs_unchanged(self, peak):
         rp = perturb_rank(peak)
         jt, st = sublevel_merge_tree(peak, rp), superlevel_merge_tree(peak, rp)
