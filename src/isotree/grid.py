@@ -3,13 +3,17 @@
 A width x height grid has one site per pixel, joined to its horizontal
 and vertical neighbours and across the NW-SE diagonal of every unit
 square: a triangulation of a topological disk, so the grid is
-mono-connected by construction.  PGM images (ASCII ``P2`` and binary
-``P5``) load as such grids, with each pixel's intensity as its value.
+mono-connected by construction.  Its sites are numbered in id order,
+which is a row order, then a column order, each sorted on its own axis.
+PGM images (ASCII ``P2`` and binary ``P5``) load as such grids, with
+each pixel's intensity as its value.
 """
 
 from __future__ import annotations
 
 import re
+import sys
+from array import array
 from collections.abc import Callable, Sequence
 
 from .errors import ParseError, PreconditionError
@@ -31,30 +35,29 @@ def grid_site_id(row: int, col: int) -> SiteId:
 
 
 def gen_tri_grid(width: int, height: int, values: ValuePolicy | Sequence[float]) -> ScalarGraph:
-    """Triangulated width x height grid, mono-connected by construction.
-
-    Adjacency is horizontal + vertical neighbors plus the NW-SE diagonal
-    of every unit square; values are assigned in row-major site order.
-    """
+    """Triangulated width x height grid (NW-SE diagonals), values in row-major pixel order."""
     if width < 1 or height < 1:
         raise PreconditionError("grid dimensions must be positive")
-    n = width * height
-    ids = [grid_site_id(r, c) for r in range(height) for c in range(width)]
-    order = sorted(range(n), key=ids.__getitem__)  # the pixel of each site number
-    site_ids = tuple(map(ids.__getitem__, order))
-    pixel_number = sorted(range(n), key=order.__getitem__)  # the site number of each pixel
-    # Pixel k touches k ± 1, k ± width and k ± (width + 1): shifted slices of the lines of
-    # site numbers, padded with None on every side.  Only border pixels have a None to drop.
+    value = _resolve_values(values, width * height)
+    # Every row prefix "r{r}c" ends in a non-digit, so none is a prefix of another: ascending
+    # id order, and so site k, is row rows[k // width], then column cols[k % width].
+    rows = sorted(range(height), key=lambda r: grid_site_id(r, 0))
+    cols = sorted(range(width), key=lambda c: grid_site_id(0, c))
+    row_at, col_at = (sorted(range(len(a)), key=a.__getitem__) for a in (rows, cols))  # inverses
+    site_ids = tuple(grid_site_id(r, c) for r in rows for c in cols)
+    site_value = tuple(value[r * width + c] for r in rows for c in cols)
+    # Pixel (r, c) touches c ± 1 in its line, c - 1 and c above and c and c + 1 below: shifted
+    # slices of the lines of site numbers, padded with None.  Only border pixels get a None.
     pad = [None] * (width + 2)
-    lines = [pad, *([None, *pixel_number[k : k + width], None] for k in range(0, n, width)), pad]
-    by_pixel: list = []
-    for r, (up, mid, down) in enumerate(zip(lines, lines[1:], lines[2:])):
+    lines = [pad, *([None, *map((k * width).__add__, col_at), None] for k in row_at), pad]
+    site_rows: list = []
+    for r in rows:
+        up, mid, down = lines[r : r + 3]
         near = list(zip(up, up[1:], mid, mid[2:], down[1:], down[2:]))
         for c in range(width) if r in (0, height - 1) else (0, width - 1):
             near[c] = [q for q in near[c] if q is not None]
-        by_pixel += near
-    g = Graph._from_rows(site_ids, list(map(by_pixel.__getitem__, order)))
-    return ScalarGraph._by_number(g, tuple(map(_resolve_values(values, n).__getitem__, order)))
+        site_rows += map(near.__getitem__, cols)
+    return ScalarGraph._by_number(Graph._from_rows(site_ids, site_rows), site_value)
 
 
 _MAX_PGM_VALUE = 65535
@@ -100,29 +103,26 @@ def parse_pgm(data: bytes) -> tuple[int, int, list[int]]:
         raise ParseError(f"bad PGM dimensions {width}x{height}")
     if not 0 < maxval <= _MAX_PGM_VALUE:
         raise ParseError(f"PGM maxval {maxval} out of range 1..{_MAX_PGM_VALUE}")
-    count = width * height
-    pixels: list[int]
     if magic == b"P2":
-        pixels = [scan.int_token("pixel") for _ in range(count)]
+        pixels = [scan.int_token("pixel") for _ in range(width * height)]
     else:
         # Exactly one whitespace byte separates the header from the payload.
         if scan.pos >= len(data) or data[scan.pos] not in b" \t\r\n\v\f":
             raise ParseError(f"missing separator after PGM header at byte {scan.pos}")
         pos = scan.pos + 1
-        step = 2 if maxval > 255 else 1
-        need = count * step
+        payload = array("H" if maxval > 255 else "B")
+        need = width * height * payload.itemsize
         if len(data) - pos < need:
             raise ParseError(
                 f"truncated PGM payload at byte {len(data)}: need {need} bytes from {pos}"
             )
-        raw = data[pos : pos + need]
-        if step == 1:
-            pixels = list(raw)
-        else:
-            pixels = [(raw[2 * i] << 8) | raw[2 * i + 1] for i in range(count)]
-    for i, v in enumerate(pixels):
-        if not 0 <= v <= maxval:
-            raise ParseError(f"pixel {i} value {v} exceeds maxval {maxval}")
+        payload.frombytes(data[pos : pos + need])
+        if payload.itemsize == 2 and sys.byteorder == "little":
+            payload.byteswap()  # 16-bit pixels are stored big-endian
+        pixels = payload.tolist()
+    if max(pixels) > maxval:  # P2 tokens are ASCII digits, so no pixel is negative
+        i = next(i for i, v in enumerate(pixels) if v > maxval)
+        raise ParseError(f"pixel {i} value {pixels[i]} exceeds maxval {maxval}")
     return width, height, pixels
 
 

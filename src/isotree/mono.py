@@ -91,6 +91,6 @@ def gen_path(n: int, values: ValuePolicy | Sequence[float]) -> ScalarGraph:
     """Path of ``n`` sites with values assigned in path order."""
     if n < 1:
         raise PreconditionError("a path needs at least one site")
-    ids = path_site_ids(n)
-    g = Graph(ids, [(ids[i], ids[i + 1]) for i in range(n - 1)])
-    return ScalarGraph._by_number(g, _resolve_values(values, n))  # path order is id order
+    rows = [[j for j in (i - 1, i + 1) if 0 <= j < n] for i in range(n)]
+    g = Graph._from_rows(tuple(path_site_ids(n)), rows)  # path order is id order
+    return ScalarGraph._by_number(g, _resolve_values(values, n))

@@ -208,6 +208,40 @@ class TestSiteNumbers:
         assert sg.values == dict(zip(pixels, values))
         assert tuple(sg.values) == sg.graph.site_list
 
+    @staticmethod
+    def sort_numbered_grid(width: int, height: int, values) -> ScalarGraph:
+        """The grid as numbered by sorting every pixel's id, kept as the reference."""
+        n = width * height
+        ids = [grid_site_id(r, c) for r in range(height) for c in range(width)]
+        order = sorted(range(n), key=ids.__getitem__)  # the pixel of each site number
+        site_ids = tuple(map(ids.__getitem__, order))
+        pixel_number = sorted(range(n), key=order.__getitem__)  # the site number of each pixel
+        pad = [None] * (width + 2)
+        lines = [pad, *([None, *pixel_number[k : k + width], None] for k in range(0, n, width)), pad]
+        by_pixel: list = []
+        for r, (up, mid, down) in enumerate(zip(lines, lines[1:], lines[2:])):
+            near = list(zip(up, up[1:], mid, mid[2:], down[1:], down[2:]))
+            for c in range(width) if r in (0, height - 1) else (0, width - 1):
+                near[c] = [q for q in near[c] if q is not None]
+            by_pixel += near
+        g = Graph._from_rows(site_ids, list(map(by_pixel.__getitem__, order)))
+        return ScalarGraph._by_number(g, tuple(map(values.__getitem__, order)))
+
+    # Widths and heights of one to four digits: column and row numbers reach three digits.
+    NUMBERED = [
+        (1, 1), (1, 9), (9, 1), (11, 12), (12, 11), (101, 3), (3, 101), (120, 120), (1000, 2)
+    ]
+
+    @pytest.mark.parametrize("w,h", NUMBERED, ids=[f"{w}x{h}" for w, h in NUMBERED])
+    def test_per_axis_numbering_equals_the_sorted_one(self, w, h):
+        values = list(range(w * h))
+        random.Random(w * 10000 + h).shuffle(values)
+        sg, want = gen_tri_grid(w, h, values), self.sort_numbered_grid(w, h, values)
+        assert sg.graph._ids == want.graph._ids
+        assert sg.graph._offsets == want.graph._offsets
+        assert sg.graph._targets == want.graph._targets
+        assert sg._value == want._value
+
     def test_pairs_and_neighbors(self):
         g = gen_tri_grid(self.W, self.H, [0] * (self.W * self.H)).graph
         pairs = self.grid_pairs(self.W, self.H)

@@ -703,6 +703,26 @@ class TestPgm:
     @pytest.mark.parametrize(
         "data, message",
         [
+            (b"P5\n3 1\n100\n" + bytes([0, 100, 101]), "pixel 2 value 101 exceeds maxval 100"),
+            # 1, 300, 301 and 2: a pixel equal to maxval passes.
+            (b"P5\n2 2\n300\n" + bytes([0, 1, 1, 44, 1, 45, 0, 2]),
+             "pixel 2 value 301 exceeds maxval 300"),
+        ],
+        ids=["8-bit", "16-bit"],
+    )
+    def test_binary_pixel_above_maxval_is_named(self, data, message):
+        with pytest.raises(ParseError, match="^" + message + "$"):
+            parse_pgm(data)
+
+    def test_sixteen_bit_payload_is_big_endian(self):
+        payload = bytes([0x00, 0x01, 0x01, 0x00, 0xFF, 0xFE, 0x12, 0x34, 0x80, 0x00, 0x00, 0xFF])
+        assert parse_pgm(b"P5\n3 2\n65535\n" + payload) == (
+            3, 2, [1, 256, 65534, 0x1234, 0x8000, 255]
+        )
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
             (b"P2\n+2 0_1\n2_55\n7 8\n", "bad PGM width b'+2' at byte 2"),
             (b"P2\n2 0_1\n255\n7\n", "bad PGM height b'0_1' at byte 4"),
             (b"P2\n2 1\n2_55\n7 8\n", "bad PGM maxval b'2_55' at byte 6"),

@@ -237,6 +237,15 @@ class TestGenerators:
         assert sg.values == dict(zip(ids, values))
         assert [sg.graph.neighbors(p) for p in ids[1:-1]] == list(zip(ids, ids[2:]))
 
+    @pytest.mark.parametrize("n", [1, 2, 26, 27, 100])
+    def test_path_equals_the_graph_of_its_pairs(self, n):
+        # gen_path writes its rows in path order, which is id order, and lists no pairs.
+        ids = mono.path_site_ids(n)
+        g = gen_path(n, constant(0)).graph
+        other = Graph(ids, list(zip(ids, ids[1:])))
+        assert g == other and hash(g) == hash(other)
+        assert g.site_list == tuple(ids)
+
     def test_path_single_site(self):
         sg = gen_path(1, constant(5))
         assert len(sg.graph) == 1
