@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import math
@@ -13,7 +14,9 @@ import pytest
 
 from isotree import ScalarGraph, build_iso_tree, cli, gen_path, gen_tri_grid
 from isotree.axioms import LCut, ValuedJDivision
-from isotree.io import division_to_json, graph_to_json, load_graph_json, tree_to_json
+from isotree.io import (
+    division_to_json, export_dot, graph_to_json, load_graph_json, tree_to_json,
+)
 from isotree.oracle import brute_force_iso_tree
 from isotree.graph import JCut
 
@@ -626,3 +629,50 @@ class TestLinearDocuments:
         text = tree_to_json(build_iso_tree(gen_tri_grid(48, 48, values)))
         assert '"cutLow"' not in text
         assert len(text.encode()) < 1e6
+
+
+def _collector_state() -> tuple[bool, int]:
+    return gc.isenabled(), gc.get_freeze_count()
+
+
+class TestProcessEntry:
+    # One document per exit code: a tree, a malformed document, two sites
+    # with no pair, and the C5 cycle whose merge stalls.
+    C5 = cycle_graph(5)
+    DOCUMENTS = {
+        0: graph_to_json(gen_path(3, [0, 1, 2])),
+        2: "{nope",
+        3: '{"sites": [{"id": "a", "value": 0}, {"id": "b", "value": 1}], "adjacency": []}',
+        5: graph_to_json(ScalarGraph(C5, dict(zip(C5.site_list, [0, 5, 3, 5, 3])))),
+    }
+
+    @pytest.mark.parametrize("code", DOCUMENTS, ids=lambda c: f"exit-{c}")
+    def test_main_leaves_the_collector_as_it_found_it(self, tmp_path, code):
+        p = tmp_path / "g.json"
+        p.write_text(self.DOCUMENTS[code])
+        argv = ["build", "--input", str(p), "--output", str(tmp_path / "t.json")]
+        was_enabled = gc.isenabled()
+        try:
+            for enabled in (True, False):
+                (gc.enable if enabled else gc.disable)()
+                before = _collector_state()
+                assert cli.main(argv) == code
+                assert _collector_state() == before
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
+
+    def test_a_frozen_exit_loses_no_output(self, tmp_path):
+        # The document is several times a pipe's 64 KiB buffer: the child
+        # blocks on the pipe as it writes, and its last bytes leave its
+        # buffers only at exit.
+        rng = random.Random(5)
+        sg = gen_tri_grid(64, 64, [rng.randint(0, 5) for _ in range(64 * 64)])
+        graph, out, dot = tmp_path / "g.json", tmp_path / "t.json", tmp_path / "t.dot"
+        graph.write_text(graph_to_json(sg))
+        argv = [sys.executable, "-m", "isotree", "build", "--input", str(graph)]
+        piped = subprocess.run([*argv, "--dot", str(dot)], capture_output=True)
+        assert (piped.returncode, piped.stderr) == (0, b"")
+        assert len(piped.stdout) > 4 * 65536
+        assert subprocess.run([*argv, "--output", str(out)]).returncode == 0
+        assert piped.stdout == out.read_bytes()
+        assert dot.read_text(encoding="utf-8") == export_dot(build_iso_tree(sg))

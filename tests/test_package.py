@@ -6,6 +6,7 @@ import ast
 import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -88,6 +89,38 @@ def test_pgm_build_loads_only_the_build_path(tmp_path):
     off_path = {"io", "mono", "oracle", "_bitgraph", "axioms", "commands", "stages"}
     assert not loaded & {f"isotree.{name}" for name in off_path}
     assert "typing" not in modules
+
+
+def test_the_process_entry_adds_no_import(tmp_path):
+    # What `python -m isotree` runs: the collector is off and the heap
+    # frozen when the build exits 0.
+    image = tmp_path / "two.pgm"
+    image.write_bytes(b"P2\n2 2\n255\n0 1\n2 3\n")
+    argv = ["isotree", "build", "--input", str(image), "--format", "pgm",
+            "--output", str(image) + ".tree"]
+    code = (
+        f"import gc, runpy, sys\nsys.argv = {argv!r}\n"
+        "try:\n    runpy.run_module('isotree', run_name='__main__')\n"
+        "except SystemExit as exc:\n    assert exc.code == 0, exc.code\n"
+        "else:\n    raise AssertionError('no exit')\n"
+        "assert not gc.isenabled() and gc.get_freeze_count() > 0"
+    )
+    modules = modules_after(code)
+    assert {m for m in modules if m.startswith("isotree")} == BUILD_PATH
+    assert "typing" not in modules
+
+
+def test_the_script_and_python_m_run_one_entry():
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    script = re.search(r'^\[project\.scripts\]\nisotree = "isotree\.cli:(\w+)"$', pyproject, re.M)
+    assert script, "pyproject.toml names no isotree script"
+    package = Path(isotree.__file__).parent
+    main_body = ast.parse((package / "__main__.py").read_text(encoding="utf-8")).body
+    assert [ast.unparse(node) for node in main_body] == [
+        f"from .cli import {script[1]}", f"{script[1]}()"
+    ]
+    cli_tail = ast.parse((package / "cli.py").read_text(encoding="utf-8")).body[-1]
+    assert ast.unparse(cli_tail) == f"if __name__ == '__main__':\n    {script[1]}()"
 
 
 def test_json_build_adds_only_the_reader(tmp_path):
