@@ -73,7 +73,9 @@ class BitGraph:
 
     @cached_property
     def witness(self) -> MonoWitness:
-        """A connected graph's verdict: false at the first J-cut with a disconnected interior."""
+        """The verdict: false with no cut if disconnected, else at the first bad J-cut interior."""
+        if not self.is_connected(self.full):
+            return MonoWitness(verdict=False)
         for mask in self.cut_masks:
             if not self.is_connected(self.interior(mask)):
                 return MonoWitness(False, JCut(self.set_of(mask)), "low")

@@ -40,7 +40,7 @@ class Graph:
 
     Adjacency is given as unordered pairs.  Self-pairs and pairs that
     reference unknown sites are rejected; duplicate pairs collapse.
-    Connectedness is a queryable property, not a construction invariant.
+    Connectedness is not a construction invariant (``axioms.components_of``).
     Site ``i`` (the i-th id, ascending) has the neighbours
     ``_targets[_offsets[i]:_offsets[i + 1]]``, ascending.  The id-to-number
     dict, the site set, the pairs, the rows as ids and the bit view are
@@ -118,11 +118,6 @@ class Graph:
 
     def least_site(self) -> SiteId:
         return self._ids[0]
-
-    def is_connected(self) -> bool:
-        from .axioms import components_of  # the region half, which no build runs
-
-        return len(components_of(self, self._ids)) <= 1
 
     def __len__(self) -> int:
         return len(self._ids)
@@ -208,11 +203,6 @@ class JCut(namedtuple("JCut", "low")):
 
     def sort_key(self) -> tuple[SiteId, ...]:
         return tuple(sorted(self.low))
-
-    def flipped(self, g: Graph) -> "JCut":
-        from .axioms import complement
-
-        return JCut(complement(g, self.low))
 
     def __repr__(self) -> str:
         return "JCut({%s})" % ",".join(sorted(self.low))

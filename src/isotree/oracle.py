@@ -47,10 +47,10 @@ def _oriented_l_cut_masks(sg: ScalarGraph, bg: BitGraph) -> list[int]:
 def _level_cuts(sg: ScalarGraph, cap: int) -> list[JCut]:
     """The level cuts in cut order, once the graph is small, connected and mono-connected."""
     bg = capped_bits(sg.graph, cap, "oracle")
-    if not bg.is_connected(bg.full):
-        raise PreconditionError("the oracle requires a connected graph")
     witness = bg.witness
     if not witness.verdict:
+        if witness.counterexample is None:
+            raise PreconditionError("the oracle requires a connected graph")
         raise PreconditionError(
             f"graph is not mono-connected (counterexample: {witness.counterexample!r})"
         )

@@ -14,10 +14,11 @@ then builds both trees: with the input values it joins the sites of
 every equal-value edge into one zone (the iso-tree, gaps in input
 units); with the ranks as values nothing ties, and it gives the ranked
 iso-tree (singleton zones, rank gaps), which is built only on request
-(``--no-reduce``, ``--show-intermediate``).  This module holds
-``build_iso_tree``, which every CLI build calls, and the steps it runs;
-the public stage functions, the same steps checking the inputs they are
-given, are in :mod:`isotree.stages` and resolve here too.
+(``--no-reduce``, ``--show-intermediate``).  The ``IsoTree``
+constructor is the one structural check of the result.  This module
+holds ``build_iso_tree``, which every CLI build calls, and the steps it
+runs; the public stage functions, the same steps checking what the
+constructor cannot, are in :mod:`isotree.stages` and resolve here too.
 """
 
 from __future__ import annotations
@@ -59,8 +60,18 @@ def _sweep(g: Graph, order: Sequence[int]) -> list[int]:
             if r != x:
                 parent[r] = uf[r] = x
                 roots -= 1
-    if roots > 1:
-        raise PreconditionError("merge-tree sweeps require a connected graph")
+    if roots > 1:  # name the least site and the least site outside its component
+        def find(r: int) -> int:
+            while uf[r] != r:
+                uf[r] = r = uf[uf[r]]
+            return r
+
+        first = find(0)
+        other = next(x for x in range(n) if find(x) != first)
+        raise PreconditionError(
+            "merge-tree sweeps require a connected graph: "
+            f"{g.site_list[0]!r} and {g.site_list[other]!r} are in different components"
+        )
     return parent
 
 
@@ -131,6 +142,7 @@ def _tree(sg: ScalarGraph, edges: Sequence[tuple[int, int]], value: Sequence[flo
 
     Edges whose ends carry equal node values (``value``, per site) join
     into one zone; every other edge gets the gap ``value[hi] - value[lo]``.
+    A cycle of ties among n - 1 edges leaves too few for ``IsoTree``'s count check.
     """
     ids = sg.graph.site_list
     # Union-find over the tie edges; each root is the least site of its set.
@@ -146,8 +158,6 @@ def _tree(sg: ScalarGraph, edges: Sequence[tuple[int, int]], value: Sequence[flo
             parent[ri] = ri = parent[parent[ri]]
         while parent[rj] != rj:
             parent[rj] = rj = parent[parent[rj]]
-        if ri == rj:
-            raise InternalInconsistencyError(f"tie edge {ids[i]!r}->{ids[j]!r} closes a cycle")
         parent[max(ri, rj)] = min(ri, rj)
 
     # Parents point to smaller sites, whose parent is by now their root.

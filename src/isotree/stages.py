@@ -1,9 +1,10 @@
 """The pipeline's public stage functions: ``build_iso_tree``'s steps, one at a time, checked.
 
 Each returns its intermediate result (``MergeTree``,
-``AugmentedContourTree``, the ranked tree) and checks the inputs it is
-given; the ``build --show-intermediate`` printout shows them, and no
-build calls ``reduce_by_f``.  :mod:`isotree.pipeline` resolves its names too.
+``AugmentedContourTree``, the ranked tree) and checks in its inputs what
+the ``IsoTree`` constructor does not; the ``build --show-intermediate``
+printout shows them, and no build calls ``reduce_by_f``.
+:mod:`isotree.pipeline` resolves its names too.
 """
 
 from __future__ import annotations
@@ -88,19 +89,17 @@ def reduce_by_f(sg: ScalarGraph, tree_h: IsoTree) -> IsoTree:
 
 
 def _checked_tree(sg: ScalarGraph, rank: Sequence[int], edges, number, value) -> IsoTree:
-    """``_tree`` of n - 1 contour edges ``(lo, hi)``, each checked to point up in ``rank``.
+    """``_tree`` of contour edges ``(lo, hi)``, each checked to name two sites, up in ``rank``.
 
     ``number`` maps an end to its site number: the graph's id dict, or ``range(n)``.
     """
-    ids, n = sg.graph.site_list, len(rank)
-    if len(edges) != n - 1:
-        raise InternalInconsistencyError(f"{len(edges)} edges over {n} nodes")
+    ids = sg.graph.site_list
     numbered = []
     for lo, hi in edges:
         if lo not in number or hi not in number:
             raise InternalInconsistencyError(f"contour edge {lo!r}->{hi!r} names an unknown site")
         i, j = number[lo], number[hi]
-        if not rank[i] < rank[j]:
+        if not rank[i] < rank[j]:  # once contracted, a tie pointing down passes IsoTree
             raise InternalInconsistencyError(
                 f"contour edge {ids[i]!r}->{ids[j]!r} points down in rank"
             )

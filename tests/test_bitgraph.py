@@ -85,7 +85,7 @@ def _literal_cut_masks(g: Graph) -> list[int]:
 
 
 def _literal_witness(g: Graph) -> MonoWitness:
-    if not g.is_connected():
+    if not is_region_connected(g, g.sites):
         return MonoWitness(verdict=False)
     for m in _literal_cut_masks(g):
         low = _region(g, m)
@@ -143,6 +143,13 @@ def test_cut_masks_match_the_literal_scan(make):
 def test_mono_witness_matches_the_literal_scan(make):
     g = make()
     assert is_mono_connected(g) == _literal_witness(g)
+
+
+@pytest.mark.parametrize("g", [Graph("ab"), _two_components()], ids=["a+b", "P6+C6"])
+def test_witness_answers_a_disconnected_graph_without_a_scan(g):
+    assert g._bits.witness == MonoWitness(False)
+    assert g._bits.witness.counterexample is None
+    assert "cut_masks" not in g._bits.__dict__
 
 
 VALUE_KINDS = {

@@ -240,6 +240,13 @@ class TestCheckMono:
         assert res.returncode == 1
         assert "counterexample: ({a}, {b,c,d})" in res.stdout
 
+    def test_disconnected_graph_has_no_counterexample(self, capsys, tmp_path):
+        p = tmp_path / "apart.json"
+        sites = [{"id": "a", "value": 0}, {"id": "b", "value": 1}]
+        p.write_text(json.dumps({"sites": sites, "adjacency": []}))
+        assert cli.main(["check-mono", "--input", str(p)]) == 1
+        assert capsys.readouterr() == ("not mono-connected\ngraph is disconnected\n", "")
+
     def test_cap_is_exit_3(self, c4_file):
         res = run_cli("check-mono", "--input", str(c4_file), "--max-sites", "2")
         assert res.returncode == 3
@@ -271,6 +278,16 @@ class TestRoundtrip:
                 assert cli.main(["roundtrip", "--input", path, "--engine", engine]) == 0
                 assert capsys.readouterr() == ("PASS: RT∘ITT identity\n", "")
 
+    def test_a_value_the_tree_misses_fails(self, capsys, tmp_path):
+        # 0.05 - 0.07 is not -0.02 in floats.  Exact decimals (ROADMAP
+        # item 4) will make this round trip pass.
+        p = tmp_path / "decimal.json"
+        p.write_text(graph_to_json(gen_path(2, [0.05, -0.02])))
+        assert cli.main(["roundtrip", "--input", str(p)]) == 1
+        assert capsys.readouterr() == (
+            "FAIL: RT∘ITT differs at b: -0.020000000000000004 != -0.02\n", ""
+        )
+
     def test_oracle_engine_keeps_its_cap(self, capsys, peak_file):
         argv = ["roundtrip", "--input", str(peak_file), "--engine", "oracle", "--max-sites", "2"]
         assert cli.main(argv) == 3
@@ -294,7 +311,10 @@ class TestOracleDiff:
         p = tmp_path / "disconnected.json"
         p.write_text(json.dumps({"sites": [{"id": s, "value": 0} for s in "ab"]}))
         assert cli.main(["oracle-diff", "--input", str(p), "--max-sites", "1"]) == 3
-        assert capsys.readouterr().err == "error: merge-tree sweeps require a connected graph\n"
+        assert capsys.readouterr().err == (
+            "error: merge-tree sweeps require a connected graph: 'a' and 'b' are in different"
+            " components\n"
+        )
 
     def test_divergence_lists_both_trees(self, capsys, monkeypatch, peak_file):
         monkeypatch.setattr(cli, "build_iso_tree", lambda sg, reduce: build_iso_tree(

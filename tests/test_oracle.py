@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from isotree import (
     Graph,
     IsoTreeError,
+    JCut,
     PreconditionError,
     ScalarGraph,
     SizeLimitError,
@@ -49,14 +50,15 @@ class TestBruteForceLCuts:
     def test_non_mono_rejected(self):
         g = cycle_graph(4)
         sg = ScalarGraph(g, {p: 0 for p in g.sites})
-        with pytest.raises(PreconditionError):
+        with pytest.raises(PreconditionError) as info:
             brute_force_l_cuts(sg)
+        assert str(info.value) == "graph is not mono-connected (counterexample: JCut({a}))"
 
     @pytest.mark.parametrize("oracle", [brute_force_l_cuts, brute_force_iso_tree])
     def test_disconnected_rejected(self, oracle):
         # a-b plus an isolated c: it must not reach the scan.
         sg = ScalarGraph(Graph("abc", [("a", "b")]), {"a": 0, "b": 1, "c": 2})
-        with pytest.raises(PreconditionError, match="connected graph"):
+        with pytest.raises(PreconditionError, match="^the oracle requires a connected graph$"):
             oracle(sg)
 
 
@@ -166,7 +168,7 @@ def test_table_scan_finds_the_literal_l_cuts(sg, kind):
     scanned = {bg.set_of(m) for m in _oriented_l_cut_masks(sg, bg)}
     literal = set()
     for c in enumerate_j_cuts(g):
-        for side in (c, c.flipped(g)):
+        for side in (c, JCut(axioms.complement(g, c.low))):
             if is_l_cut(sg, side):
                 literal.add(side.low)
     assert scanned == literal

@@ -374,7 +374,8 @@ class TestReduce:
         assert tree.edges == ()
 
     def test_reduced_tree_is_rejected(self, plateau):
-        with pytest.raises(InternalInconsistencyError, match="1 edges over 3 nodes"):
+        # Its one edge names a site of each zone, and no tie contracts them.
+        with pytest.raises(InternalInconsistencyError, match="1 edges over 3 zones is not a free"):
             reduce_by_f(plateau, build_iso_tree(plateau))
 
 
@@ -396,9 +397,10 @@ class TestContractTies:
             reduce_by_f(gen_path(3, [0, 1, 2]), build_iso_tree(gen_path(3, [2, 1, 0]), reduce=False))
 
     def test_cycle_of_equal_valued_edges(self):
-        # Ranks never tie, so only the input values reach this check.
+        # Ranks never tie, so only the input values make a tie cycle.  The
+        # cycle joins a, b and c into one zone and leaves no edge to d.
         sg = gen_path(4, [0, 0, 0, 1])
-        with pytest.raises(InternalInconsistencyError, match="tie edge 'a'->'c' closes a cycle"):
+        with pytest.raises(InternalInconsistencyError, match="0 edges over 2 zones is not a free"):
             _tree(sg, [(0, 1), (1, 2), (0, 2)], [0, 0, 0, 1])
 
     def test_edge_naming_an_unknown_site(self):
@@ -410,7 +412,7 @@ class TestContractTies:
             reduce_by_f(gen_path(3, [0, 1, 2]), build_iso_tree(other, reduce=False))
 
     def test_edge_count_must_make_a_tree(self):
-        with pytest.raises(InternalInconsistencyError, match="1 edges over 3 nodes"):
+        with pytest.raises(InternalInconsistencyError, match="1 edges over 3 zones is not a free"):
             self.contract([0, 1, 2], [(0, 1)])
 
     def test_a_failing_tree_check_is_an_internal_error(self):
