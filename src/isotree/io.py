@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import json
 import math
-from operator import itemgetter
+from itertools import compress
+from operator import eq
 from typing import Any
 
 from .errors import NotATreeError, ParseError, ValidationError
@@ -210,16 +211,34 @@ def _tree_of(doc: Any) -> IsoTree:
 
     reference = _require_str(doc.get("reference"), "reference")
     reference_value = _require_number(doc.get("referenceValue"), "referenceValue")
-    # The sites are numbered in id order; a site's root is its zone's id.
-    owner = {p: sites[0] for sites in zone_sites for p in sites}
+    # Zones are numbered in id order, and ``owner`` gives each site its zone's number;
+    # a zone's sites are sorted, so a shared site met first is the least one.
+    order = sorted(range(len(zone_sites)), key=[sites[0] for sites in zone_sites].__getitem__)
+    reps, owner = [], {}
+    for z, sites in enumerate(map(zone_sites.__getitem__, order)):
+        for p in sites:
+            if owner.setdefault(p, z) != z:
+                if p == reps[owner[p]]:
+                    raise NotATreeError(f"duplicate zone representative {p!r}")
+                raise NotATreeError(f"site {p!r} belongs to more than one zone")
+        reps.append(sites[0])
+    # The sites are numbered in id order; a site's root is its zone's id, whose
+    # number ``first`` holds in zone order.
     ids = tuple(sorted(owner))
-    rep_number = {p: i for i, p in enumerate(ids) if owner[p] == p}
-    zone_values = [v for _, v in sorted(zip((sites[0] for sites in zone_sites), values))]
-    low, up = list(map(rep_number.get, lows)), list(map(rep_number.get, ups))
-    if len(owner) != sum(map(len, zone_sites)) or None in low or None in up:
-        _check_zones_and_ends(zone_sites, zone_values, lows, ups, gaps)
-    # Past the checks each zone holds its own id, so every owner has a number.
-    root = [rep_number[owner[p]] for p in ids]
+    zone = list(map(owner.__getitem__, ids))
+    first = list(compress(range(len(ids)), map(eq, ids, map(reps.__getitem__, zone))))
+    root = list(map(first.__getitem__, zone))
+    zone_values = list(map(values.__getitem__, order))
+    number = dict(zip(reps, first))
+    low, up = list(map(number.get, lows)), list(map(number.get, ups))
+    if None in low or None in up:
+        # The edges in (low, up) order: those ahead of the first unknown end are checked first.
+        keys = sorted(range(len(lows)), key=lambda k: (lows[k], ups[k]))
+        ahead = keys[: next(i for i, k in enumerate(keys) if None in (low[k], up[k]))]
+        a, b = [zone[low[k]] for k in ahead], [zone[up[k]] for k in ahead]
+        _check_edges(zone_values, a, b, [gaps[k] for k in ahead], reps.__getitem__)
+        bad = keys[len(ahead)]
+        raise NotATreeError(f"edge {lows[bad]!r}->{ups[bad]!r} references an unknown zone")
     tree = IsoTree(ids, root, zone_values, low, up, gaps, reference)
     if sides:
         for e in tree.edges:
@@ -236,34 +255,9 @@ def _tree_of(doc: Any) -> IsoTree:
     if tree.reference_value != reference_value:
         raise ValidationError(
             f"referenceValue: {reference_value!r} is not the value {tree.reference_value!r} "
-            f"of the reference's zone {owner[reference]!r}"
+            f"of the reference's zone {reps[owner[reference]]!r}"
         )
     return tree
-
-
-def _check_zones_and_ends(zone_sites, values, lows, ups, gaps) -> None:
-    """Raise on a fault that only a document can have: in its zones, then in its edge ends.
-
-    Zones go in id order, a zone's repeats counting once, and edges in (low, up) order; an
-    edge ahead of the first unknown end gets the tree's edge checks, so it raises first.
-    ``values`` holds the zone values in id order.
-    """
-    seen: set[str] = set()
-    reps: list[str] = []
-    for sites in sorted(zone_sites, key=itemgetter(0)):
-        if reps and sites[0] == reps[-1]:
-            raise NotATreeError(f"duplicate zone representative {reps[-1]!r}")
-        shared = seen.intersection(sites)
-        if shared:
-            raise NotATreeError(f"site {min(shared)!r} belongs to more than one zone")
-        seen.update(sites)
-        reps.append(sites[0])
-    zone = dict(zip(reps, range(len(reps))))
-    for k in sorted(range(len(lows)), key=lambda k: (lows[k], ups[k])):
-        a, b = zone.get(lows[k]), zone.get(ups[k])
-        if a is None or b is None:
-            raise NotATreeError(f"edge {lows[k]!r}->{ups[k]!r} references an unknown zone")
-        _check_edges(values, [a], [b], [gaps[k]], reps.__getitem__)
 
 
 # ---------------------------------------------------------------------------

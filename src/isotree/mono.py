@@ -23,13 +23,12 @@ paths here, and the triangulated grids of :mod:`isotree.grid`, whose
 
 from __future__ import annotations
 
-import math
 import random
 from typing import Sequence
 
 from ._bitgraph import MonoWitness, capped_bits
 from .errors import DEFAULT_ENUMERATION_CAP, PreconditionError
-from .graph import Graph, JCut, ScalarGraph, SiteId
+from .graph import _INFINITE, Graph, JCut, ScalarGraph, SiteId
 from .grid import ValuePolicy, _resolve_values
 from .grid import gen_tri_grid, grid_site_id  # noqa: F401  (re-exported)
 
@@ -42,7 +41,7 @@ def ramp() -> ValuePolicy:
 
 
 def constant(value: float = 0) -> ValuePolicy:
-    if not math.isfinite(value):
+    if value != value or value in _INFINITE:  # the graph's own rule: any int passes
         raise PreconditionError(f"constant value {value!r} is not finite")
     return lambda n: [value] * n
 

@@ -111,7 +111,11 @@ def _merge(p_sub: list[int], p_sup: list[int], ids: Sequence[SiteId]) -> list[tu
             if not pruned[x] and n_sub[x] + n_sup[x] == 1:
                 break
         else:
-            raise InternalInconsistencyError("leaf-pruning merge stalled; malformed merge trees")
+            left = [x for x in range(n) if not pruned[x]]  # in id order
+            raise InternalInconsistencyError(
+                "leaf-pruning merge stalled; malformed merge trees: "
+                f"{len(left)} sites left unpruned, the least {ids[left[0]]!r}"
+            )
         low = n_sub[x] == 0  # a lower leaf: its edge goes to its sublevel parent
         mate = lookup(p_sub if low else p_sup, x)
         if mate == n:

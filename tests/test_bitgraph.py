@@ -7,6 +7,7 @@ and asks only ``is_region_connected`` and ``immediate_interior``.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 from math import inf
 
@@ -198,3 +199,18 @@ def test_half_tables_give_interior_extremes(make):
 def test_half_tables_give_interior_extremes_at_16_sites():
     g = gen_tri_grid(4, 4, constant(0)).graph
     _check_half_tables(g, [0, (1 << 16) - 1, *_seeded_masks(16, 4096)])
+
+
+def test_every_small_failing_cut_fails_on_its_up_side():
+    # Over every labelled graph of at most 5 sites, the first failing J-cut
+    # of a connected graph that is not mono-connected fails on its up side.
+    sides = Counter()
+    for n in range(1, 6):
+        ids = path_site_ids(n)
+        pairs = [(a, b) for i, a in enumerate(ids) for b in ids[i + 1 :]]
+        for mask in range(1 << len(pairs)):
+            g = Graph(ids, [pair for k, pair in enumerate(pairs) if mask >> k & 1])
+            w = g._bits.witness
+            if w.counterexample is not None:
+                sides[n, w.failing_side] += 1
+    assert sides == {(4, "up"): 3, (5, "up"): 172}

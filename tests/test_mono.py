@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -273,6 +274,11 @@ class TestGenerators:
             gen_tri_grid(3, 1, [0, bad, 1])
         with pytest.raises(ValueError, match=rf"^index 3: value {bad!r} is not finite$"):
             gen_tri_grid(2, 2, lambda n: [0, 1, 2, bad])
+
+    @pytest.mark.parametrize("value", [10**400, Fraction(1, 3)], ids=["10**400", "1/3"])
+    def test_constant_takes_any_finite_number(self, value):
+        sg = gen_path(2, constant(value))
+        assert sg.values == {"a": value, "b": value}
 
     def test_seeded_random_is_reproducible(self):
         a = gen_tri_grid(3, 3, seeded_random(42))

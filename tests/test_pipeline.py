@@ -211,15 +211,17 @@ class TestMerge:
 # yet: it returns edges that are not level cuts, or its merge stalls.
 # Pin each outcome so that it changes only on purpose.  Sites c0, c1, ...
 # take the values in order around the cycle.
-STALLED = "leaf-pruning merge stalled; malformed merge trees"
+STALLED = (
+    "leaf-pruning merge stalled; malformed merge trees: {} sites left unpruned, the least {!r}"
+)
 NON_MONO_CYCLES = [
     ([6, 9, 0, 9], [("c0", "c1", 3), ("c0", "c3", 3), ("c2", "c1", 9)]),
-    ([0, 5, 3, 5, 3], STALLED),
+    ([0, 5, 3, 5, 3], STALLED.format(3, "c1")),
     (
         [5, 3, 2, 8, 7, 8],
         [("c0", "c3", 3), ("c1", "c0", 2), ("c2", "c1", 1), ("c4", "c3", 1), ("c4", "c5", 1)],
     ),
-    ([2, 9, 8, 2, 7, 9, 8], STALLED),
+    ([2, 9, 8, 2, 7, 9, 8], STALLED.format(5, "c1")),
     (
         [6, 2, 1, 3, 9, 5, 0, 3],
         [
@@ -232,7 +234,7 @@ NON_MONO_CYCLES = [
             ("c7", "c0", 3),
         ],
     ),
-    ([0, 2, 7, 7, 2, 8, 3, 2], STALLED),
+    ([0, 2, 7, 7, 2, 8, 3, 2], STALLED.format(4, "c2")),
 ]
 
 
